@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -67,13 +68,15 @@ class RunConfig:
         if self.scheme is None:
             raise ConfigError("a scheme is required")
         if self.command in ("integrate", "drift"):
-            if self.h is None or self.h <= 0.0:
-                raise ConfigError("h must be positive")
+            if self.h is None or not (math.isfinite(self.h) and self.h > 0.0):
+                raise ConfigError("h must be positive and finite")
             if self.steps is None or self.steps < 1:
                 raise ConfigError("steps must be >= 1")
         if self.command == "order":
             if self.h_list is None or len(self.h_list) < 3:
                 raise ConfigError("order needs at least 3 step sizes (--h-list)")
+            if not all(math.isfinite(h) and h > 0.0 for h in self.h_list):
+                raise ConfigError("step sizes in --h-list must be positive and finite")
 
 
 class ConfigError(ValueError):

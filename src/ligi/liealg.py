@@ -48,30 +48,44 @@ _BERNOULLI_OVER_FACT = bernoulli(_MAX_SERIES_ORDER) / np.array(
 # ---------------------------------------------------------------------------
 # so(3) and SO(3)
 # ---------------------------------------------------------------------------
+#
+# The so(3) and S^3 closed forms below run on Python floats: on 3- and
+# 4-vectors numpy's fixed cost per call is many times that of the few dozen
+# flops, and these forms sit under every Newton residual and every
+# discrete-gradient iteration.  Each reads its arguments with one tolist()
+# and builds one array for its result (3x3 results from a flat list, which
+# numpy builds in half the time of a nested one).
+
 
 def cross3(a, b):
     """Cross product of 3-vectors without np.cross dispatch overhead."""
-    out = np.empty(3)
-    out[0] = a[1] * b[2] - a[2] * b[1]
-    out[1] = a[2] * b[0] - a[0] * b[2]
-    out[2] = a[0] * b[1] - a[1] * b[0]
-    return out
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def hat(v):
     """Map a 3-vector to the skew matrix with hat(v) @ x == cross(v, x)."""
-    v = np.asarray(v, dtype=float)
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    return np.array([0.0, -z, y, z, 0.0, -x, -y, x, 0.0]).reshape(3, 3)
 
 
 def vee(A):
     """Inverse of :func:`hat`."""
     A = np.asarray(A, dtype=float)
     return np.array([A[2, 1], A[0, 2], A[1, 0]])
+
+
+def _rodrigues(x, y, z, c1, c2):
+    """I + c1 hat(v) + c2 hat(v)^2 for v = (x, y, z)."""
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = c2 * (x * y), c2 * (x * z), c2 * (y * z)
+    sx, sy, sz = c1 * x, c1 * y, c1 * z
+    return np.array([
+        1.0 - c2 * (yy + zz), xy - sz, xz + sy,
+        xy + sz, 1.0 - c2 * (xx + zz), yz - sx,
+        xz - sy, yz + sx, 1.0 - c2 * (xx + yy),
+    ]).reshape(3, 3)
 
 
 def _rotation_coeffs(theta2):
@@ -88,10 +102,8 @@ def _rotation_coeffs(theta2):
 
 def rotation_from_vector(v):
     """Rotation about axis v by angle |v| (closed form on so(3))."""
-    v = np.asarray(v, dtype=float)
-    c1, c2 = _rotation_coeffs(float(v @ v))
-    V = hat(v)
-    return np.eye(3) + c1 * V + c2 * (V @ V)
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    return _rodrigues(x, y, z, *_rotation_coeffs(x * x + y * y + z * z))
 
 
 def expm_so3(A):
@@ -136,13 +148,16 @@ def _dexp_coeffs(theta):
         b = 1.0 / 6.0 - t2 / 120.0 * (1.0 - t2 / 42.0)
     else:
         t2 = theta * theta
-        a = (1.0 - math.cos(theta)) / t2
+        # 1 - cos t = 2 sin^2(t/2) without the cancellation that costs
+        # 1e-12 relative accuracy just above SMALL_ANGLE.
+        s = math.sin(0.5 * theta) / theta
+        a = 2.0 * s * s
         b = (theta - math.sin(theta)) / (t2 * theta)
     return a, b
 
 
-def _dexpinv_coeff(theta):
-    """c(t) with dexpinv_v = I - ad_v / 2 + c ad_v^2 on so(3).
+def _dexpinv_coeffs(theta):
+    """Coefficients -1/2, c with dexpinv_v = I - ad_v / 2 + c ad_v^2 on so(3).
 
     c(t) = (1 - (t/2) cot(t/2)) / t^2, finite on [0, 2 pi).
     """
@@ -150,18 +165,34 @@ def _dexpinv_coeff(theta):
         raise ValueError(f"dexpinv closed form needs |v| < 2*pi, got {theta!r}")
     if theta < SMALL_ANGLE:
         t2 = theta * theta
-        return 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
+        return -0.5, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
     half = 0.5 * theta
-    return (1.0 - half / math.tan(half)) / (theta * theta)
+    return -0.5, (1.0 - half / math.tan(half)) / (theta * theta)
+
+
+def _ad_quadratic(x, y, z, v, coeffs):
+    """v + a cross(s, v) + b cross(s, cross(s, v)) for s = (x, y, z).
+
+    The so(3) dexp family: each member is I + a ad_s + b ad_s^2 with
+    (a, b) = coeffs(|s|).  Its dual is the transpose, which flips the odd
+    term, so it is the same map at -s.
+    """
+    v0, v1, v2 = np.asarray(v, dtype=float).tolist()
+    a, b = coeffs(math.sqrt(x * x + y * y + z * z))
+    w0 = y * v2 - z * v1
+    w1 = z * v0 - x * v2
+    w2 = x * v1 - y * v0
+    return np.array([
+        v0 + a * w0 + b * (y * w2 - z * w1),
+        v1 + a * w1 + b * (z * w0 - x * w2),
+        v2 + a * w2 + b * (x * w1 - y * w0),
+    ])
 
 
 def dexp_so3_exact(sigma, v):
     """dexp_sigma(v) on so(3) in vector coordinates, closed form."""
-    sigma = np.asarray(sigma, dtype=float)
-    v = np.asarray(v, dtype=float)
-    a, b = _dexp_coeffs(math.sqrt(sigma @ sigma))
-    sv = cross3(sigma, v)
-    return v + a * sv + b * cross3(sigma, sv)
+    x, y, z = np.asarray(sigma, dtype=float).tolist()
+    return _ad_quadratic(x, y, z, v, _dexp_coeffs)
 
 
 def dexpinv_so3_exact(sigma, v):
@@ -170,29 +201,20 @@ def dexpinv_so3_exact(sigma, v):
     v - cross(sigma, v)/2 + c(|sigma|) cross(sigma, cross(sigma, v)),
     valid for |sigma| < 2 pi.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    v = np.asarray(v, dtype=float)
-    c = _dexpinv_coeff(math.sqrt(sigma @ sigma))
-    sv = cross3(sigma, v)
-    return v - 0.5 * sv + c * cross3(sigma, sv)
+    x, y, z = np.asarray(sigma, dtype=float).tolist()
+    return _ad_quadratic(x, y, z, v, _dexpinv_coeffs)
 
 
 def dual_dexp_so3_exact(sigma, mu):
     """(dexp_sigma)^* mu on so(3)^*: transpose of the dexp matrix."""
-    sigma = np.asarray(sigma, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    a, b = _dexp_coeffs(math.sqrt(sigma @ sigma))
-    ms = cross3(mu, sigma)
-    return mu + a * ms + b * cross3(ms, sigma)
+    x, y, z = np.asarray(sigma, dtype=float).tolist()
+    return _ad_quadratic(-x, -y, -z, mu, _dexp_coeffs)
 
 
 def dual_dexpinv_so3_exact(sigma, mu):
     """(dexpinv_sigma)^* mu on so(3)^*."""
-    sigma = np.asarray(sigma, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    c = _dexpinv_coeff(math.sqrt(sigma @ sigma))
-    ms = cross3(mu, sigma)
-    return mu - 0.5 * ms + c * cross3(ms, sigma)
+    x, y, z = np.asarray(sigma, dtype=float).tolist()
+    return _ad_quadratic(-x, -y, -z, mu, _dexpinv_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +224,27 @@ def dual_dexpinv_so3_exact(sigma, mu):
 QUAT_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
+def _unit_quat(w, x, y, z):
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return np.array([w / n, x / n, y / n, z / n])
+
+
 def quat_mul(p, q):
     """Quaternion product, renormalised to unit length."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    out = np.empty(4)
-    out[0] = p[0] * q[0] - p[1:] @ q[1:]
-    out[1:] = p[0] * q[1:] + q[0] * p[1:] + np.cross(p[1:], q[1:])
-    return out / np.linalg.norm(out)
+    p0, p1, p2, p3 = np.asarray(p, dtype=float).tolist()
+    q0, q1, q2, q3 = np.asarray(q, dtype=float).tolist()
+    return _unit_quat(
+        p0 * q0 - (p1 * q1 + p2 * q2 + p3 * q3),
+        p0 * q1 + q0 * p1 + (p2 * q3 - p3 * q2),
+        p0 * q2 + q0 * p2 + (p3 * q1 - p1 * q3),
+        p0 * q3 + q0 * p3 + (p1 * q2 - p2 * q1),
+    )
 
 
 def quat_conj(q):
     """Conjugate (= inverse for unit quaternions)."""
-    q = np.asarray(q, dtype=float)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    q0, q1, q2, q3 = np.asarray(q, dtype=float).tolist()
+    return np.array([q0, -q1, -q2, -q3])
 
 
 def quat_exp(w):
@@ -224,8 +253,8 @@ def quat_exp(w):
     quat_exp(w) = (cos|w|, sin|w| w/|w|); it covers the rotation
     expm_so3(hat(2 w)).
     """
-    w = np.asarray(w, dtype=float)
-    theta2 = float(w @ w)
+    x, y, z = np.asarray(w, dtype=float).tolist()
+    theta2 = x * x + y * y + z * z
     if theta2 < SMALL_ANGLE ** 2:
         s = 1.0 - theta2 / 6.0 * (1.0 - theta2 / 20.0)
         c = 1.0 - theta2 / 2.0 * (1.0 - theta2 / 12.0)
@@ -233,8 +262,7 @@ def quat_exp(w):
         theta = math.sqrt(theta2)
         s = math.sin(theta) / theta
         c = math.cos(theta)
-    q = np.concatenate(([c], s * w))
-    return q / np.linalg.norm(q)
+    return _unit_quat(c, s * x, s * y, s * z)
 
 
 def quat_log(q):
@@ -256,9 +284,8 @@ def quat_log(q):
 
 def euler_rodrigues(q):
     """Double cover S^3 -> SO(3): I + 2 q0 hat(q) + 2 hat(q)^2."""
-    q = np.asarray(q, dtype=float)
-    Q = hat(q[1:])
-    return np.eye(3) + 2.0 * q[0] * Q + 2.0 * (Q @ Q)
+    q0, x, y, z = np.asarray(q, dtype=float).tolist()
+    return _rodrigues(x, y, z, 2.0 * q0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +499,7 @@ class So3Ops(GroupOps):
         return cross3(a, b)
 
     def coad(self, xi, mu):
-        return cross3(np.asarray(mu, float), np.asarray(xi, float))
+        return cross3(mu, xi)
 
     def exp(self, xi):
         return rotation_from_vector(xi)
@@ -522,7 +549,7 @@ class QuatOps(GroupOps):
         return 2.0 * cross3(a, b)
 
     def coad(self, xi, mu):
-        return 2.0 * cross3(np.asarray(mu, float), np.asarray(xi, float))
+        return 2.0 * cross3(mu, xi)
 
     def exp(self, xi):
         return quat_exp(xi)

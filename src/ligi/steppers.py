@@ -114,9 +114,10 @@ def rkmk_step(problem: FrozenFieldProblem, y, h, tableau: ButcherTableau = KUTTA
     a, b, s = tableau.a, tableau.b, tableau.stages
 
     def stage(stages, i):
-        u = h * sum(a[i, j] * stages[j] for j in range(s) if a[i, j] != 0.0)
-        if isinstance(u, float):  # all-zero row
+        terms = [a[i, j] * stages[j] for j in range(s) if a[i, j] != 0.0]
+        if not terms:  # all-zero row: u = 0 whatever the type of h
             return f(y)
+        u = h * sum(terms)
         return group.dexpinv(u, f(act.apply(group.exp(u), y)), series_order)
 
     if tableau.explicit:

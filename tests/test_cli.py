@@ -157,6 +157,24 @@ def test_validation_failures_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("h", ["nan", "inf"])
+def test_non_finite_h_exit_2_without_csv(tmp_path, capsys, h):
+    out = tmp_path / "traj.csv"
+    code = run(["integrate", "--preset", "frb-s2-rkmk4", "--h", h,
+                "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h_list", ["0.1,nan,0.025", "inf,0.05,0.025"])
+def test_non_finite_h_list_exit_2(capsys, h_list):
+    code = run(["order", "--problem", "frb_s2", "--scheme", "rkmk4",
+                "--h-list", h_list])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"problem": "frb_s2", "scheme": "rkmk4",

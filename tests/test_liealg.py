@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,14 +8,18 @@ from ligi.errors import AlgebraMismatch, AngleNearPi, LogNearAntipode, SingularR
 from ligi.liealg import (
     S3,
     SL2,
+    SMALL_ANGLE,
     SO3,
     SO3_MATRIX,
     affine_exp,
     cayley,
     dexp_series,
     dexpinv_series,
+    dexp_so3_exact,
     dexpinv_so3_exact,
     dual_dexp_series,
+    dual_dexp_so3_exact,
+    dual_dexpinv_so3_exact,
     euler_rodrigues,
     expm_so3,
     hat,
@@ -430,3 +435,101 @@ def test_affine_exp_one_parameter_property(rng):
     A12, b12 = affine_exp(s + t, L, b)
     assert np.allclose(A1 @ A2, A12, atol=1e-12)
     assert np.allclose(A1 @ b2 + b1, b12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Closed so(3)/S^3 forms against independent references
+# ---------------------------------------------------------------------------
+#
+# Each property runs on both sides of SMALL_ANGLE, where the closed forms
+# switch between their series and trigonometric branches, and with the
+# arguments passed as arrays and as plain lists.
+
+def _vectors_with_norm(lo, hi):
+    directions = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(
+        np.array).filter(lambda u: np.linalg.norm(u) > 1e-3)
+    return st.builds(lambda u, r: u * (r / np.linalg.norm(u)),
+                     directions, st.floats(lo, hi))
+
+
+# Below SMALL_ANGLE even after doubling (quat_exp(w) covers rotation 2w).
+ANGLES = {"series": _vectors_with_norm(0.0, 0.45 * SMALL_ANGLE),
+          "closed": _vectors_with_norm(1.1 * SMALL_ANGLE, 3.0)}
+by_side = pytest.mark.parametrize("side", sorted(ANGLES))
+as_list = pytest.mark.parametrize("as_list", [False, True])
+kernel_examples = settings(max_examples=50, deadline=None)
+
+
+def _arg(v, as_list):
+    return np.asarray(v).tolist() if as_list else v
+
+
+def _skew(v):
+    """The matrix of x -> cross(v, x), built from np.cross."""
+    return np.cross(v, np.eye(3)).T
+
+
+def _unit_quat(w):
+    t = np.linalg.norm(w)
+    return np.concatenate([[np.cos(t)], np.sinc(t / np.pi) * w])
+
+
+def _hamilton(p, q):
+    return np.concatenate([[p[0] * q[0] - p[1:] @ q[1:]],
+                           p[0] * q[1:] + q[0] * p[1:] + np.cross(p[1:], q[1:])])
+
+
+@by_side
+@as_list
+@kernel_examples
+@given(data=st.data())
+def test_rotation_from_vector_matches_expm(side, as_list, data):
+    v = data.draw(ANGLES[side])
+    R = rotation_from_vector(_arg(v, as_list))
+    assert np.max(np.abs(R - scipy.linalg.expm(_skew(v)))) < 1e-13
+
+
+@by_side
+@as_list
+@kernel_examples
+@given(data=st.data(), mu=vectors, v=vectors)
+def test_dual_dexp_family_pairing(side, as_list, data, mu, v):
+    sigma = data.draw(ANGLES[side])
+    scale = 1e-13 * (1.0 + np.linalg.norm(mu) * np.linalg.norm(v))
+    s, m, w = (_arg(x, as_list) for x in (sigma, mu, v))
+    for dual, primal in ((dual_dexp_so3_exact, dexp_so3_exact),
+                         (dual_dexpinv_so3_exact, dexpinv_so3_exact)):
+        assert abs(dual(s, m) @ v - mu @ primal(s, w)) < scale
+
+
+@by_side
+@as_list
+@kernel_examples
+@given(data=st.data(), v=vectors)
+def test_dexp_inverts_dexpinv(side, as_list, data, v):
+    sigma = _arg(data.draw(ANGLES[side]), as_list)
+    w = dexpinv_so3_exact(sigma, _arg(v, as_list))
+    assert np.max(np.abs(dexp_so3_exact(sigma, w) - v)) < 1e-13 * (1.0 + np.linalg.norm(v))
+
+
+@by_side
+@as_list
+@kernel_examples
+@given(data=st.data())
+def test_quat_mul_is_normalised_hamilton_product(side, as_list, data):
+    p = _unit_quat(data.draw(ANGLES[side]))
+    q = _unit_quat(data.draw(ANGLES["closed"]))
+    ref = _hamilton(p, q)
+    out = quat_mul(_arg(p, as_list), _arg(q, as_list))
+    assert np.max(np.abs(out - ref / np.linalg.norm(ref))) < 4e-15
+    assert abs(np.linalg.norm(out) - 1.0) < 4e-15
+
+
+@by_side
+@as_list
+@kernel_examples
+@given(data=st.data())
+def test_euler_rodrigues_of_quat_exp_is_double_rotation(side, as_list, data):
+    w = data.draw(ANGLES[side])
+    E = euler_rodrigues(_arg(quat_exp(_arg(w, as_list)), as_list))
+    assert np.max(np.abs(E - rotation_from_vector(_arg(2.0 * w, as_list)))) < 1e-13

@@ -205,6 +205,19 @@ def test_rkmk_implicit_divergence_reports_h():
     assert err.value.h == 0.225
 
 
+@pytest.mark.parametrize("h, h_float, rtol", [
+    (1, 1.0, 1e-6),
+    (np.float32(0.05), 0.05, 1e-6),
+    (np.float64(0.05), 0.05, 0.0),
+])
+def test_rkmk_step_accepts_any_real_step_type(h, h_float, rtol):
+    # The all-zero first row of KUTTA4 must be recognised whatever type h has.
+    expected = rkmk_step(FRB, Y0_S2, h_float, tableau=KUTTA4)
+    got = rkmk_step(FRB, Y0_S2, h, tableau=KUTTA4)
+    assert got.dtype == np.float64
+    np.testing.assert_allclose(got, expected, rtol=rtol, atol=0.0)
+
+
 def test_cf4_exponential_count():
     # Counting through a proxy group: the scheme needs five exponentials.
     calls = {"exp": 0}
