@@ -7,10 +7,10 @@
 Run from the root of a checkout.  The primitives of ``src/`` are timed as
 "change"; with ``--baseline`` those of ``<baseline>/src`` are timed too, as
 "parent".  Each tree is timed in fresh single-threaded child interpreters,
-alternating between the trees for ``--rounds`` rounds, so that a drift of the
+alternating between the trees for ``ROUNDS`` rounds, so that a drift of the
 machine's speed hits both alike.  A primitive's time is the minimum over all
-``timeit`` repeats (each of ``--number`` calls); the spread is the quartiles
-and the maximum of those repeats.
+``timeit`` repeats (``REPEAT`` per round, each of ``NUMBER`` calls); the spread
+is the quartiles and the maximum of those repeats.
 
 ``--runs LABEL=DIR`` adds the end-to-end results of ``bench/run.py``: DIR
 holds one file per run with that run's stdout.  Each workload's metrics are
@@ -34,6 +34,7 @@ import numpy
 import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROUNDS, REPEAT, NUMBER = 4, 5, 20000
 
 # (primitive, arguments as source text); sigma has the size of a heavy-top
 # Newton iterate, so every closed form takes its trigonometric branch.
@@ -62,22 +63,21 @@ END_TO_END = ("steps_per_s", "solve_us_p50", "solve_us_p99", "setup_s", "peak_rs
 HIGHER_IS_BETTER = {"steps_per_s"}
 
 
-def time_primitives(repeat, number):
+def time_primitives():
     """Per-call microseconds of every repeat, for the ligi on sys.path."""
     out = {}
     for name, args in CASES:
         times = timeit.repeat(f"liealg.{name}({args})", SETUP,
-                              repeat=repeat, number=number)
-        out[name] = [t / number * 1e6 for t in times]
+                              repeat=REPEAT, number=NUMBER)
+        out[name] = [t / NUMBER * 1e6 for t in times]
     return out
 
 
-def run_child(src, repeat, number):
+def run_child(src):
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child",
-         "--repeat", str(repeat), "--number", str(number)],
+        [sys.executable, os.path.abspath(__file__), "--child"],
         env=env, capture_output=True, text=True, check=True, timeout=600)
     return json.loads(proc.stdout)
 
@@ -138,26 +138,23 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
-    parser.add_argument("--rounds", type=int, default=4)
-    parser.add_argument("--repeat", type=int, default=5)
-    parser.add_argument("--number", type=int, default=20000)
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_so3_kernels.json"))
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.child:
-        print(json.dumps(time_primitives(args.repeat, args.number)))
+        print(json.dumps(time_primitives()))
         return 0
 
     trees = {"change": os.path.join(ROOT, "src")}
     if args.baseline:
         trees["parent"] = os.path.join(os.path.abspath(args.baseline), "src")
     samples = {label: {name: [] for name, _ in CASES} for label in trees}
-    for k in range(args.rounds):
+    for k in range(ROUNDS):
         order = list(trees) if k % 2 == 0 else list(reversed(list(trees)))
         for label in order:
-            for name, times in run_child(trees[label], args.repeat, args.number).items():
+            for name, times in run_child(trees[label]).items():
                 samples[label][name].extend(times)
 
     primitives = {}
@@ -170,7 +167,7 @@ def main(argv=None):
         "environment": {"nproc": os.cpu_count(), "machine": platform.machine(),
                         "python": platform.python_version(),
                         "numpy": numpy.__version__, "scipy": scipy.__version__},
-        "method": {"rounds": args.rounds, "repeat": args.repeat, "number": args.number,
+        "method": {"rounds": ROUNDS, "repeat": REPEAT, "number": NUMBER,
                    "inputs": SETUP.strip().splitlines()[2:]},
         "primitives": primitives,
     }

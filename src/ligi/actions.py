@@ -60,7 +60,7 @@ class SphereRotationAction(GroupAction):
         return g @ m
 
     def generator(self, xi, m):
-        return cross3(np.asarray(xi, float), np.asarray(m, float))
+        return cross3(xi, m)
 
 
 class MatrixLinearAction(GroupAction):

@@ -167,12 +167,13 @@ def test_non_finite_h_exit_2_without_csv(tmp_path, capsys, h):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("h_list", ["0.1,nan,0.025", "inf,0.05,0.025"])
-def test_non_finite_h_list_exit_2(capsys, h_list):
+@pytest.mark.parametrize("h_list", ["0.1,nan,0.025", "inf,0.05,0.025",
+                                    "0.1,-0.05,0.025", "0.1,0,0.025"])
+def test_bad_h_list_entry_exit_2(capsys, h_list):
     code = run(["order", "--problem", "frb_s2", "--scheme", "rkmk4",
                 "--h-list", h_list])
     assert code == 2
-    assert "finite" in capsys.readouterr().err
+    assert "positive and finite" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):
