@@ -8,8 +8,8 @@ pattern.
 
 import argparse
 
-from ligi.cli import drift_report
-from ligi.symplectic import HeavyTopParams, heavy_top, integrate_cotangent
+from ligi.steppers import drift_report, integrate
+from ligi.symplectic import HeavyTopParams, cotangent_step, heavy_top
 
 
 def main():
@@ -27,8 +27,8 @@ def main():
           f"{'drift rate':>12s} {'class':>9s}")
     for scheme in ("symplectic_theta", "rkmk_theta"):
         for theta in (0.0, 0.5):
-            traj = integrate_cotangent(system, scheme, params.state0,
-                                       args.h, args.steps, theta=theta)
+            traj = integrate(cotangent_step(system, scheme, theta=theta),
+                             params.state0, args.h, args.steps, system.invariants)
             stats = drift_report(traj)["energy"]
             print(f"{scheme:18s} {theta:5.2f} {stats['max_rel_deviation']:12.3e} "
                   f"{stats['rel_drift_rate']:12.3e} {stats['classification']:>9s}")

@@ -3,7 +3,7 @@
 An ODE on a manifold M is presented as a coefficient map f: M -> g together
 with an action of G on M; the vector field is m -> generator(f(m), m), and
 every integrator in the package advances the state through exact flows
-act(exp(.), m) of the frozen fields.
+action.apply(exp(.), m) of the frozen fields.
 """
 
 from __future__ import annotations
@@ -239,16 +239,3 @@ class FrozenFieldProblem:
         """The field with coefficients frozen at p (a map over all of M)."""
         xi = self.coefficient_map(p)
         return lambda m: self.action.generator(xi, m)
-
-    def invariant_values(self, m):
-        return {name: fn(m) for name, fn in self.invariants}
-
-
-def act(action: GroupAction, g, m):
-    """Apply a group element to a point."""
-    return action.apply(g, m)
-
-
-def generator(action: GroupAction, xi, m):
-    """Evaluate the infinitesimal generator of the action."""
-    return action.generator(xi, m)

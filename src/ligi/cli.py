@@ -15,12 +15,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .actions import QUAT_LEFT, FrozenFieldProblem
 from .discrete_gradient import body_momentum, dg_step, free_rigid_body_quat
-from .errors import FixedPointDivergence
+from .errors import FixedPointDivergence, NonFiniteState
 from .problems import (
     DuffingParams,
     StiefelFlowProblem,
@@ -36,13 +37,14 @@ from .steppers import (
     Trajectory,
     cf4_step,
     convergence_study,
+    drift_report,
     heun_step,
     integrate,
     lie_euler_step,
     rkmk4_step,
     rkmk_step,
 )
-from .symplectic import HeavyTopParams, heavy_top, integrate_cotangent
+from .symplectic import HeavyTopParams, cotangent_step, heavy_top
 
 
 @dataclass
@@ -77,6 +79,12 @@ class RunConfig:
                 raise ConfigError("order needs at least 3 step sizes (--h-list)")
             if not all(math.isfinite(h) and h > 0.0 for h in self.h_list):
                 raise ConfigError("step sizes in --h-list must be positive and finite")
+            # T / h > 0.5 means round(T / h) >= 1 for the largest h, and cannot overflow
+            if not (math.isfinite(self.T) and self.T / max(self.h_list) > 0.5):
+                raise ConfigError("T must be finite and give at least one step"
+                                  " of the largest step size")
+        if not math.isfinite(self.theta):
+            raise ConfigError("theta must be finite")
 
 
 class ConfigError(ValueError):
@@ -112,11 +120,58 @@ ACTION_STEPS = {
     "cf4": (cf4_step, {}),
 }
 
-COTANGENT_SCHEMES = ("symplectic_theta", "rkmk_theta")
-DG_SCHEMES = ("dg", "dg_avf")
+
+def _action_step(problem, config):
+    """The step map of config.scheme on a group-action problem."""
+    if config.scheme not in ACTION_STEPS:
+        raise ConfigError(
+            f"scheme {config.scheme!r} not available for {config.problem!r};"
+            f" choose from {sorted(ACTION_STEPS)}")
+    step, kwargs = ACTION_STEPS[config.scheme]
+    if config.scheme == "rkmk":
+        kwargs = {**kwargs, "series_order": config.series_order}
+    return partial(step, problem, **kwargs)
 
 
-def _frb_s3_setup():
+def _action_setup(problem, state0, labels, config):
+    return dict(state0=state0, labels=labels, invariants=problem.invariants,
+                step=_action_step(problem, config))
+
+
+def _problem_duffing(frame, config):
+    problem = duffing_problem(DuffingParams(1.0, 1.0), frame)
+    return _action_setup(problem, np.array([0.75, 0.75]), ["x", "y"], config)
+
+
+def _problem_frb_s2(config):
+    problem = free_rigid_body_s2(1.0, 5.0, 60.0)
+    state0 = np.array([np.cos(1.1), 0.0, np.sin(1.1)])
+    return _action_setup(problem, state0, ["m1", "m2", "m3"], config)
+
+
+def _problem_torus(config):
+    return _action_setup(torus_descent_problem(), torus_state(0.3, 1.2),
+                         ["u1", "u2", "v1", "v2"], config)
+
+
+def _problem_stiefel(config):
+    flow = StiefelFlowProblem(np.diag([5.0, 4.0, 3.0, 2.0, 1.0]), k=2)
+    q0 = random_orthonormal(flow.n, flow.k, config.seed)
+    labels = [f"q{i + 1}{j + 1}" for i in range(flow.n) for j in range(flow.k)]
+    return _action_setup(pca_gradient_problem(flow), q0, labels, config)
+
+
+def _problem_heavytop(config):
+    params = HeavyTopParams.benchmark()
+    system = heavy_top(params)
+    return dict(state0=params.state0,
+                labels=[f"g{i + 1}{j + 1}" for i in range(3) for j in range(3)]
+                       + ["mu1", "mu2", "mu3"],
+                invariants=system.invariants,
+                step=cotangent_step(system, config.scheme, theta=config.theta))
+
+
+def _problem_frb_s3(config):
     inertia = np.array([1.0, 5.0, 60.0])
     m0 = np.array([1.0, 0.5, -1.0]) / inertia  # body momentum with I*m0 = (1, 1/2, -1)
     system = free_rigid_body_quat(inertia, m0)
@@ -125,55 +180,22 @@ def _frb_s3_setup():
         ("norm", lambda q: float(np.linalg.norm(q))),
         ("momentum_norm", lambda q: float(np.linalg.norm(body_momentum(q, m0)))),
     )
-    state0 = np.array([1.0, 0.0, 0.0, 0.0])
-    return system, invariants, state0
+    if config.scheme in ("dg", "dg_avf"):
+        tdd = "avf" if config.scheme == "dg_avf" else config.tdd
+        step = partial(dg_step, system, tdd=tdd)
+    else:
+        problem = FrozenFieldProblem(action=QUAT_LEFT, coefficient_map=system.field)
+        step = _action_step(problem, config)
+    return dict(state0=np.array([1.0, 0.0, 0.0, 0.0]), labels=["q0", "q1", "q2", "q3"],
+                invariants=invariants, step=step)
 
 
-def _problem_duffing(frame):
-    def build(config):
-        problem = duffing_problem(DuffingParams(1.0, 1.0), frame)
-        return dict(kind="action", problem=problem,
-                    state0=np.array([0.75, 0.75]), labels=["x", "y"])
-    return build
-
-
-def _problem_frb_s2(config):
-    problem = free_rigid_body_s2(1.0, 5.0, 60.0)
-    state0 = np.array([np.cos(1.1), 0.0, np.sin(1.1)])
-    return dict(kind="action", problem=problem, state0=state0,
-                labels=["m1", "m2", "m3"])
-
-
-def _problem_torus(config):
-    return dict(kind="action", problem=torus_descent_problem(),
-                state0=torus_state(0.3, 1.2), labels=["u1", "u2", "v1", "v2"])
-
-
-def _problem_stiefel(config):
-    flow = StiefelFlowProblem(np.diag([5.0, 4.0, 3.0, 2.0, 1.0]), k=2)
-    problem = pca_gradient_problem(flow)
-    q0 = random_orthonormal(flow.n, flow.k, config.seed)
-    labels = [f"q{i + 1}{j + 1}" for i in range(flow.n) for j in range(flow.k)]
-    return dict(kind="action", problem=problem, state0=q0, labels=labels)
-
-
-def _problem_heavytop(config):
-    params = HeavyTopParams.benchmark()
-    return dict(kind="cotangent", system=heavy_top(params), state0=params.state0,
-                labels=[f"g{i + 1}{j + 1}" for i in range(3) for j in range(3)]
-                       + ["mu1", "mu2", "mu3"])
-
-
-def _problem_frb_s3(config):
-    system, invariants, state0 = _frb_s3_setup()
-    return dict(kind="dg", system=system, invariants=invariants, state0=state0,
-                labels=["q0", "q1", "q2", "q3"])
-
-
+# Every builder maps a RunConfig to dict(state0, labels, invariants, step),
+# with step(y, h) the one-step map of config.scheme on that problem.
 PROBLEMS = {
-    "duffing_r2": _problem_duffing("r2"),
-    "duffing_sl2": _problem_duffing("sl2"),
-    "duffing_se2": _problem_duffing("se2"),
+    "duffing_r2": partial(_problem_duffing, "r2"),
+    "duffing_sl2": partial(_problem_duffing, "sl2"),
+    "duffing_se2": partial(_problem_duffing, "se2"),
     "frb_s2": _problem_frb_s2,
     "torus": _problem_torus,
     "stiefel_pca": _problem_stiefel,
@@ -191,56 +213,9 @@ def _flatten_state(state):
 def run_trajectory(config: RunConfig) -> tuple[Trajectory, list]:
     """Execute the configured run; returns the trajectory and state labels."""
     setup = PROBLEMS[config.problem](config)
-    scheme = config.scheme
-
-    if setup["kind"] == "action":
-        if scheme not in ACTION_STEPS:
-            raise ConfigError(
-                f"scheme {scheme!r} not available for {config.problem!r};"
-                f" choose from {sorted(ACTION_STEPS)}")
-        step, kwargs = ACTION_STEPS[scheme]
-        if scheme == "rkmk":
-            kwargs = {**kwargs, "series_order": config.series_order}
-        traj = integrate(setup["problem"], step, setup["state0"], config.h,
-                         config.steps, **kwargs)
-        return traj, setup["labels"]
-
-    if setup["kind"] == "cotangent":
-        if scheme not in COTANGENT_SCHEMES:
-            raise ConfigError(f"heavytop needs a scheme in {COTANGENT_SCHEMES}")
-        traj = integrate_cotangent(setup["system"], scheme, setup["state0"],
-                                   config.h, config.steps, theta=config.theta)
-        return traj, setup["labels"]
-
-    if setup["kind"] == "dg":
-        system, invariants = setup["system"], setup["invariants"]
-        if scheme in DG_SCHEMES:
-            tdd = "avf" if scheme == "dg_avf" else config.tdd
-            def step_fn(y, h):
-                return dg_step(system, y, h, tdd=tdd)
-        elif scheme in ACTION_STEPS:
-            problem = FrozenFieldProblem(action=QUAT_LEFT,
-                                         coefficient_map=system.field,
-                                         invariants=invariants)
-            base, kwargs = ACTION_STEPS[scheme]
-            def step_fn(y, h):
-                return base(problem, y, h, **kwargs)
-        else:
-            raise ConfigError(f"scheme {scheme!r} not available for frb_s3")
-        times = np.arange(config.steps + 1) * config.h
-        states = [setup["state0"]]
-        values = {name: [fn(states[0])] for name, fn in invariants}
-        y = states[0]
-        for _ in range(config.steps):
-            y = step_fn(y, config.h)
-            states.append(y)
-            for name, fn in invariants:
-                values[name].append(fn(y))
-        traj = Trajectory(times, states,
-                          {name: np.asarray(vals) for name, vals in values.items()})
-        return traj, setup["labels"]
-
-    raise ConfigError(f"unhandled problem kind {setup['kind']!r}")
+    traj = integrate(setup["step"], setup["state0"], config.h, config.steps,
+                     setup["invariants"])
+    return traj, setup["labels"]
 
 
 def write_csv(traj: Trajectory, labels, stream):
@@ -263,72 +238,45 @@ def cmd_integrate(config: RunConfig) -> int:
     return 0
 
 
-DRIFT_THRESHOLD = 1e-3
-
-
-def drift_report(traj: Trajectory):
-    """Per-invariant deviation statistics and a drift classification.
-
-    An invariant drifts when |slope| * T / |value_0| exceeds 1e-3, with the
-    slope from a least-squares linear fit over the whole run.
-    """
-    report = {}
-    T = float(traj.times[-1])
-    for name, values in traj.invariants.items():
-        v0 = float(values[0])
-        scale = max(abs(v0), np.finfo(float).tiny)
-        slope = float(np.polyfit(traj.times, values, 1)[0])
-        rate = abs(slope) * T / scale
-        report[name] = {
-            "value0": v0,
-            "max_rel_deviation": float(np.max(np.abs(values - v0)) / scale),
-            "slope": slope,
-            "rel_drift_rate": rate,
-            "classification": "drift" if rate > DRIFT_THRESHOLD else "no-drift",
-        }
-    return report
+def write_json(report, config: RunConfig) -> int:
+    """Print a report as JSON, and also write it to config.out when set."""
+    text = json.dumps(report, indent=2)
+    print(text)
+    if config.out:
+        with open(config.out, "w") as fh:
+            fh.write(text + "\n")
+    return 0
 
 
 def cmd_drift(config: RunConfig) -> int:
     traj, _ = run_trajectory(config)
     if not traj.invariants:
         raise ConfigError("drift needs a problem exposing at least one invariant")
-    out = {
+    return write_json({
         "problem": config.problem,
         "scheme": config.scheme,
         "T": float(traj.times[-1]),
         "invariants": drift_report(traj),
-    }
-    text = json.dumps(out, indent=2)
-    print(text)
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text + "\n")
-    return 0
+    }, config)
 
 
 def cmd_order(config: RunConfig) -> int:
     setup = PROBLEMS[config.problem](config)
-    if setup["kind"] != "action":
+    # An order study reruns the scheme at several step sizes, so it needs the
+    # group-action problem and the scheme function the step map was built from.
+    step = setup["step"]
+    problem = step.args[0] if isinstance(step, partial) and step.args else None
+    if not isinstance(problem, FrozenFieldProblem):
         raise ConfigError("order studies are provided for group-action problems")
-    if config.scheme not in ACTION_STEPS:
-        raise ConfigError(f"scheme {config.scheme!r} unknown")
-    step, kwargs = ACTION_STEPS[config.scheme]
-    slope, errors = convergence_study(setup["problem"], step, setup["state0"],
-                                      config.T, list(config.h_list), **kwargs)
-    out = {
+    slope, errors = convergence_study(problem, step.func, setup["state0"],
+                                      config.T, list(config.h_list), **step.keywords)
+    return write_json({
         "problem": config.problem,
         "scheme": config.scheme,
         "slope": slope,
         "h_list": list(config.h_list),
         "errors": errors,
-    }
-    text = json.dumps(out, indent=2)
-    print(text)
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text + "\n")
-    return 0
+    }, config)
 
 
 def build_parser():
@@ -400,6 +348,9 @@ def main(argv=None) -> int:
     except FixedPointDivergence as exc:
         print(f"solver divergence: {exc}", file=sys.stderr)
         return 3
+    except NonFiniteState as exc:
+        print(f"non-finite state: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -42,3 +42,7 @@ class FixedPointDivergence(RuntimeError):
         super().__init__(message)
         self.h = h
         self.residual = residual
+
+
+class NonFiniteState(ArithmeticError):
+    """A step gave a state or an invariant value that is not finite."""

@@ -770,7 +770,6 @@ class AffineOps(GroupOps):
 SO3 = So3Ops()
 S3 = QuatOps()
 SL2 = MatrixOps(2, kind="sl")
-SO3_MATRIX = MatrixOps(3, kind="so")
 
 
 def son_ops(n):

@@ -6,6 +6,7 @@ estimation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -173,7 +174,8 @@ def torus_descent_problem() -> FrozenFieldProblem:
 
 def torus_descent(start, h, n_steps, step: Callable = lie_euler_step) -> Trajectory:
     """Integrate the descent flow from a torus point."""
-    return integrate(torus_descent_problem(), step, start, h, n_steps)
+    problem = torus_descent_problem()
+    return integrate(partial(step, problem), start, h, n_steps, problem.invariants)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +238,8 @@ def pca_gradient_problem(problem: StiefelFlowProblem) -> FrozenFieldProblem:
 def stiefel_pca_flow(problem: StiefelFlowProblem, q0, h, n_steps,
                      step: Callable = cf4_step):
     """Integrate the PCA gradient ascent; returns (Q, objective)."""
-    traj = integrate(pca_gradient_problem(problem), step, np.asarray(q0, float),
-                     h, n_steps)
+    traj = integrate(partial(step, pca_gradient_problem(problem)),
+                     np.asarray(q0, float), h, n_steps)
     return traj.final, pca_objective(problem.A, traj.final)
 
 

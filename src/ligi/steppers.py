@@ -8,13 +8,15 @@ to its classical Runge-Kutta counterpart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .actions import FrozenFieldProblem
-from .errors import FixedPointDivergence
+from .errors import FixedPointDivergence, NonFiniteState
 from .liealg import affine_exp
 
 
@@ -175,7 +177,7 @@ def exponential_euler_step(L, N, u, h):
 
 
 # ---------------------------------------------------------------------------
-# Trajectories and convergence studies
+# Trajectories, drift reports and convergence studies
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -194,20 +196,65 @@ class Trajectory:
         return self.states[-1]
 
 
-def integrate(problem: FrozenFieldProblem, step: Callable, y0, h, n_steps,
-              **step_kwargs) -> Trajectory:
-    """Run a constant-step scheme, recording states and invariants."""
+def _finite(y):
+    """Whether every entry of a state (an array or a tuple of arrays) is finite.
+
+    A finite sum screens the array cheaply; a sum can overflow on finite
+    entries, so a tripped screen falls back to the exact test.
+    """
+    if isinstance(y, tuple):
+        return all(_finite(part) for part in y)
+    a = np.asarray(y)
+    return math.isfinite(float(a.sum())) or bool(np.isfinite(a).all())
+
+
+def integrate(step: Callable, y0, h, n_steps, invariants=()) -> Trajectory:
+    """Run a one-step map step(y, h) -> y, recording states and invariants.
+
+    invariants is a sequence of (name, function of the state) pairs; each is
+    recorded at every time, in the order given.  Raises NonFiniteState as soon
+    as a new state or invariant value is not finite.
+    """
     times = np.arange(n_steps + 1) * float(h)
     states = [y0]
-    names = [name for name, _ in problem.invariants]
-    values = {name: [fn(y0)] for name, fn in problem.invariants}
+    values = [[fn(y0)] for _, fn in invariants]
     y = y0
-    for _ in range(n_steps):
-        y = step(problem, y, h, **step_kwargs)
+    for n in range(1, n_steps + 1):
+        y = step(y, h)
         states.append(y)
-        for name, fn in problem.invariants:
-            values[name].append(fn(y))
-    return Trajectory(times, states, {n: np.asarray(values[n]) for n in names})
+        for recorded, (_, fn) in zip(values, invariants):
+            recorded.append(fn(y))
+        if not (_finite(y) and all(math.isfinite(v[-1]) for v in values)):
+            raise NonFiniteState(
+                f"step {n} (t={float(times[n])!r}) gave a value that is not finite")
+    return Trajectory(times, states, {name: np.asarray(v)
+                                      for (name, _), v in zip(invariants, values)})
+
+
+DRIFT_THRESHOLD = 1e-3
+
+
+def drift_report(traj: Trajectory):
+    """Per-invariant deviation statistics and a drift classification.
+
+    An invariant drifts when |slope| * T / |value_0| exceeds 1e-3, with the
+    slope from a least-squares linear fit over the whole run.
+    """
+    report = {}
+    T = float(traj.times[-1])
+    for name, values in traj.invariants.items():
+        v0 = float(values[0])
+        scale = max(abs(v0), np.finfo(float).tiny)
+        slope = float(np.polyfit(traj.times, values, 1)[0])
+        rate = abs(slope) * T / scale
+        report[name] = {
+            "value0": v0,
+            "max_rel_deviation": float(np.max(np.abs(values - v0)) / scale),
+            "slope": slope,
+            "rel_drift_rate": rate,
+            "classification": "drift" if rate > DRIFT_THRESHOLD else "no-drift",
+        }
+    return report
 
 
 def state_distance(a, b):
@@ -233,16 +280,12 @@ def convergence_study(problem: FrozenFieldProblem, step: Callable, y0, T, h_list
         reference_step = rkmk4_step
     h_ref = h_list[-1] / reference_refinement
     n_ref = int(round(T / h_ref))
-    y_ref = y0
-    for _ in range(n_ref):
-        y_ref = reference_step(problem, y_ref, T / n_ref)
+    y_ref = integrate(partial(reference_step, problem), y0, T / n_ref, n_ref).final
 
     errors = []
     for h in h_list:
         n = int(round(T / h))
-        y = y0
-        for _ in range(n):
-            y = step(problem, y, T / n, **step_kwargs)
+        y = integrate(partial(step, problem, **step_kwargs), y0, T / n, n).final
         errors.append(state_distance(y, y_ref))
     slope = float(np.polyfit(np.log(h_list), np.log(errors), 1)[0])
     return slope, errors

@@ -5,12 +5,14 @@ map f = (dH/dmu, -R_g^* dH/dg); the schemes here advance the state through
 exponentials on the semidirect product and dual dexp transports of the
 momentum, and are symplectic by their variational derivation.  The theta
 instances (s = 1) and a Runge-Kutta-Munthe-Kaas theta comparator are
-provided, together with the heavy-top benchmark Hamiltonian.
+provided, together with the heavy-top benchmark Hamiltonian; cotangent_step
+builds the one-step map of any of them for steppers.integrate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -19,7 +21,6 @@ from scipy.linalg import lu_factor, lu_solve
 from .errors import FixedPointDivergence
 from .liealg import SO3, GroupOps, cross3, dexpinv_series
 from .semidirect import CotangentOps
-from .steppers import Trajectory
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -43,6 +44,10 @@ class HamiltonianSystem:
     def energy(self, state):
         g, mu = state
         return float(self.hamiltonian(g, mu))
+
+    @property
+    def invariants(self):
+        return (("energy", self.energy),)
 
 
 @dataclass(frozen=True)
@@ -276,6 +281,26 @@ def rkmk_theta_step(theta, system: HamiltonianSystem, state, h,
     return ct.mul(ct.exp(h * k), state)
 
 
+def cotangent_step(system: HamiltonianSystem, scheme, theta=0.5, coeffs=None):
+    """The one-step map step(state, h) of a cotangent-bundle scheme.
+
+    scheme is one of "symplectic_theta", "symplectic" (with coeffs, default
+    the theta member) or "rkmk_theta".  The map owns one solver, shared by
+    all of its steps, so Newton reuses its Jacobian and warm start along a
+    run: build one map per run.
+    """
+    solver = ImplicitSolver()
+    if scheme == "symplectic_theta":
+        return partial(theta_step, theta, system, solver=solver)
+    if scheme == "symplectic":
+        cf = coeffs if coeffs is not None else StageCoefficients.theta(theta)
+        return partial(symplectic_step, cf, system, solver=solver)
+    if scheme == "rkmk_theta":
+        return partial(rkmk_theta_step, theta, system, solver=solver)
+    raise ValueError(f"unknown cotangent scheme {scheme!r}; choose from"
+                     " ['rkmk_theta', 'symplectic', 'symplectic_theta']")
+
+
 # ---------------------------------------------------------------------------
 # Heavy top
 # ---------------------------------------------------------------------------
@@ -329,35 +354,3 @@ def heavy_top(params: HeavyTopParams) -> HamiltonianSystem:
         return inv_inertia * mu, gravity * cross3(E3, g @ u0)
 
     return HamiltonianSystem(group=SO3, hamiltonian=hamiltonian, force_map=force_map)
-
-
-def integrate_cotangent(system: HamiltonianSystem, scheme, state0, h, n_steps,
-                        theta=0.5, coeffs=None, method="newton",
-                        tol=1e-12, max_iter=200) -> Trajectory:
-    """Run a cotangent-bundle scheme, recording states and the energy.
-
-    scheme is one of "symplectic_theta", "symplectic" (with coeffs) or
-    "rkmk_theta".  One solver instance is shared along the run so Newton can
-    reuse its Jacobian between steps.
-    """
-    solver = ImplicitSolver(method, tol, max_iter)
-    if scheme == "symplectic_theta":
-        step = lambda y: theta_step(theta, system, y, h, solver=solver)
-    elif scheme == "symplectic":
-        cf = coeffs if coeffs is not None else StageCoefficients.theta(theta)
-        step = lambda y: symplectic_step(cf, system, y, h, solver=solver)
-    elif scheme == "rkmk_theta":
-        step = lambda y: rkmk_theta_step(theta, system, y, h, solver=solver)
-    else:
-        raise ValueError(f"unknown cotangent scheme {scheme!r}")
-
-    times = np.arange(n_steps + 1) * float(h)
-    states = [state0]
-    energy = np.empty(n_steps + 1)
-    energy[0] = system.energy(state0)
-    y = state0
-    for n in range(n_steps):
-        y = step(y)
-        states.append(y)
-        energy[n + 1] = system.energy(y)
-    return Trajectory(times, states, {"energy": energy})

@@ -44,14 +44,15 @@ from ligi.steppers import (
     KUTTA4,
     cf4_step,
     heun_step,
+    integrate,
     lie_euler_step,
     rkmk4_step,
     rkmk_step,
 )
 from ligi.symplectic import (
     HeavyTopParams,
+    cotangent_step,
     heavy_top,
-    integrate_cotangent,
     rkmk_theta_step,
     theta_step,
 )
@@ -88,8 +89,9 @@ def heavy_top_runs():
     t0 = time.perf_counter()
     for scheme, theta in (("symplectic_theta", 0.0), ("symplectic_theta", 0.5),
                           ("rkmk_theta", 0.0), ("rkmk_theta", 0.5)):
-        runs[(scheme, theta)] = integrate_cotangent(
-            system, scheme, params.state0, 0.05, 10000, theta=theta)
+        runs[(scheme, theta)] = integrate(
+            cotangent_step(system, scheme, theta=theta), params.state0, 0.05, 10000,
+            system.invariants)
     elapsed = time.perf_counter() - t0
     return system, runs, elapsed
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ligi import cli
+from ligi import cli, symplectic
 from ligi.errors import FixedPointDivergence
 
 
@@ -176,6 +176,35 @@ def test_bad_h_list_entry_exit_2(capsys, h_list):
     assert "positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("T", ["0", "-2", "1e-9", "nan", "inf"])
+def test_order_bad_T_exit_2(capsys, T):
+    code = run(["order", "--problem", "frb_s2", "--scheme", "rkmk4",
+                "--h-list", "0.1,0.05,0.025", "--T", T])
+    assert code == 2
+    assert "error: T must be finite and give at least one step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_non_finite_theta_exit_2(tmp_path, capsys, theta):
+    out = tmp_path / "traj.csv"
+    code = run(["integrate", "--preset", "heavytop-theta05", "--steps", "2",
+                "--theta", theta, "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "error: theta must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_state_exit_4_without_csv(tmp_path, capsys):
+    # Lie-Euler on the SE(2) Duffing frame blows up at h = 2: the energy
+    # overflows at t = 16, step 8, before the state does.
+    out = tmp_path / "traj.csv"
+    code = run(["integrate", "--problem", "duffing_se2", "--scheme", "lie_euler",
+                "--h", "2", "--steps", "200", "--out", str(out)])
+    assert code == 4
+    assert not out.exists()
+    assert "non-finite state: step 8 (t=16.0)" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"problem": "frb_s2", "scheme": "rkmk4",
@@ -189,7 +218,7 @@ def test_solver_divergence_exit_3(monkeypatch, capsys):
         raise FixedPointDivergence("stage equations diverged", h=0.05,
                                    residual=1.0)
 
-    monkeypatch.setattr(cli, "integrate_cotangent", exploding)
+    monkeypatch.setattr(symplectic, "theta_step", exploding)
     code = run(["integrate", "--preset", "heavytop-theta05", "--steps", "3"])
     assert code == 3
     assert "divergence" in capsys.readouterr().err

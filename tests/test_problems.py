@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ligi.actions import act
 from ligi.liealg import hat
 from ligi.problems import (
     DuffingParams,
@@ -19,6 +18,8 @@ from ligi.problems import (
     torus_descent,
     torus_state,
 )
+from functools import partial
+
 from ligi.steppers import cf4_step, integrate, lie_euler_step, rkmk4_step
 from oracles import (
     central_difference,
@@ -51,18 +52,19 @@ def test_duffing_frozen_flows_match_closed_forms(t):
     a = b = 1.0
     p0 = np.array([0.75, 0.75])
     sl2 = duffing_problem(DuffingParams(a, b), "sl2")
-    moved = act(sl2.action, sl2.action.exp(t * sl2.coefficient_map(p0)), p0)
+    moved = sl2.action.apply(sl2.action.exp(t * sl2.coefficient_map(p0)), p0)
     assert np.allclose(moved, duffing_sl2_frozen_flow(a, b, p0, t), atol=1e-12)
 
     se2 = duffing_problem(DuffingParams(a, b), "se2")
-    moved = act(se2.action, se2.action.exp(t * se2.coefficient_map(p0)), p0)
+    moved = se2.action.apply(se2.action.exp(t * se2.coefficient_map(p0)), p0)
     assert np.allclose(moved, duffing_se2_frozen_flow(a, b, p0, t), atol=1e-12)
 
 
 def test_duffing_energy_invariant_under_fine_integration():
     params = DuffingParams(1.0, 1.0)
     problem = duffing_problem(params, "sl2")
-    traj = integrate(problem, rkmk4_step, np.array([0.75, 0.75]), 0.01, 500)
+    traj = integrate(partial(rkmk4_step, problem), np.array([0.75, 0.75]), 0.01, 500,
+                     problem.invariants)
     e = traj.invariants["energy"]
     assert np.max(np.abs(e - e[0])) < 1e-9
 
@@ -105,7 +107,8 @@ def test_frb_axis_equilibria(axis):
 def test_frb_rkmk4_conserves_norm_and_energy():
     problem = free_rigid_body_s2(1.0, 5.0, 60.0)
     y0 = np.array([np.cos(1.1), 0.0, np.sin(1.1)])
-    traj = integrate(problem, rkmk4_step, y0, 0.05, 200)  # T = 10
+    traj = integrate(partial(rkmk4_step, problem), y0, 0.05, 200,
+                     problem.invariants)  # T = 10
     assert np.max(np.abs(traj.invariants["norm"] - 1.0)) < 1e-13
     e = traj.invariants["energy"]
     assert np.max(np.abs(e - e[0])) / abs(e[0]) < 1e-6  # O(h^4) at h = 0.05
@@ -202,7 +205,8 @@ def test_pca_objective_monotone_for_small_steps():
     flow = StiefelFlowProblem(A, 2)
     problem = pca_gradient_problem(flow)
     h = 0.1 / np.linalg.norm(A, 2)
-    traj = integrate(problem, cf4_step, random_orthonormal(4, 2, 5), h, 200)
+    traj = integrate(partial(cf4_step, problem), random_orthonormal(4, 2, 5), h, 200,
+                     problem.invariants)
     obj = traj.invariants["objective"]
     assert np.all(np.diff(obj) >= -1e-12)
 

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -309,17 +311,25 @@ def test_exponential_euler_scalar_phi_value():
 # ---------------------------------------------------------------------------
 
 def test_integrate_zero_steps():
-    traj = integrate(FRB, rkmk4_step, Y0_S2, 0.1, 0)
+    traj = integrate(partial(rkmk4_step, FRB), Y0_S2, 0.1, 0, FRB.invariants)
     assert len(traj) == 1
     assert np.array_equal(traj.final, Y0_S2)
     assert traj.invariants["norm"].shape == (1,)
 
 
 def test_integrate_records_invariants():
-    traj = integrate(FRB, rkmk4_step, Y0_S2, 0.05, 20)
+    traj = integrate(partial(rkmk4_step, FRB), Y0_S2, 0.05, 20, FRB.invariants)
     assert len(traj) == 21
     assert np.all(np.diff(traj.times) > 0)
     assert np.max(np.abs(traj.invariants["norm"] - 1.0)) < 1e-13
+
+
+def test_integrate_large_finite_state_is_not_flagged():
+    # The entries sum to inf, so only the exact test can tell they are finite.
+    y0 = np.array([1e308, 1e308])
+    traj = integrate(lambda y, h: y, y0, 0.1, 3, (("big", lambda y: float(y[0])),))
+    assert np.array_equal(traj.final, y0)
+    assert np.all(traj.invariants["big"] == 1e308)
 
 
 def test_convergence_study_requires_decreasing_h():

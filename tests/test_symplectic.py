@@ -10,12 +10,13 @@ from ligi.symplectic import (
     HeavyTopParams,
     ImplicitSolver,
     StageCoefficients,
+    cotangent_step,
     heavy_top,
-    integrate_cotangent,
     rkmk_theta_step,
     symplectic_step,
     theta_step,
 )
+from ligi.steppers import integrate
 from oracles import central_difference, fit_slope, random_rotation, rk4_solve
 
 BENCH = HeavyTopParams.benchmark()
@@ -208,8 +209,8 @@ def test_small_top_orders(scheme, theta, expected):
     ref = flat_reference(SMALL_SYSTEM, SMALL.state0, T)
     errs, hs = [], []
     for n in (10, 20, 40, 80):
-        traj = integrate_cotangent(SMALL_SYSTEM, scheme, SMALL.state0, T / n, n,
-                                   theta=theta)
+        traj = integrate(cotangent_step(SMALL_SYSTEM, scheme, theta=theta),
+                         SMALL.state0, T / n, n, SMALL_SYSTEM.invariants)
         g, mu = traj.final
         errs.append(np.linalg.norm(g - ref[0]) + np.linalg.norm(mu - ref[1]))
         hs.append(T / n)
@@ -226,8 +227,8 @@ def test_free_top_theta0_energy_bounded():
     # momentum norm stay bounded over the full desk-scale run.
     params = HeavyTopParams.benchmark(gravity=0.0)
     system = heavy_top(params)
-    traj = integrate_cotangent(system, "symplectic_theta", params.state0,
-                               0.05, 10000, theta=0.0)
+    traj = integrate(cotangent_step(system, "symplectic_theta", theta=0.0),
+                     params.state0, 0.05, 10000, system.invariants)
     H = traj.invariants["energy"]
     rel = np.abs(H - H[0]) / abs(H[0])
     assert rel.max() < 0.05
@@ -236,15 +237,15 @@ def test_free_top_theta0_energy_bounded():
 
 
 def test_rotation_constraint_preserved_without_reorthogonalisation():
-    traj = integrate_cotangent(SYSTEM, "symplectic_theta", BENCH.state0,
-                               0.05, 500, theta=0.5)
+    traj = integrate(cotangent_step(SYSTEM, "symplectic_theta", theta=0.5),
+                     BENCH.state0, 0.05, 500, SYSTEM.invariants)
     g = traj.final[0]
     assert np.linalg.norm(g.T @ g - np.eye(3)) < 1e-12
 
 
 def test_integrate_cotangent_records_energy():
-    traj = integrate_cotangent(SYSTEM, "rkmk_theta", BENCH.state0, 0.05, 10,
-                               theta=0.5)
+    traj = integrate(cotangent_step(SYSTEM, "rkmk_theta", theta=0.5),
+                     BENCH.state0, 0.05, 10, SYSTEM.invariants)
     assert len(traj) == 11
     assert traj.invariants["energy"].shape == (11,)
     assert traj.invariants["energy"][0] == SYSTEM.energy(BENCH.state0)
