@@ -80,10 +80,11 @@ class RunConfig:
             if not all(math.isfinite(h) and h > 0.0 for h in self.h_list):
                 raise ConfigError("step sizes in --h-list must be positive and finite")
             # T / h > 0.5 means round(T / h) >= 1 for the largest h, and cannot overflow
-            if not (math.isfinite(self.T) and self.T / max(self.h_list) > 0.5):
+            if self.T is None or not (math.isfinite(self.T)
+                                      and self.T / max(self.h_list) > 0.5):
                 raise ConfigError("T must be finite and give at least one step"
                                   " of the largest step size")
-        if not math.isfinite(self.theta):
+        if self.theta is None or not math.isfinite(self.theta):
             raise ConfigError("theta must be finite")
 
 
