@@ -122,8 +122,8 @@ ACTION_STEPS = {
 }
 
 
-def _action_step(problem, config):
-    """The step map of config.scheme on a group-action problem."""
+def _action_setup(problem, state0, labels, config):
+    """The run of config.scheme on a group-action problem."""
     if config.scheme not in ACTION_STEPS:
         raise ConfigError(
             f"scheme {config.scheme!r} not available for {config.problem!r};"
@@ -131,12 +131,8 @@ def _action_step(problem, config):
     step, kwargs = ACTION_STEPS[config.scheme]
     if config.scheme == "rkmk":
         kwargs = {**kwargs, "series_order": config.series_order}
-    return partial(step, problem, **kwargs)
-
-
-def _action_setup(problem, state0, labels, config):
     return dict(state0=state0, labels=labels, invariants=problem.invariants,
-                step=_action_step(problem, config))
+                step=partial(step, problem, **kwargs))
 
 
 def _problem_duffing(frame, config):
@@ -181,14 +177,14 @@ def _problem_frb_s3(config):
         ("norm", lambda q: float(np.linalg.norm(q))),
         ("momentum_norm", lambda q: float(np.linalg.norm(body_momentum(q, m0)))),
     )
-    if config.scheme in ("dg", "dg_avf"):
-        tdd = "avf" if config.scheme == "dg_avf" else config.tdd
-        step = partial(dg_step, system, tdd=tdd)
-    else:
-        problem = FrozenFieldProblem(action=QUAT_LEFT, coefficient_map=system.field)
-        step = _action_step(problem, config)
-    return dict(state0=np.array([1.0, 0.0, 0.0, 0.0]), labels=["q0", "q1", "q2", "q3"],
-                invariants=invariants, step=step)
+    state0, labels = np.array([1.0, 0.0, 0.0, 0.0]), ["q0", "q1", "q2", "q3"]
+    if config.scheme not in ("dg", "dg_avf"):
+        problem = FrozenFieldProblem(action=QUAT_LEFT, coefficient_map=system.field,
+                                     invariants=invariants)
+        return _action_setup(problem, state0, labels, config)
+    tdd = "avf" if config.scheme == "dg_avf" else config.tdd
+    return dict(state0=state0, labels=labels, invariants=invariants,
+                step=partial(dg_step, system, tdd=tdd))
 
 
 # Every builder maps a RunConfig to dict(state0, labels, invariants, step),
