@@ -122,12 +122,15 @@ ACTION_STEPS = {
 }
 
 
-def _action_setup(problem, state0, labels, config):
-    """The run of config.scheme on a group-action problem."""
+def _action_setup(problem, state0, labels, config, other_schemes=()):
+    """The run of config.scheme on a group-action problem.
+
+    An unknown scheme's error also lists the problem's other_schemes.
+    """
     if config.scheme not in ACTION_STEPS:
         raise ConfigError(
             f"scheme {config.scheme!r} not available for {config.problem!r};"
-            f" choose from {sorted(ACTION_STEPS)}")
+            f" choose from {sorted([*ACTION_STEPS, *other_schemes])}")
     step, kwargs = ACTION_STEPS[config.scheme]
     if config.scheme == "rkmk":
         kwargs = {**kwargs, "series_order": config.series_order}
@@ -178,13 +181,13 @@ def _problem_frb_s3(config):
         ("momentum_norm", lambda q: float(np.linalg.norm(body_momentum(q, m0)))),
     )
     state0, labels = np.array([1.0, 0.0, 0.0, 0.0]), ["q0", "q1", "q2", "q3"]
-    if config.scheme not in ("dg", "dg_avf"):
+    dg_schemes = {"dg": config.tdd, "dg_avf": "avf"}
+    if config.scheme not in dg_schemes:
         problem = FrozenFieldProblem(action=QUAT_LEFT, coefficient_map=system.field,
                                      invariants=invariants)
-        return _action_setup(problem, state0, labels, config)
-    tdd = "avf" if config.scheme == "dg_avf" else config.tdd
+        return _action_setup(problem, state0, labels, config, dg_schemes)
     return dict(state0=state0, labels=labels, invariants=invariants,
-                step=partial(dg_step, system, tdd=tdd))
+                step=partial(dg_step, system, tdd=dg_schemes[config.scheme]))
 
 
 # Every builder maps a RunConfig to dict(state0, labels, invariants, step),
