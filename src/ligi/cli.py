@@ -79,7 +79,7 @@ class RunConfig:
                 raise ConfigError("order needs at least 3 step sizes (--h-list)")
             if not all(math.isfinite(h) and h > 0.0 for h in self.h_list):
                 raise ConfigError("step sizes in --h-list must be positive and finite")
-            # T / h > 0.5 means round(T / h) >= 1 for the largest h, and cannot overflow
+            # T / h > 0.5 is round(T / h) >= 1 for the largest h; round(inf) would raise
             if self.T is None or not (math.isfinite(self.T)
                                       and self.T / max(self.h_list) > 0.5):
                 raise ConfigError("T must be finite and give at least one step"
