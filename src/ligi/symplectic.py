@@ -6,7 +6,7 @@ exponentials on the semidirect product and dual dexp transports of the
 momentum, and are symplectic by their variational derivation.  The theta
 instances (s = 1) and a Runge-Kutta-Munthe-Kaas theta comparator are
 provided, together with the heavy-top benchmark Hamiltonian; cotangent_step
-builds the one-step map of any of them for steppers.integrate.
+builds the one-step map of either theta scheme for steppers.integrate.
 """
 
 from __future__ import annotations
@@ -145,10 +145,6 @@ class ImplicitSolver:
             "Newton iteration did not converge", h=h, residual=np.max(np.abs(r)))
 
 
-def _fresh(solver, method, tol, max_iter):
-    return solver if solver is not None else ImplicitSolver(method, tol, max_iter)
-
-
 # ---------------------------------------------------------------------------
 # The symplectic family and its theta specialisation
 # ---------------------------------------------------------------------------
@@ -206,7 +202,7 @@ def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state,
     f1, f2 = f(g0, mu0)
     z0 = np.tile(np.concatenate([h * np.asarray(f1, float),
                                  h * np.asarray(f2, float)]), s)
-    solver = _fresh(solver, method, tol, max_iter)
+    solver = solver or ImplicitSolver(method, tol, max_iter)
     z = solver.solve(residual, z0, h=h)
 
     xi, nbar = unpack(z)
@@ -243,7 +239,7 @@ def theta_step(theta, system: HamiltonianSystem, state, h,
 
     f1, f2 = f(g0, mu0)
     z0 = np.concatenate([h * np.asarray(f1, float), h * np.asarray(f2, float)])
-    solver = _fresh(solver, method, tol, max_iter)
+    solver = solver or ImplicitSolver(method, tol, max_iter)
     z = solver.solve(residual, z0, h=h)
 
     xi, nbar = z[:d], z[d:]
@@ -276,29 +272,21 @@ def rkmk_theta_step(theta, system: HamiltonianSystem, state, h,
             val = f_joined(ct.mul(ct.exp(u), state))
             return k - dexpinv_series(ct, u, val, series_order)
 
-        solver = _fresh(solver, method, tol, max_iter)
+        solver = solver or ImplicitSolver(method, tol, max_iter)
         k = solver.solve(residual, f_joined(state), h=h)
     return ct.mul(ct.exp(h * k), state)
 
 
-def cotangent_step(system: HamiltonianSystem, scheme, theta=0.5, coeffs=None):
-    """The one-step map step(state, h) of a cotangent-bundle scheme.
+def cotangent_step(system: HamiltonianSystem, scheme, theta=0.5):
+    """The one-step map step(state, h) of "symplectic_theta" or "rkmk_theta".
 
-    scheme is one of "symplectic_theta", "symplectic" (with coeffs, default
-    the theta member) or "rkmk_theta".  The map owns one solver, shared by
-    all of its steps, so Newton reuses its Jacobian and warm start along a
-    run: build one map per run.
+    The map owns one solver, shared by all of its steps, so Newton reuses its
+    Jacobian and warm start along a run: build one map per run.
     """
-    solver = ImplicitSolver()
-    if scheme == "symplectic_theta":
-        return partial(theta_step, theta, system, solver=solver)
-    if scheme == "symplectic":
-        cf = coeffs if coeffs is not None else StageCoefficients.theta(theta)
-        return partial(symplectic_step, cf, system, solver=solver)
-    if scheme == "rkmk_theta":
-        return partial(rkmk_theta_step, theta, system, solver=solver)
-    raise ValueError(f"unknown cotangent scheme {scheme!r}; choose from"
-                     " ['rkmk_theta', 'symplectic', 'symplectic_theta']")
+    steps = {"symplectic_theta": theta_step, "rkmk_theta": rkmk_theta_step}
+    if scheme not in steps:
+        raise ValueError(f"unknown cotangent scheme {scheme!r}; choose from {sorted(steps)}")
+    return partial(steps[scheme], theta, system, solver=ImplicitSolver())
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,22 @@ def test_non_finite_state_exit_4_without_csv(tmp_path, capsys):
     assert "non-finite state: step 8 (t=16.0)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["symplectic", "rkmk4"])
+def test_heavytop_unknown_scheme_exit_2(capsys, scheme):
+    code = run(["integrate", "--problem", "heavytop", "--scheme", scheme,
+                "--h", "0.05", "--steps", "2"])
+    assert code == 2
+    assert ("choose from ['rkmk_theta', 'symplectic_theta']"
+            in capsys.readouterr().err)
+
+
+def test_order_on_heavytop_exit_2(capsys):
+    code = run(["order", "--problem", "heavytop", "--scheme", "symplectic_theta",
+                "--h-list", "0.1,0.05,0.025"])
+    assert code == 2
+    assert "group-action problems" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"problem": "frb_s2", "scheme": "rkmk4",
