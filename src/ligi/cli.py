@@ -131,11 +131,12 @@ def _action_setup(problem, state0, labels, config, other_schemes=()):
         raise ConfigError(
             f"scheme {config.scheme!r} not available for {config.problem!r};"
             f" choose from {sorted([*ACTION_STEPS, *other_schemes])}")
-    step, kwargs = ACTION_STEPS[config.scheme]
+    function, kwargs = ACTION_STEPS[config.scheme]
     if config.scheme == "rkmk":
         kwargs = {**kwargs, "series_order": config.series_order}
     return dict(state0=state0, labels=labels, invariants=problem.invariants,
-                step=partial(step, problem, **kwargs))
+                step=partial(function, problem, **kwargs),
+                order=(problem, function, kwargs))
 
 
 def _problem_duffing(frame, config):
@@ -191,7 +192,8 @@ def _problem_frb_s3(config):
 
 
 # Every builder maps a RunConfig to dict(state0, labels, invariants, step),
-# with step(y, h) the one-step map of config.scheme on that problem.
+# with step(y, h) the one-step map of config.scheme on that problem; a
+# group-action run adds order=(problem, scheme function, kwargs) for cmd_order.
 PROBLEMS = {
     "duffing_r2": partial(_problem_duffing, "r2"),
     "duffing_sl2": partial(_problem_duffing, "sl2"),
@@ -262,14 +264,11 @@ def cmd_drift(config: RunConfig) -> int:
 
 def cmd_order(config: RunConfig) -> int:
     setup = PROBLEMS[config.problem](config)
-    # An order study reruns the scheme at several step sizes, so it needs the
-    # group-action problem and the scheme function the step map was built from.
-    step = setup["step"]
-    problem = step.args[0] if isinstance(step, partial) and step.args else None
-    if not isinstance(problem, FrozenFieldProblem):
+    if "order" not in setup:
         raise ConfigError("order studies are provided for group-action problems")
-    slope, errors = convergence_study(problem, step.func, setup["state0"],
-                                      config.T, list(config.h_list), **step.keywords)
+    problem, function, kwargs = setup["order"]
+    slope, errors = convergence_study(problem, function, setup["state0"], config.T,
+                                      list(config.h_list), **kwargs)
     return write_json({
         "problem": config.problem,
         "scheme": config.scheme,
