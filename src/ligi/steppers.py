@@ -217,20 +217,17 @@ def integrate(step: Callable, y0, h, n_steps, invariants=()) -> Trajectory:
     as a new state or invariant value is not finite.
     """
     times = np.arange(n_steps + 1) * float(h)
-    states = [y0]
-    values = [[fn(y0)] for _, fn in invariants]
-    y = y0
+    states, y = [y0], y0
+    rows = [[fn(y0) for _, fn in invariants]]
     for n in range(1, n_steps + 1):
         y = step(y, h)
         states.append(y)
-        new = [fn(y) for _, fn in invariants]
-        for recorded, v in zip(values, new):
-            recorded.append(v)
-        if not (_finite(y) and all(map(math.isfinite, new))):
+        rows.append([fn(y) for _, fn in invariants])
+        if not (_finite(y) and all(map(math.isfinite, rows[-1]))):
             raise NonFiniteState(
                 f"step {n} (t={float(times[n])!r}) gave a value that is not finite")
-    return Trajectory(times, states, {name: np.asarray(v)
-                                      for (name, _), v in zip(invariants, values)})
+    columns = np.array(rows).T
+    return Trajectory(times, states, dict(zip((name for name, _ in invariants), columns)))
 
 
 DRIFT_THRESHOLD = 1e-3
