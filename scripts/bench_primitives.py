@@ -1,16 +1,24 @@
-"""L0 timings of the so(3) and S^3 closed forms, written to BENCH_so3_kernels.json.
+"""L0 and L1 timings: closed forms, implicit-loop pieces and single steps.
 
     python scripts/bench_primitives.py
     python scripts/bench_primitives.py --baseline ../ligi-parent \
         --runs parent=logs/parent --runs change=logs/change
 
-Run from the root of a checkout.  The primitives of ``src/`` are timed as
-"change"; with ``--baseline`` those of ``<baseline>/src`` are timed too, as
-"parent".  Each tree is timed in fresh single-threaded child interpreters,
-alternating between the trees for ``ROUNDS`` rounds, so that a drift of the
-machine's speed hits both alike.  A primitive's time is the minimum over all
-``timeit`` repeats (``REPEAT`` per round, each of ``NUMBER`` calls); the spread
-is the quartiles and the maximum of those repeats.
+Run from the root of a checkout; the record is written to
+BENCH_implicit_loops.json unless ``--out`` names another file.  The cases of
+``src/`` are timed as "change"; with ``--baseline`` those of
+``<baseline>/src`` are timed too, as "parent".  Each tree is timed in fresh
+single-threaded child interpreters, alternating between the trees for
+``ROUNDS`` rounds, so that a drift of the machine's speed hits both alike.  A
+case's time is the minimum over all ``timeit`` repeats (``REPEAT`` per round,
+each of the case's own number of calls); the spread is the quartiles and the
+maximum of those repeats.
+
+The L0 cases are the so(3) and S^3 closed forms.  The L1 cases are one call of
+each piece of the implicit inner loops (the theta and RKMK theta residuals,
+the semidirect bracket and dexpinv series, the two-form and the quaternion
+log) and one cold step of each implicit scheme from the heavy-top and
+quaternion free rigid body start states, each with a fresh solver.
 
 ``--runs LABEL=DIR`` adds the end-to-end results of ``bench/run.py``: DIR
 holds one file per run with that run's stdout.  Each workload's metrics are
@@ -36,9 +44,9 @@ import scipy
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROUNDS, REPEAT, NUMBER = 4, 5, 20000
 
-# (primitive, arguments as source text); sigma has the size of a heavy-top
+# (case, statement, calls per repeat); sigma has the size of a heavy-top
 # Newton iterate, so every closed form takes its trigonometric branch.
-CASES = (
+L0_KERNELS = (
     ("cross3", "S, V"),
     ("hat", "S"),
     ("rotation_from_vector", "S"),
@@ -50,14 +58,43 @@ CASES = (
     ("quat_exp", "S"),
     ("quat_conj", "Q"),
     ("euler_rodrigues", "Q"),
+    ("quat_log", "P"),
+)
+CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERNELS) + (
+    ("theta_residual", "THETA_RESIDUAL(THETA_Z)", 2000),
+    ("rkmk_theta_residual", "RKMK_RESIDUAL(RKMK_K)", 1000),
+    ("CotangentOps.bracket", "CT.bracket(A6, B6)", 5000),
+    ("dexpinv_series_order2", "liealg.dexpinv_series(CT, A6, B6, 2)", 2000),
+    ("two_form_matrix", "discrete_gradient.two_form_matrix(FRB, P, gamma=GAMMA)", 5000),
+    ("theta_step_cold", "symplectic.theta_step(0.5, HT, HT_STATE, 0.05)", 100),
+    ("rkmk_theta_step_cold", "symplectic.rkmk_theta_step(0.5, HT, HT_STATE, 0.05)", 100),
+    ("dg_step_cold", "discrete_gradient.dg_step(FRB, P, 1 / 64)", 300),
 )
 SETUP = """
 import numpy as np
-from ligi import liealg
+from ligi import discrete_gradient, liealg, semidirect, symplectic
 S = np.array([0.31, -0.22, 0.38])
 V = np.array([0.1, 0.5, -0.3])
 P = np.array([0.9, 0.1, -0.3, 0.3]) / np.linalg.norm([0.9, 0.1, -0.3, 0.3])
 Q = np.array([0.5, 0.5, -0.5, 0.5])
+CT = semidirect.CotangentOps(liealg.SO3)
+A6 = np.concatenate([S, 40.0 * V])
+B6 = np.concatenate([V, 30.0 * S])
+HT = symplectic.heavy_top(symplectic.HeavyTopParams.benchmark())
+HT_STATE = symplectic.HeavyTopParams.benchmark().state0
+class Capture:  # a solver that keeps the residual and returns the start point
+    def solve(self, residual, z0, h=None):
+        self.residual, self.z0 = residual, z0
+        return z0
+cap = Capture()
+symplectic.theta_step(0.5, HT, HT_STATE, 0.05, solver=cap)
+THETA_RESIDUAL, THETA_Z = cap.residual, cap.z0
+symplectic.rkmk_theta_step(0.5, HT, HT_STATE, 0.05, solver=cap)
+RKMK_RESIDUAL, RKMK_K = cap.residual, cap.z0
+FRB = discrete_gradient.free_rigid_body_quat(np.array([1.0, 5.0, 60.0]),
+                                             np.array([1.0, 0.1, -1.0 / 60.0]))
+GAMMA = discrete_gradient.trivialized_differential(
+    FRB.group, FRB.energy, P, closed_form=FRB.energy_differential)
 """
 END_TO_END = ("steps_per_s", "solve_us_p50", "solve_us_p99", "setup_s", "peak_rss_mb")
 HIGHER_IS_BETTER = {"steps_per_s"}
@@ -66,10 +103,9 @@ HIGHER_IS_BETTER = {"steps_per_s"}
 def time_primitives():
     """Per-call microseconds of every repeat, for the ligi on sys.path."""
     out = {}
-    for name, args in CASES:
-        times = timeit.repeat(f"liealg.{name}({args})", SETUP,
-                              repeat=REPEAT, number=NUMBER)
-        out[name] = [t / NUMBER * 1e6 for t in times]
+    for name, statement, number in CASES:
+        times = timeit.repeat(statement, SETUP, repeat=REPEAT, number=number)
+        out[name] = [t / number * 1e6 for t in times]
     return out
 
 
@@ -139,7 +175,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_so3_kernels.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_implicit_loops.json"))
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
@@ -150,7 +186,7 @@ def main(argv=None):
     trees = {"change": os.path.join(ROOT, "src")}
     if args.baseline:
         trees["parent"] = os.path.join(os.path.abspath(args.baseline), "src")
-    samples = {label: {name: [] for name, _ in CASES} for label in trees}
+    samples = {label: {name: [] for name, *_ in CASES} for label in trees}
     for k in range(ROUNDS):
         order = list(trees) if k % 2 == 0 else list(reversed(list(trees)))
         for label in order:
@@ -158,7 +194,7 @@ def main(argv=None):
                 samples[label][name].extend(times)
 
     primitives = {}
-    for name, _ in CASES:
+    for name, *_ in CASES:
         entry = {label: summarise_times(samples[label][name]) for label in trees}
         if "parent" in entry:
             entry["speedup_of_min"] = entry["parent"]["min_us"] / entry["change"]["min_us"]
@@ -167,7 +203,9 @@ def main(argv=None):
         "environment": {"nproc": os.cpu_count(), "machine": platform.machine(),
                         "python": platform.python_version(),
                         "numpy": numpy.__version__, "scipy": scipy.__version__},
-        "method": {"rounds": ROUNDS, "repeat": REPEAT, "number": NUMBER,
+        "method": {"rounds": ROUNDS, "repeat": REPEAT,
+                   "number": {name: number for name, _, number in CASES},
+                   "statements": {name: statement for name, statement, _ in CASES},
                    "inputs": SETUP.strip().splitlines()[2:]},
         "primitives": primitives,
     }

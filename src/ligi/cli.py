@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
@@ -306,13 +307,38 @@ def build_parser():
     return parser
 
 
+def _real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_config_file(values):
+    """Reject config-file values of the wrong type; argparse types the flags."""
+    if not isinstance(values, dict):
+        raise ConfigError("a config file must hold a JSON object")
+    for name in ("h", "T", "theta"):
+        if values.get(name) is not None and not _real(values[name]):
+            raise ConfigError(f"{name} must be a number, got {values[name]!r}")
+    for name in ("steps", "series_order", "seed"):
+        value = values.get(name)
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, numbers.Integral)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    for name in ("problem", "scheme", "tdd", "out"):
+        if values.get(name) is not None and not isinstance(values[name], str):
+            raise ConfigError(f"{name} must be a string, got {values[name]!r}")
+    h_list = values.get("h_list")
+    if h_list is not None and not (isinstance(h_list, list) and all(map(_real, h_list))):
+        raise ConfigError(f"h_list must be a list of numbers, got {h_list!r}")
+    return values
+
+
 def _assemble_config(args) -> RunConfig:
     values = {}
     if args.preset:
         values.update(PRESETS[args.preset])
     if args.config:
         with open(args.config) as fh:
-            values.update(json.load(fh))
+            values.update(_check_config_file(json.load(fh)))
     for name in ("problem", "scheme", "h", "steps", "theta", "tdd",
                  "series_order", "seed", "out", "T"):
         flag = getattr(args, name, None)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CoincidentPoints, CriticalPoint, FixedPointDivergence
-from .liealg import GroupOps, S3, cross3, euler_rodrigues
+from .liealg import GroupOps, S3, cross3, euler_rodrigues, max_abs
 
 _EPS = np.finfo(float).eps
 
@@ -92,10 +92,12 @@ def tdd_avf(system: InvariantSystem, x, x1, quad_nodes=4):
     return out
 
 
-def _gonzalez_correct(system, x, x1, eta, base):
-    """Close the discrete identity by a correction along eta."""
-    eta2 = float(eta @ eta)
-    gap = float(system.energy(x1)) - float(system.energy(x)) - float(base @ eta)
+def _gonzalez_correct(system, energy_x, x1, eta, eta2, base):
+    """Close the discrete identity by a correction along eta.
+
+    energy_x is H(x) and eta2 is eta . eta, both as floats.
+    """
+    gap = float(system.energy(x1)) - energy_x - float(base @ eta)
     return base + (gap / eta2) * eta
 
 
@@ -111,11 +113,12 @@ def tdd_gonzalez(system: InvariantSystem, x, x1):
     """
     group = system.group
     eta = group.log(group.mul(x1, group.inv(x)))
-    if float(eta @ eta) < 1e-10 ** 2:
+    eta2 = float(eta @ eta)
+    if eta2 < 1e-10 ** 2:
         raise CoincidentPoints("x and x' coincide; eta is numerically zero")
     mid = group.mul(group.exp(0.5 * eta), x)
     base = _differential(system, mid)
-    return _gonzalez_correct(system, x, x1, eta, base)
+    return _gonzalez_correct(system, float(system.energy(x)), x1, eta, eta2, base)
 
 
 def two_form_matrix(system: InvariantSystem, x, gamma=None):
@@ -133,7 +136,10 @@ def two_form_matrix(system: InvariantSystem, x, gamma=None):
     g2 = float(gamma @ gamma)
     if g2 < 1e-12 ** 2:
         raise CriticalPoint("gradient vanishes; two-form undefined")
-    return (np.outer(xi, gamma) - np.outer(gamma, xi)) / g2
+    # The entries of (outer(xi, gamma) - outer(gamma, xi)) / g2, on floats.
+    xs, gs = xi.tolist(), gamma.tolist()
+    return np.array([(a * gj - b * xj) / g2 for a, b in zip(xs, gs)
+                     for xj, gj in zip(xs, gs)]).reshape(len(xs), len(xs))
 
 
 def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", midpoint_form=True,
@@ -150,11 +156,13 @@ def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", midpoint_form=True,
         raise ValueError(f"unknown discrete differential {tdd!r}")
     group = system.group
     x_inv = group.inv(x)
+    energy_x = float(system.energy(x)) if tdd == "gonzalez" else None
 
     x1 = group.mul(group.exp(h * np.asarray(system.field(x), float)), x)
     for _ in range(max_iter):
         eta = group.log(group.mul(x1, x_inv))
-        coincident = float(eta @ eta) < 1e-10 ** 2
+        eta2 = float(eta @ eta)
+        coincident = eta2 < 1e-10 ** 2
         mid = x if coincident else group.mul(group.exp(0.5 * eta), x)
         w_point = mid if midpoint_form else x
         # One midpoint differential serves both the Gonzalez closure and,
@@ -166,7 +174,7 @@ def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", midpoint_form=True,
         elif coincident:
             dbar = base
         else:
-            dbar = _gonzalez_correct(system, x, x1, eta, base)
+            dbar = _gonzalez_correct(system, energy_x, x1, eta, eta2, base)
         gamma = base if midpoint_form else None
         W = two_form_matrix(system, w_point, gamma=gamma)
         x_new = group.mul(group.exp(h * (W @ dbar)), x)
@@ -179,7 +187,10 @@ def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", midpoint_form=True,
 
 
 def _flat_distance(a, b):
-    return float(np.max(np.abs(np.asarray(a, float) - np.asarray(b, float))))
+    """Largest coordinate difference; NaN when any coordinate is NaN."""
+    a = np.asarray(a, float).ravel().tolist()
+    b = np.asarray(b, float).ravel().tolist()
+    return max_abs([p - q for p, q in zip(a, b)])
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,24 @@ SMALL_ANGLE = 1e-4
 SERIES_ORDER = 12
 
 _MAX_SERIES_ORDER = 24
-# Bernoulli numbers over factorials, B_k / k!, with the B_1 = -1/2 convention.
-_BERNOULLI_OVER_FACT = bernoulli(_MAX_SERIES_ORDER) / np.array(
+# Bernoulli numbers over factorials, B_k / k!, with the B_1 = -1/2 convention,
+# as Python floats.
+_BERNOULLI_OVER_FACT = (bernoulli(_MAX_SERIES_ORDER) / np.array(
     [math.factorial(k) for k in range(_MAX_SERIES_ORDER + 1)]
-)
+)).tolist()
+
+
+def max_abs(values):
+    """max |v| over a flat list of floats, as np.max(np.abs(values)) gives it.
+
+    On a few entries the Python reduction costs a fifth of numpy's.  Python's
+    max can pass over a NaN, so a finite sum screens the entries first; a NaN,
+    an infinity or an overflowing sum falls back to numpy, which returns the
+    NaN or the infinity.
+    """
+    if math.isfinite(sum(values)):
+        return max(map(abs, values))
+    return float(np.max(np.abs(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +286,16 @@ def quat_log(q):
         LogNearAntipode: when q0 <= -1 + 1e-9.
     """
     q = np.asarray(q, dtype=float)
-    if q[0] <= -1.0 + 1e-9:
-        raise LogNearAntipode(f"quaternion too close to -identity (q0={q[0]!r})")
-    nv = float(np.linalg.norm(q[1:]))
+    q0 = q[0]
+    if q0 <= -1.0 + 1e-9:
+        raise LogNearAntipode(f"quaternion too close to -identity (q0={q0!r})")
+    v = q[1:]
+    nv = math.sqrt(float(v @ v))  # np.linalg.norm(v), without its dispatch
     if nv < 1e-9:
         # q0 ~ +1 here; the antipode was excluded above.
-        return q[1:] / q[0]
-    theta = math.atan2(nv, q[0])
-    return (theta / nv) * q[1:]
+        return v / q0
+    theta = math.atan2(nv, q0)
+    return (theta / nv) * v
 
 
 def euler_rodrigues(q):
@@ -482,11 +498,11 @@ class GroupOps:
 
 
 def _check_same_shape(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise AlgebraMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return a.astype(float), b.astype(float)
+    return a, b
 
 
 class So3Ops(GroupOps):

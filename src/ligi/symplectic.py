@@ -11,6 +11,7 @@ builds the one-step map of either theta scheme for steppers.integrate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import FixedPointDivergence
-from .liealg import SO3, GroupOps, cross3, dexpinv_series
+from .liealg import SO3, GroupOps, cross3, dexpinv_series, max_abs
 from .semidirect import CotangentOps
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -94,15 +95,20 @@ class ImplicitSolver:
         self._lu = None
         self._z = None
 
-    def _jacobian(self, residual, z, r):
+    def _jacobian(self, residual, z, r, h, norm):
         n = len(z)
         J = np.empty((n, n))
-        for j in range(n):
-            d = 1e-7 * max(1.0, abs(z[j]))
+        for j, zj in enumerate(z.tolist()):
+            d = 1e-7 * max(1.0, abs(zj))
             zp = z.copy()
-            zp[j] += d
+            zp[j] = zj + d
             J[:, j] = (residual(zp) - r) / d
-        self._lu = lu_factor(J)
+        # One screen per build stands in for scipy's finiteness checks on
+        # every factorisation and solve: r is finite whenever it is solved for.
+        if not np.isfinite(J).all():
+            raise FixedPointDivergence(
+                "finite-difference Jacobian is not finite", h=h, residual=norm)
+        self._lu = lu_factor(J, check_finite=False)
 
     def solve(self, residual, z0, h=None):
         z0 = np.asarray(z0, dtype=float)
@@ -111,7 +117,7 @@ class ImplicitSolver:
         if self.method == "fixed_point":
             for _ in range(self.max_iter):
                 r = residual(z)
-                norm = np.max(np.abs(r))
+                norm = max_abs(r.tolist())
                 if norm < self.tol:
                     self._z = z
                     return z
@@ -120,29 +126,29 @@ class ImplicitSolver:
                 "fixed-point iteration did not converge", h=h, residual=norm)
 
         r = residual(z)
-        norm_prev = np.inf
+        norm_prev = math.inf
         rebuilds = 0
         for _ in range(self.max_iter):
-            norm = np.max(np.abs(r))
-            if not np.isfinite(norm):
+            norm = max_abs(r.tolist())
+            if not math.isfinite(norm):
                 # A stale Jacobian sent the iterate astray; restart clean.
                 z = z0.copy()
                 r = residual(z)
-                norm = np.max(np.abs(r))
+                norm = max_abs(r.tolist())
                 self._lu = None
             if norm < self.tol:
                 self._z = z
                 return z
             if self._lu is None or (norm > 0.25 * norm_prev and rebuilds < 3):
-                self._jacobian(residual, z, r)
+                self._jacobian(residual, z, r, h, norm)
                 rebuilds += 1
-                norm_prev = np.inf  # judge progress against the fresh Jacobian
+                norm_prev = math.inf  # judge progress against the fresh Jacobian
             else:
                 norm_prev = norm
-            z = z - lu_solve(self._lu, r)
+            z = z - lu_solve(self._lu, r, check_finite=False)
             r = residual(z)
         raise FixedPointDivergence(
-            "Newton iteration did not converge", h=h, residual=np.max(np.abs(r)))
+            "Newton iteration did not converge", h=h, residual=max_abs(r.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -225,25 +231,21 @@ def theta_step(theta, system: HamiltonianSystem, state, h,
     d = group.dim
     g0, mu0 = state
     f = system.force_map
+    c = 1.0 - theta
 
     def residual(z):
         xi, nbar = z[:d], z[d:]
         G = group.mul(group.exp(theta * xi), g0)
-        M = group.dual_dexp(-xi, mu0) \
-            + (1.0 - theta) * group.dual_dexp(-(1.0 - theta) * xi, nbar)
-        f1, f2 = f(G, M)
-        out = np.empty(2 * d)
-        out[:d] = xi - h * np.asarray(f1, float)
-        out[d:] = nbar - h * np.asarray(f2, float)
-        return out
+        M = group.dual_dexp(-xi, mu0) + c * group.dual_dexp(-c * xi, nbar)
+        # z - h (f1, f2) is (xi - h f1, nbar - h f2), entry by entry.
+        return z - h * np.concatenate(f(G, M), dtype=float)
 
-    f1, f2 = f(g0, mu0)
-    z0 = np.concatenate([h * np.asarray(f1, float), h * np.asarray(f2, float)])
+    z0 = h * np.concatenate(f(g0, mu0), dtype=float)
     solver = solver or ImplicitSolver(method, tol, max_iter)
     z = solver.solve(residual, z0, h=h)
 
     xi, nbar = z[:d], z[d:]
-    update = (group.exp(xi), group.coAd(group.exp(-(1.0 - theta) * xi), nbar))
+    update = (group.exp(xi), group.coAd(group.exp(-c * xi), nbar))
     return ct.mul(update, state)
 
 
@@ -267,8 +269,10 @@ def rkmk_theta_step(theta, system: HamiltonianSystem, state, h,
     if theta == 0.0:
         k = f_joined(state)
     else:
+        h_theta = h * theta
+
         def residual(k):
-            u = (h * theta) * k
+            u = h_theta * k
             val = f_joined(ct.mul(ct.exp(u), state))
             return k - dexpinv_series(ct, u, val, series_order)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -227,6 +228,47 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
                                "h": 0.05, "steps": 2, "bogus": 1}))
     assert run(["integrate", "--config", str(cfg)]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("h", "0.05"), ("h", True), ("T", "2"), ("theta", "0.5"),
+    ("h_list", ["0.1", 0.05, 0.025]), ("h_list", "0.1,0.05,0.025"),
+    ("steps", 10.5), ("steps", "10"), ("series_order", 4.0), ("seed", "1"),
+    ("problem", ["frb_s2"]), ("out", 1),
+])
+def test_config_value_type_exit_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"problem": "frb_s2", "scheme": "rkmk4",
+                               "h": 0.05, "steps": 2, key: value}))
+    assert run(["integrate", "--config", str(cfg)]) == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+
+
+def test_config_not_an_object_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text("[0.05, 2]")
+    assert run(["integrate", "--preset", "frb-s2-rkmk4", "--config", str(cfg)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_non_finite_jacobian_exit_3(monkeypatch, capsys):
+    # A force map that is NaN away from the start attitude makes the Newton
+    # Jacobian NaN: a solver divergence, not a configuration error.
+    real_heavy_top = symplectic.heavy_top
+
+    def nan_off_start(params):
+        system = real_heavy_top(params)
+
+        def force_map(g, mu):
+            f1, f2 = system.force_map(g, mu)
+            return (f1, f2) if np.array_equal(g, np.eye(3)) else (np.nan * f1, f2)
+
+        return dataclasses.replace(system, force_map=force_map)
+
+    monkeypatch.setattr(cli, "heavy_top", nan_off_start)
+    code = run(["integrate", "--preset", "heavytop-theta05", "--steps", "2"])
+    assert code == 3
+    assert "Jacobian is not finite" in capsys.readouterr().err
 
 
 def test_solver_divergence_exit_3(monkeypatch, capsys):

@@ -12,8 +12,8 @@ from ligi.discrete_gradient import (
     trivialized_differential,
     two_form_matrix,
 )
-from ligi.errors import CoincidentPoints, CriticalPoint
-from ligi.liealg import S3, SO3, quat_exp, quat_mul
+from ligi.errors import CoincidentPoints, CriticalPoint, FixedPointDivergence
+from ligi.liealg import S3, SO3, TranslationOps, quat_exp, quat_mul
 from oracles import fit_slope, random_rotation, random_unit_quaternion, rk4_solve
 
 INERTIA = np.array([1.0, 5.0, 60.0])
@@ -302,6 +302,29 @@ def test_dg_step_without_midpoint_form_conserves_but_not_symmetric(rng):
     forward = dg_step(FRB, q, h, midpoint_form=False)
     back = dg_step(FRB, forward, -h, midpoint_form=False)
     assert np.max(np.abs(back - q)) > 1e-8
+
+
+class _LastCoordinateLost(TranslationOps):
+    """R^n whose exponential turns its last coordinate into NaN."""
+
+    def exp(self, xi):
+        out = np.array(xi, dtype=float)
+        out[-1] = np.nan
+        return out
+
+
+def test_dg_step_nan_iterate_is_divergence():
+    # H(x) = x3 with a constant field along e1: the averaged differential and
+    # the two-form stay finite, so successive iterates differ by 0 in the
+    # first coordinates and by NaN in the last, which must not read as
+    # converged.
+    gamma = np.array([0.0, 0.0, 1.0])
+    system = InvariantSystem(group=_LastCoordinateLost(3),
+                             energy=lambda x: float(x[2]),
+                             field=lambda x: np.array([1.0, 0.0, 0.0]),
+                             energy_differential=lambda x: gamma)
+    with pytest.raises(FixedPointDivergence):
+        dg_step(system, np.zeros(3), 0.1, tdd="avf", max_iter=5)
 
 
 def test_dg_step_second_order():

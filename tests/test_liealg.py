@@ -23,6 +23,7 @@ from ligi.liealg import (
     expm_so3,
     hat,
     logm_so3,
+    max_abs,
     phi1,
     quat_conj,
     quat_exp,
@@ -128,6 +129,16 @@ def test_sl2_standard_basis_bracket():
     # The matrix commutator gives +H; the vector-field realisation picks up
     # a sign because the generator map is an anti-homomorphism.
     assert np.array_equal(SL2.bracket(X, Y), H)
+
+
+@pytest.mark.parametrize("values", [
+    [-2.5, 1.0, 0.5], [0.0, np.nan], [np.nan, 0.0], [1.0, -np.inf],
+    [1e308, 1e308, -3.0],  # the screening sum overflows on finite entries
+])
+def test_max_abs_matches_numpy(values):
+    expected = float(np.max(np.abs(values)))
+    got = max_abs(values)
+    assert got == expected or (np.isnan(got) and np.isnan(expected))
 
 
 def test_bracket_shape_mismatch():

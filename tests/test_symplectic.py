@@ -171,6 +171,24 @@ def test_solver_divergence_error():
         solver.solve(lambda z: 0.9 * z + 1.0, np.zeros(2), h=0.1)
 
 
+def test_non_finite_jacobian_is_divergence():
+    # Finite at the start point and NaN off it: every finite-difference
+    # column is NaN, which is a divergence, not a malformed input.
+    def residual(z):
+        return np.full(2, np.nan) if z.any() else z - 1.0
+
+    with pytest.raises(FixedPointDivergence, match="Jacobian is not finite"):
+        ImplicitSolver().solve(residual, np.zeros(2), h=0.1)
+
+
+@pytest.mark.parametrize("method", ["newton", "fixed_point"])
+def test_nan_residual_never_reads_as_converged(method):
+    # Python's max([0.0, nan]) is 0.0; the residual norm must stay NaN.
+    solver = ImplicitSolver(method=method, max_iter=5)
+    with pytest.raises(FixedPointDivergence):
+        solver.solve(lambda z: np.array([0.0, np.nan]), np.zeros(2), h=0.1)
+
+
 # ---------------------------------------------------------------------------
 # Symmetry at theta = 1/2
 # ---------------------------------------------------------------------------
