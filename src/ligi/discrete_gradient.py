@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CoincidentPoints, CriticalPoint, FixedPointDivergence
-from .liealg import GroupOps, S3, cross3, euler_rodrigues, max_abs
+from .errors import CoincidentPoints, CriticalPoint
+from .liealg import GroupOps, S3, cross3, euler_rodrigues, fixed_point
 
 _EPS = np.finfo(float).eps
 
@@ -158,8 +158,7 @@ def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", midpoint_form=True,
     x_inv = group.inv(x)
     energy_x = float(system.energy(x)) if tdd == "gonzalez" else None
 
-    x1 = group.mul(group.exp(h * np.asarray(system.field(x), float)), x)
-    for _ in range(max_iter):
+    def update(x1):
         eta = group.log(group.mul(x1, x_inv))
         eta2 = float(eta @ eta)
         coincident = eta2 < 1e-10 ** 2
@@ -177,20 +176,11 @@ def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", midpoint_form=True,
             dbar = _gonzalez_correct(system, energy_x, x1, eta, eta2, base)
         gamma = base if midpoint_form else None
         W = two_form_matrix(system, w_point, gamma=gamma)
-        x_new = group.mul(group.exp(h * (W @ dbar)), x)
-        delta = _flat_distance(x_new, x1)
-        x1 = x_new
-        if delta < tol:
-            return x1
-    raise FixedPointDivergence("energy-preserving step did not converge",
-                               h=h, residual=delta)
+        return group.mul(group.exp(h * (W @ dbar)), x)
 
-
-def _flat_distance(a, b):
-    """Largest coordinate difference; NaN when any coordinate is NaN."""
-    a = np.asarray(a, float).ravel().tolist()
-    b = np.asarray(b, float).ravel().tolist()
-    return max_abs([p - q for p, q in zip(a, b)])
+    x1 = group.mul(group.exp(h * np.asarray(system.field(x), float)), x)
+    return fixed_point(update, x1, tol, max_iter, h,
+                       "energy-preserving step did not converge")
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from scipy.special import bernoulli
 from .errors import (
     AlgebraMismatch,
     AngleNearPi,
+    FixedPointDivergence,
     LogNearAntipode,
     SingularResolvent,
 )
@@ -39,8 +40,10 @@ SMALL_ANGLE = 1e-4
 SERIES_ORDER = 12
 
 _MAX_SERIES_ORDER = 24
-# Bernoulli numbers over factorials, B_k / k!, with the B_1 = -1/2 convention,
-# as Python floats.
+# Series coefficients as Python floats, k = 0.._MAX_SERIES_ORDER: 1 / (k+1)!
+# for dexp, and Bernoulli numbers over factorials, B_k / k!, with the
+# B_1 = -1/2 convention, for dexpinv.
+_INV_FACT_SHIFTED = [1.0 / math.factorial(k + 1) for k in range(_MAX_SERIES_ORDER + 1)]
 _BERNOULLI_OVER_FACT = (bernoulli(_MAX_SERIES_ORDER) / np.array(
     [math.factorial(k) for k in range(_MAX_SERIES_ORDER + 1)]
 )).tolist()
@@ -57,6 +60,34 @@ def max_abs(values):
     if math.isfinite(sum(values)):
         return max(map(abs, values))
     return float(np.max(np.abs(values)))
+
+
+def max_abs_diff(a, b):
+    """Largest coordinate difference of a and b; NaN when any coordinate is NaN.
+
+    a and b are arrays, or lists of equal-shape arrays, of one layout.
+    """
+    a = np.asarray(a, float).ravel().tolist()
+    b = np.asarray(b, float).ravel().tolist()
+    return max_abs([p - q for p, q in zip(a, b)])
+
+
+def fixed_point(update, z0, tol, max_iter, h, what):
+    """Iterate z <- update(z) until one move is below tol in the max norm.
+
+    Returns the last iterate.  Otherwise, after max_iter moves, raises
+    FixedPointDivergence with the message what, the step size h and the last
+    move as its residual (inf when max_iter allows no move); a NaN move never
+    reads as converged.
+    """
+    z, delta = z0, math.inf
+    for _ in range(max_iter):
+        new = update(z)
+        delta = max_abs_diff(new, z)
+        z = new
+        if delta < tol:
+            return z
+    raise FixedPointDivergence(what, h=h, residual=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -377,56 +408,40 @@ def homogeneous_to_affine(H):
 # Commutator series: dexp, dexpinv and their duals on a generic algebra
 # ---------------------------------------------------------------------------
 
-def dexp_series(ops, sigma, v, order):
-    """Truncated dexp_sigma(v) = sum_{k<=order} ad_sigma^k v / (k+1)!."""
+def _ad_series(ad, sigma, v, coeffs, order):
+    """sum_{k<=order} coeffs[k] ad(sigma, .)^k v, with coeffs[0] = 1.
+
+    ad is a bracket or a coadjoint map; zero coefficients add no term.
+    """
+    if order > _MAX_SERIES_ORDER:
+        raise ValueError(f"series order limited to {_MAX_SERIES_ORDER}")
     w = np.asarray(v, dtype=float)
     out = w
-    fact = 1.0
-    for k in range(1, order + 1):
-        w = ops.bracket(sigma, w)
-        fact *= k + 1
-        out = out + w / fact
+    for c in coeffs[1:order + 1]:
+        w = ad(sigma, w)
+        if c != 0.0:
+            out = out + c * w
     return out
+
+
+def dexp_series(ops, sigma, v, order):
+    """Truncated dexp_sigma(v) = sum_{k<=order} ad_sigma^k v / (k+1)!."""
+    return _ad_series(ops.bracket, sigma, v, _INV_FACT_SHIFTED, order)
 
 
 def dexpinv_series(ops, sigma, v, order):
     """Truncated inverse of dexp: coefficients are Bernoulli numbers B_k/k!."""
-    if order > _MAX_SERIES_ORDER:
-        raise ValueError(f"series order limited to {_MAX_SERIES_ORDER}")
-    w = np.asarray(v, dtype=float)
-    out = w
-    for k in range(1, order + 1):
-        w = ops.bracket(sigma, w)
-        c = _BERNOULLI_OVER_FACT[k]
-        if c != 0.0:
-            out = out + c * w
-    return out
+    return _ad_series(ops.bracket, sigma, v, _BERNOULLI_OVER_FACT, order)
 
 
 def dual_dexp_series(ops, sigma, mu, order):
     """(dexp_sigma)^* mu: the dexp series with ad replaced by its dual."""
-    w = np.asarray(mu, dtype=float)
-    out = w
-    fact = 1.0
-    for k in range(1, order + 1):
-        w = ops.coad(sigma, w)
-        fact *= k + 1
-        out = out + w / fact
-    return out
+    return _ad_series(ops.coad, sigma, mu, _INV_FACT_SHIFTED, order)
 
 
 def dual_dexpinv_series(ops, sigma, mu, order):
     """(dexpinv_sigma)^* mu via the transposed Bernoulli series."""
-    if order > _MAX_SERIES_ORDER:
-        raise ValueError(f"series order limited to {_MAX_SERIES_ORDER}")
-    w = np.asarray(mu, dtype=float)
-    out = w
-    for k in range(1, order + 1):
-        w = ops.coad(sigma, w)
-        c = _BERNOULLI_OVER_FACT[k]
-        if c != 0.0:
-            out = out + c * w
-    return out
+    return _ad_series(ops.coad, sigma, mu, _BERNOULLI_OVER_FACT, order)
 
 
 # ---------------------------------------------------------------------------

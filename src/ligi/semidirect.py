@@ -74,17 +74,3 @@ class CotangentOps(GroupOps):
             self.base.coAd(self.base.inv(g), lifted),
         )
 
-
-def state_distance(ops: CotangentOps, a, b):
-    """Scale-aware distance between two (g, mu) states.
-
-    The momentum difference is measured relative to its magnitude so the
-    metric stays meaningful when ||mu|| is large.
-    """
-    g1, mu1 = a
-    g2, mu2 = b
-    scale = max(1.0, float(np.linalg.norm(mu1)))
-    return float(
-        np.linalg.norm(np.asarray(g1) - np.asarray(g2))
-        + np.linalg.norm(mu1 - mu2) / scale
-    )

@@ -16,8 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .actions import FrozenFieldProblem
-from .errors import FixedPointDivergence, NonFiniteState
-from .liealg import affine_exp
+from .errors import NonFiniteState
+from .liealg import affine_exp, fixed_point
 
 
 @dataclass(frozen=True)
@@ -127,16 +127,8 @@ def rkmk_step(problem: FrozenFieldProblem, y, h, tableau: ButcherTableau = KUTTA
         for i in range(s):
             stages.append(stage(stages, i))
     else:
-        stages = [f(y)] * s
-        for it in range(max_iter):
-            new = [stage(stages, i) for i in range(s)]
-            delta = max(np.max(np.abs(new[i] - stages[i])) for i in range(s))
-            stages = new
-            if delta < tol:
-                break
-        else:
-            raise FixedPointDivergence(
-                "implicit tableau stages did not converge", h=h, residual=delta)
+        stages = fixed_point(lambda z: [stage(z, i) for i in range(s)], [f(y)] * s,
+                             tol, max_iter, h, "implicit tableau stages did not converge")
 
     v = h * sum(b[i] * stages[i] for i in range(s))
     return act.apply(group.exp(v), y)

@@ -6,7 +6,9 @@ exponentials on the semidirect product and dual dexp transports of the
 momentum, and are symplectic by their variational derivation.  The theta
 instances (s = 1) and a Runge-Kutta-Munthe-Kaas theta comparator are
 provided, together with the heavy-top benchmark Hamiltonian; cotangent_step
-builds the one-step map of either theta scheme for steppers.integrate.
+builds the one-step map of either theta scheme for steppers.integrate.  Each
+step solves its stage equations with the ImplicitSolver passed as solver, a
+fresh Newton solver by default.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import FixedPointDivergence
-from .liealg import SO3, GroupOps, cross3, dexpinv_series, max_abs
+from .liealg import SO3, GroupOps, cross3, dexpinv_series, fixed_point, max_abs
 from .semidirect import CotangentOps
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -115,15 +117,9 @@ class ImplicitSolver:
         z = self._z if (self._z is not None and len(self._z) == len(z0)) else z0
         z = z.copy()
         if self.method == "fixed_point":
-            for _ in range(self.max_iter):
-                r = residual(z)
-                norm = max_abs(r.tolist())
-                if norm < self.tol:
-                    self._z = z
-                    return z
-                z = z - r
-            raise FixedPointDivergence(
-                "fixed-point iteration did not converge", h=h, residual=norm)
+            self._z = fixed_point(lambda z: z - residual(z), z, self.tol, self.max_iter,
+                                  h, "fixed-point iteration did not converge")
+            return self._z
 
         r = residual(z)
         norm_prev = math.inf
@@ -156,7 +152,7 @@ class ImplicitSolver:
 # ---------------------------------------------------------------------------
 
 def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state, h,
-                    solver=None, method="newton", tol=1e-12, max_iter=200):
+                    solver=None):
     """One step of the s-stage symplectic family.
 
     Solves the coupled stage system
@@ -208,7 +204,7 @@ def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state,
     f1, f2 = f(g0, mu0)
     z0 = np.tile(np.concatenate([h * np.asarray(f1, float),
                                  h * np.asarray(f2, float)]), s)
-    solver = solver or ImplicitSolver(method, tol, max_iter)
+    solver = solver or ImplicitSolver()
     z = solver.solve(residual, z0, h=h)
 
     xi, nbar = unpack(z)
@@ -218,8 +214,7 @@ def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state,
     return ct.mul(update, state)
 
 
-def theta_step(theta, system: HamiltonianSystem, state, h,
-               solver=None, method="newton", tol=1e-12, max_iter=200):
+def theta_step(theta, system: HamiltonianSystem, state, h, solver=None):
     """The s = 1 member with a_11 = theta, written in its simplified form.
 
     Solves (xi, nbar) = h f(exp(theta xi) . g0,
@@ -241,7 +236,7 @@ def theta_step(theta, system: HamiltonianSystem, state, h,
         return z - h * np.concatenate(f(G, M), dtype=float)
 
     z0 = h * np.concatenate(f(g0, mu0), dtype=float)
-    solver = solver or ImplicitSolver(method, tol, max_iter)
+    solver = solver or ImplicitSolver()
     z = solver.solve(residual, z0, h=h)
 
     xi, nbar = z[:d], z[d:]
@@ -249,14 +244,17 @@ def theta_step(theta, system: HamiltonianSystem, state, h,
     return ct.mul(update, state)
 
 
-def rkmk_theta_step(theta, system: HamiltonianSystem, state, h,
-                    solver=None, method="newton", tol=1e-12, max_iter=200,
-                    series_order=2):
+# Truncation order of the RKMK theta stage's dexpinv series.
+RKMK_THETA_SERIES_ORDER = 2
+
+
+def rkmk_theta_step(theta, system: HamiltonianSystem, state, h, solver=None):
     """Runge-Kutta-Munthe-Kaas theta method on the semidirect group.
 
     The stage lives in the semidirect algebra, k = dexpinv_{h theta k}
-    (f(exp(h theta k) . y0)) with a truncated dexpinv series, and the update
-    is exp(h k) . y0.  Not symplectic; serves as the comparator.
+    (f(exp(h theta k) . y0)) with the dexpinv series truncated at
+    RKMK_THETA_SERIES_ORDER, and the update is exp(h k) . y0.  Not
+    symplectic; serves as the comparator.
     """
     ct = system.cotangent()
     f = system.force_map
@@ -274,9 +272,9 @@ def rkmk_theta_step(theta, system: HamiltonianSystem, state, h,
         def residual(k):
             u = h_theta * k
             val = f_joined(ct.mul(ct.exp(u), state))
-            return k - dexpinv_series(ct, u, val, series_order)
+            return k - dexpinv_series(ct, u, val, RKMK_THETA_SERIES_ORDER)
 
-        solver = solver or ImplicitSolver(method, tol, max_iter)
+        solver = solver or ImplicitSolver()
         k = solver.solve(residual, f_joined(state), h=h)
     return ct.mul(ct.exp(h * k), state)
 

@@ -130,3 +130,18 @@ def random_rotation(rng, max_angle=2.5):
 def random_unit_quaternion(rng):
     q = rng.normal(size=4)
     return q / np.linalg.norm(q)
+
+
+def state_distance(a, b):
+    """Scale-aware distance between two (g, mu) states.
+
+    The momentum difference is measured relative to its magnitude so the
+    metric stays meaningful when ||mu|| is large.
+    """
+    g1, mu1 = a
+    g2, mu2 = b
+    scale = max(1.0, float(np.linalg.norm(mu1)))
+    return float(
+        np.linalg.norm(np.asarray(g1) - np.asarray(g2))
+        + np.linalg.norm(mu1 - mu2) / scale
+    )

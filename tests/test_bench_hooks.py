@@ -1,16 +1,21 @@
 """The names the benchmark's traced run patches must exist in ligi.
 
 bench/ligi_api.py lists every (module, name) that the traced benchmark wraps
-to count work per layer.  The tables are read here and nothing is patched.
+to count work per layer.  The tables are read here, not patched.  The traced
+run reads iteration counts from calls of hooked names, so the last tests
+check that each such name is called once per iteration.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
 import scipy.linalg
 
-from ligi import symplectic
+from ligi import discrete_gradient, symplectic
+from ligi.errors import FixedPointDivergence
 
 LIGI_API = Path(__file__).resolve().parent.parent / "bench" / "ligi_api.py"
 
@@ -56,3 +61,37 @@ def test_solver_calls_scipy_lu_by_name():
     """
     assert symplectic.lu_factor is scipy.linalg.lu_factor
     assert symplectic.lu_solve is scipy.linalg.lu_solve
+
+
+ITERATIONS = 3
+
+
+def test_dg_step_builds_one_two_form_per_iteration(monkeypatch):
+    """discrete_gradient.iters_per_step counts calls of two_form_matrix."""
+    calls = []
+    two_form_matrix = discrete_gradient.two_form_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return two_form_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(discrete_gradient, "two_form_matrix", counted)
+    system = discrete_gradient.free_rigid_body_quat([1.0, 5.0, 60.0], [1.0, 0.1, -0.01])
+    with pytest.raises(FixedPointDivergence):  # tol 0 is never reached
+        discrete_gradient.dg_step(system, np.array([1.0, 0.0, 0.0, 0.0]), 1 / 64,
+                                  tol=0.0, max_iter=ITERATIONS)
+    assert len(calls) == ITERATIONS
+
+
+def test_fixed_point_solve_evaluates_one_residual_per_iteration():
+    """symplectic.residual_evals_per_solve counts calls of the residual."""
+    calls = []
+
+    def residual(z):
+        calls.append(1)
+        return 0.1 * z + 1.0
+
+    solver = symplectic.ImplicitSolver(method="fixed_point", max_iter=ITERATIONS)
+    with pytest.raises(FixedPointDivergence):
+        solver.solve(residual, np.zeros(2), h=0.1)
+    assert len(calls) == ITERATIONS

@@ -1,10 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ligi.errors import AlgebraMismatch, AngleNearPi, LogNearAntipode, SingularResolvent
+from ligi.actions import SO3_ON_S2, FrozenFieldProblem
+from ligi.discrete_gradient import dg_step, free_rigid_body_quat
+from ligi.errors import (
+    AlgebraMismatch,
+    AngleNearPi,
+    FixedPointDivergence,
+    LogNearAntipode,
+    SingularResolvent,
+)
 from ligi.liealg import (
     S3,
     SL2,
@@ -24,6 +34,7 @@ from ligi.liealg import (
     hat,
     logm_so3,
     max_abs,
+    max_abs_diff,
     phi1,
     quat_conj,
     quat_exp,
@@ -33,6 +44,8 @@ from ligi.liealg import (
     son_ops,
     vee,
 )
+from ligi.steppers import ButcherTableau, rkmk_step
+from ligi.symplectic import ImplicitSolver
 from oracles import axis_rotation, random_unit_quaternion, taylor_expm
 
 vectors = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).map(np.array)
@@ -139,6 +152,50 @@ def test_max_abs_matches_numpy(values):
     expected = float(np.max(np.abs(values)))
     got = max_abs(values)
     assert got == expected or (np.isnan(got) and np.isnan(expected))
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point iteration
+# ---------------------------------------------------------------------------
+
+def test_max_abs_diff_flattens_and_keeps_nan():
+    a = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
+    b = [np.array([1.0, 2.5]), np.array([3.0, 1.0])]
+    assert max_abs_diff(a, b) == 3.0
+    assert math.isnan(max_abs_diff(np.zeros(2), np.array([0.0, np.nan])))
+
+
+def _rkmk_midpoint(max_iter):
+    problem = FrozenFieldProblem(action=SO3_ON_S2,
+                                 coefficient_map=lambda m: np.array([m[1], m[2], m[0]]))
+    midpoint = ButcherTableau(a=[[0.5]], b=[1.0])
+    return rkmk_step(problem, np.array([1.0, 0.0, 0.0]), 0.1, tableau=midpoint,
+                     max_iter=max_iter)
+
+
+def _dg(max_iter):
+    system = free_rigid_body_quat([1.0, 5.0, 60.0], [1.0, 0.1, -1.0 / 60.0])
+    return dg_step(system, np.array([1.0, 0.0, 0.0, 0.0]), 1 / 64, max_iter=max_iter)
+
+
+def _solver(method):
+    def solve(max_iter):
+        solver = ImplicitSolver(method=method, max_iter=max_iter)
+        return solver.solve(lambda z: z - 1.0, np.zeros(2), h=0.1)
+    return solve
+
+
+@pytest.mark.parametrize("solve, residual", [
+    (_rkmk_midpoint, math.inf),
+    (_dg, math.inf),
+    (_solver("fixed_point"), math.inf),
+    (_solver("newton"), 1.0),  # Newton reports the residual at its start point
+], ids=["rkmk_step", "dg_step", "fixed_point", "newton"])
+def test_no_iterations_allowed_is_divergence(solve, residual):
+    solve(100)  # converges when iterations are allowed
+    with pytest.raises(FixedPointDivergence) as err:
+        solve(0)
+    assert err.value.residual == residual
 
 
 def test_bracket_shape_mismatch():

@@ -207,6 +207,19 @@ def test_rkmk_implicit_divergence_reports_h():
     assert err.value.h == 0.225
 
 
+def test_rkmk_implicit_nan_stage_is_divergence():
+    # The first stage is f(y0) and never moves; the second is NaN off y0.
+    # The stage moves 0.0 and NaN must not read as converged, though
+    # Python's max(0.0, nan) is 0.0.
+    tableau = ButcherTableau(a=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5])
+    problem = FrozenFieldProblem(
+        action=SO3_ON_S2,
+        coefficient_map=lambda m: (np.array([m[1], m[2], m[0]]) if np.array_equal(m, Y0_S2)
+                                   else np.full(3, np.nan)))
+    with pytest.raises(FixedPointDivergence):
+        rkmk_step(problem, Y0_S2, 0.1, tableau=tableau)
+
+
 @pytest.mark.parametrize("h, h_float, rtol", [
     (1, 1.0, 1e-6),
     (np.float32(0.05), 0.05, 1e-6),

@@ -3,7 +3,6 @@ import pytest
 
 from ligi.errors import FixedPointDivergence
 from ligi.liealg import SO3, hat
-from ligi.semidirect import CotangentOps, state_distance
 from ligi.symplectic import (
     E3,
     HamiltonianSystem,
@@ -17,7 +16,7 @@ from ligi.symplectic import (
     theta_step,
 )
 from ligi.steppers import integrate
-from oracles import central_difference, fit_slope, random_rotation, rk4_solve
+from oracles import central_difference, fit_slope, random_rotation, rk4_solve, state_distance
 
 BENCH = HeavyTopParams.benchmark()
 SYSTEM = heavy_top(BENCH)
@@ -134,19 +133,17 @@ def test_force_map_mu_derivative(rng):
 # ---------------------------------------------------------------------------
 
 def test_family_theta_equivalence_on_random_states(rng):
-    ct = CotangentOps(SO3)
     for _ in range(20):
         state = random_state(rng, BENCH.mu0[2])
         theta = rng.uniform(0.0, 1.0)
         s1 = theta_step(theta, SYSTEM, state, 0.05)
         s2 = symplectic_step(StageCoefficients.theta(theta), SYSTEM, state, 0.05)
-        assert state_distance(ct, s1, s2) < 1e-12
+        assert state_distance(s1, s2) < 1e-12
 
 
 def test_two_stage_duplicate_reduces_to_theta(rng):
     # With a_ij = theta * b_j the stages coincide and the family collapses
     # to the theta member; checks the s > 1 coupling terms.
-    ct = CotangentOps(SO3)
     theta = 0.3
     coeffs = StageCoefficients(a=[[theta / 2, theta / 2], [theta / 2, theta / 2]],
                                b=[0.5, 0.5])
@@ -154,15 +151,15 @@ def test_two_stage_duplicate_reduces_to_theta(rng):
         state = random_state(rng, BENCH.mu0[2])
         s2 = symplectic_step(coeffs, SYSTEM, state, 0.05)
         s1 = theta_step(theta, SYSTEM, state, 0.05)
-        assert state_distance(ct, s1, s2) < 1e-11
+        assert state_distance(s1, s2) < 1e-11
 
 
 def test_newton_and_fixed_point_agree(rng):
-    ct = CotangentOps(SO3)
     state = random_state(rng, BENCH.mu0[2])
-    a = theta_step(0.5, SYSTEM, state, 0.05, method="newton")
-    b = theta_step(0.5, SYSTEM, state, 0.05, method="fixed_point", max_iter=2000)
-    assert state_distance(ct, a, b) < 1e-10
+    a = theta_step(0.5, SYSTEM, state, 0.05, solver=ImplicitSolver(method="newton"))
+    b = theta_step(0.5, SYSTEM, state, 0.05,
+                   solver=ImplicitSolver(method="fixed_point", max_iter=2000))
+    assert state_distance(a, b) < 1e-10
 
 
 def test_solver_divergence_error():
@@ -196,20 +193,18 @@ def test_nan_residual_never_reads_as_converged(method):
 @pytest.mark.parametrize("step", [theta_step, rkmk_theta_step],
                          ids=["symplectic", "rkmk"])
 def test_midpoint_symmetry(step, rng):
-    ct = CotangentOps(SO3)
     for _ in range(25):
         state = random_state(rng, BENCH.mu0[2])
         forward = step(0.5, SYSTEM, state, 0.05)
         back = step(0.5, SYSTEM, forward, -0.05)
-        assert state_distance(ct, back, state) < 1e-10
+        assert state_distance(back, state) < 1e-10
 
 
 def test_explicit_scheme_not_symmetric(rng):
-    ct = CotangentOps(SO3)
     state = random_state(rng, BENCH.mu0[2])
     forward = rkmk_theta_step(0.0, SYSTEM, state, 0.05)
     back = rkmk_theta_step(0.0, SYSTEM, forward, -0.05)
-    assert state_distance(ct, back, state) > 1e-6
+    assert state_distance(back, state) > 1e-6
 
 
 # ---------------------------------------------------------------------------
