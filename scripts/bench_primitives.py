@@ -5,20 +5,27 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_implicit_loops.json unless ``--out`` names another file.  The cases of
+BENCH_cotangent_family.json unless ``--out`` names another file.  The cases of
 ``src/`` are timed as "change"; with ``--baseline`` those of
 ``<baseline>/src`` are timed too, as "parent".  Each tree is timed in fresh
 single-threaded child interpreters, alternating between the trees for
 ``ROUNDS`` rounds, so that a drift of the machine's speed hits both alike.  A
-case's time is the minimum over all ``timeit`` repeats (``REPEAT`` per round,
-each of the case's own number of calls); the spread is the quartiles and the
-maximum of those repeats.
+case's headline time is the median over all ``timeit`` repeats (``REPEAT`` per
+round, each of the case's own number of calls), given with the quartiles of
+those repeats; the minimum and maximum are recorded too.  On a machine whose
+speed drifts, the minimum picks whichever repeat fell into a fast phase, so
+it is no headline.  With a baseline, each round's two children run back to
+back, and the change over the parent is the median (with quartiles) over the
+rounds of the ratio of their per-round medians: a drift between rounds
+cancels in each ratio.
 
 The L0 cases are the so(3) and S^3 closed forms.  The L1 cases are one call of
 each piece of the implicit inner loops (the theta and RKMK theta residuals,
 the semidirect bracket and dexpinv series, the two-form and the quaternion
 log) and one cold step of each implicit scheme from the heavy-top and
-quaternion free rigid body start states, each with a fresh solver.
+quaternion free rigid body start states, each with a fresh solver: the
+symplectic family at theta = 1/2 and theta = 0, through theta_step and
+through symplectic_step, and its two-stage Gauss member.
 
 ``--runs LABEL=DIR`` adds the end-to-end results of ``bench/run.py``: DIR
 holds one file per run with that run's stdout.  Each workload's metrics are
@@ -42,7 +49,7 @@ import numpy
 import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ROUNDS, REPEAT, NUMBER = 4, 5, 20000
+ROUNDS, REPEAT, NUMBER = 10, 3, 20000
 
 # (case, statement, calls per repeat); sigma has the size of a heavy-top
 # Newton iterate, so every closed form takes its trigonometric branch.
@@ -67,6 +74,13 @@ CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERN
     ("dexpinv_series_order2", "liealg.dexpinv_series(CT, A6, B6, 2)", 2000),
     ("two_form_matrix", "discrete_gradient.two_form_matrix(FRB, P, gamma=GAMMA)", 5000),
     ("theta_step_cold", "symplectic.theta_step(0.5, HT, HT_STATE, 0.05)", 100),
+    ("theta0_step_cold", "symplectic.theta_step(0.0, HT, HT_STATE, 0.05)", 100),
+    ("symplectic_step_theta05_cold",
+     "symplectic.symplectic_step(THETA05, HT, HT_STATE, 0.05)", 100),
+    ("symplectic_step_theta0_cold",
+     "symplectic.symplectic_step(THETA0, HT, HT_STATE, 0.05)", 100),
+    ("symplectic_step_gauss2_cold",
+     "symplectic.symplectic_step(GAUSS2, HT, HT_STATE, 0.05)", 50),
     ("rkmk_theta_step_cold", "symplectic.rkmk_theta_step(0.5, HT, HT_STATE, 0.05)", 100),
     ("dg_step_cold", "discrete_gradient.dg_step(FRB, P, 1 / 64)", 300),
 )
@@ -82,6 +96,10 @@ A6 = np.concatenate([S, 40.0 * V])
 B6 = np.concatenate([V, 30.0 * S])
 HT = symplectic.heavy_top(symplectic.HeavyTopParams.benchmark())
 HT_STATE = symplectic.HeavyTopParams.benchmark().state0
+THETA05 = symplectic.StageCoefficients.theta(0.5)
+THETA0 = symplectic.StageCoefficients.theta(0.0)
+GAUSS2 = symplectic.StageCoefficients(  # the two-stage Gauss-Legendre coefficients
+    a=[[0.25, 0.25 - 3 ** 0.5 / 6], [0.25 + 3 ** 0.5 / 6, 0.25]], b=[0.5, 0.5])
 class Capture:  # a solver that keeps the residual and returns the start point
     def solve(self, residual, z0, h=None):
         self.residual, self.z0 = residual, z0
@@ -175,7 +193,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_implicit_loops.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_cotangent_family.json"))
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
@@ -186,18 +204,21 @@ def main(argv=None):
     trees = {"change": os.path.join(ROOT, "src")}
     if args.baseline:
         trees["parent"] = os.path.join(os.path.abspath(args.baseline), "src")
-    samples = {label: {name: [] for name, *_ in CASES} for label in trees}
+    rounds = {label: {name: [] for name, *_ in CASES} for label in trees}
     for k in range(ROUNDS):
         order = list(trees) if k % 2 == 0 else list(reversed(list(trees)))
         for label in order:
             for name, times in run_child(trees[label]).items():
-                samples[label][name].extend(times)
+                rounds[label][name].append(times)
 
     primitives = {}
     for name, *_ in CASES:
-        entry = {label: summarise_times(samples[label][name]) for label in trees}
+        entry = {label: summarise_times([t for times in rounds[label][name] for t in times])
+                 for label in trees}
         if "parent" in entry:
-            entry["speedup_of_min"] = entry["parent"]["min_us"] / entry["change"]["min_us"]
+            q1, q2, q3 = quartiles([statistics.median(c) / statistics.median(p) for c, p
+                                    in zip(rounds["change"][name], rounds["parent"][name])])
+            entry["change_over_parent"] = {"median": q2, "q1": q1, "q3": q3}
         primitives[name] = entry
     record = {
         "environment": {"nproc": os.cpu_count(), "machine": platform.machine(),
@@ -219,8 +240,13 @@ def main(argv=None):
         json.dump(record, fh, indent=1)
         fh.write("\n")
     for name, entry in primitives.items():
-        line = "  ".join(f"{label} {entry[label]['min_us']:6.2f} us" for label in trees)
-        print(f"{name:24s} {line}")
+        line = "  ".join(f"{label} {entry[label]['median_us']:8.2f} us"
+                         f" [{entry[label]['q1_us']:.2f}, {entry[label]['q3_us']:.2f}]"
+                         for label in trees)
+        if "change_over_parent" in entry:
+            ratio = entry["change_over_parent"]
+            line += f"  ratio {ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]"
+        print(f"{name:30s} {line}")
     return 0
 
 

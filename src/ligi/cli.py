@@ -6,6 +6,10 @@
 
 Trajectories are written as CSV (full precision, deterministic for a given
 config and seed); order and drift reports are printed as JSON.
+
+Exit codes: 2 configuration error, 3 solver divergence, 4 non-finite state or
+invariant, 5 numerical-domain error (errors.DomainError: a closed form that is
+undefined at the values the run reached; a smaller h usually avoids it).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .actions import QUAT_LEFT, FrozenFieldProblem
 from .discrete_gradient import body_momentum, dg_step, free_rigid_body_quat
-from .errors import FixedPointDivergence, NonFiniteState
+from .errors import DomainError, FixedPointDivergence, NonFiniteState
 from .problems import (
     DuffingParams,
     StiefelFlowProblem,
@@ -367,6 +371,9 @@ def main(argv=None) -> int:
         if args.command == "order":
             return cmd_order(config)
         return cmd_drift(config)
+    except DomainError as exc:  # a ValueError: caught before the config errors
+        print(f"numerical domain error: {exc}", file=sys.stderr)
+        return 5
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,24 +9,32 @@ class ActionMismatch(ValueError):
     """Group element or point is incompatible with the requested action."""
 
 
-class AngleNearPi(ValueError):
+class DomainError(ValueError):
+    """A value where a closed form or construction is undefined or ill-conditioned."""
+
+
+class AngleNearPi(DomainError):
     """Rotation angle too close to pi for a well-conditioned logarithm."""
 
 
-class LogNearAntipode(ValueError):
+class LogNearAntipode(DomainError):
     """Quaternion too close to the antipode of the identity; log is ill-conditioned."""
 
 
-class SingularResolvent(ValueError):
+class SingularResolvent(DomainError):
     """I - xi/2 is singular, so the Cayley transform is undefined."""
 
 
-class CriticalPoint(ValueError):
+class CriticalPoint(DomainError):
     """Gradient vanishes; the two-form construction is undefined there."""
 
 
-class CoincidentPoints(ValueError):
+class CoincidentPoints(DomainError):
     """x == x'; use the pointwise differential instead of a discrete one."""
+
+
+class DexpinvOutOfRange(DomainError):
+    """|v| >= 2 pi, where the so(3) dexpinv closed form has its first pole."""
 
 
 class FixedPointDivergence(RuntimeError):

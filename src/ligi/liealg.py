@@ -28,6 +28,7 @@ from scipy.special import bernoulli
 from .errors import (
     AlgebraMismatch,
     AngleNearPi,
+    DexpinvOutOfRange,
     FixedPointDivergence,
     LogNearAntipode,
     SingularResolvent,
@@ -207,7 +208,7 @@ def _dexpinv_coeffs(theta):
     c(t) = (1 - (t/2) cot(t/2)) / t^2, finite on [0, 2 pi).
     """
     if theta >= 2.0 * math.pi:
-        raise ValueError(f"dexpinv closed form needs |v| < 2*pi, got {theta!r}")
+        raise DexpinvOutOfRange(f"dexpinv closed form needs |v| < 2*pi, got {theta!r}")
     if theta < SMALL_ANGLE:
         t2 = theta * theta
         return -0.5, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
@@ -551,7 +552,8 @@ class So3Ops(GroupOps):
         return g @ np.asarray(xi, float)
 
     def coAd(self, g, mu):
-        return np.asarray(g).T @ np.asarray(mu, float)
+        # mu @ g is g.T @ mu bit for bit, without the transposed view.
+        return np.asarray(mu, float) @ np.asarray(g)
 
     def dexp(self, sigma, v, order=None):
         return dexp_so3_exact(sigma, v)

@@ -44,7 +44,8 @@ class ButcherTableau:
 
     @property
     def explicit(self):
-        return np.allclose(np.triu(self.a), 0.0)
+        """True when a_ij == 0 exactly for j >= i: a tiny diagonal is still implicit."""
+        return not np.triu(self.a).any()
 
 
 KUTTA4 = ButcherTableau(

@@ -1,21 +1,21 @@
 """Symplectic integrators on the trivialised cotangent bundle G x| g*.
 
 States are pairs (g, mu).  A Hamiltonian H(g, mu) induces the coefficient
-map f = (dH/dmu, -R_g^* dH/dg); the schemes here advance the state through
-exponentials on the semidirect product and dual dexp transports of the
-momentum, and are symplectic by their variational derivation.  The theta
-instances (s = 1) and a Runge-Kutta-Munthe-Kaas theta comparator are
-provided, together with the heavy-top benchmark Hamiltonian; cotangent_step
-builds the one-step map of either theta scheme for steppers.integrate.  Each
-step solves its stage equations with the ImplicitSolver passed as solver, a
-fresh Newton solver by default.
+map f = (dH/dmu, -R_g^* dH/dg).  symplectic_step is the one implementation of
+the s-stage symplectic family, for any StageCoefficients (a, b): exponentials
+of the stage variables and dual dexp transports of the momentum, symplectic
+by its variational derivation.  theta_step names its s = 1 member with
+a_11 = theta.  Also here: a Runge-Kutta-Munthe-Kaas theta comparator, the
+heavy-top Hamiltonian, and cotangent_step, the one-step map of either theta
+scheme for steppers.integrate.  Each step solves its stage equations with the
+ImplicitSolver passed as solver, a fresh Newton solver by default.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -41,9 +41,6 @@ class HamiltonianSystem:
     hamiltonian: Callable
     force_map: Callable
 
-    def cotangent(self) -> CotangentOps:
-        return CotangentOps(self.group)
-
     def energy(self, state):
         g, mu = state
         return float(self.hamiltonian(g, mu))
@@ -55,28 +52,52 @@ class HamiltonianSystem:
 
 @dataclass(frozen=True)
 class StageCoefficients:
-    """Coefficients (a, b) of the symplectic family; needs sum(b) = 1, b_i != 0."""
+    """Coefficients (a, b) of the symplectic family; needs sum(b) = 1, b_i != 0.
+
+    The nonzero weights are kept as rows of (j, w) pairs, built once: x_terms
+    of X_i = sum_j a_ij xi_j, y_terms of Y = sum_j b_j xi_j, and m_terms of the
+    momentum couplings -b_j a_ji / b_i, nonzero only where row j of a is.
+    """
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        a = np.array(self.a, dtype=float, ndmin=2)  # read-only copies: theta()
+        b = np.array(self.b, dtype=float, ndmin=1)  # shares its instances
+        a.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if abs(b.sum() - 1.0) > 1e-14:
             raise ValueError("stage weights must sum to 1")
         if np.any(b == 0.0):
             raise ValueError("stage weights must be nonzero")
+        a, b = a.tolist(), b.tolist()
+        coupling = [[-b[j] * a[j][i] / b[i] for j in range(len(b))] for i in range(len(b))]
+        object.__setattr__(self, "x_terms", tuple(map(_nonzero, a)))
+        object.__setattr__(self, "y_terms", _nonzero(b))
+        object.__setattr__(self, "m_terms", tuple(map(_nonzero, coupling)))
 
     @classmethod
+    @lru_cache(maxsize=16)
     def theta(cls, theta):
         return cls(a=[[float(theta)]], b=[1.0])
 
     @property
     def stages(self):
         return len(self.b)
+
+
+def _nonzero(row):
+    return tuple((j, w) for j, w in enumerate(row) if w != 0.0)
+
+
+def _combine(terms, vectors, out=None):
+    """out + sum of w vectors[j] over the (j, w) in terms; a unit weight adds vectors[j]."""
+    for j, w in terms:
+        v = vectors[j] if w == 1.0 else w * vectors[j]
+        out = v if out is None else out + v
+    return out
 
 
 class ImplicitSolver:
@@ -148,7 +169,7 @@ class ImplicitSolver:
 
 
 # ---------------------------------------------------------------------------
-# The symplectic family and its theta specialisation
+# The symplectic family
 # ---------------------------------------------------------------------------
 
 def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state, h,
@@ -160,88 +181,54 @@ def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state,
         (xi_i, nbar_i) = h f(G_i, M_i),      n_i = coAd(exp(X_i), nbar_i),
         X_i = sum_j a_ij xi_j,               Y = sum_i b_i xi_i,
         G_i = exp(X_i) . g0,
-        M_i = dd(-Y) mu0 + sum_j (b_j dd(-Y) - (b_j a_ji / b_i) dd(-X_j)) n_j,
+        M_i = dd(-Y)(mu0 + sum_j b_j n_j) - sum_j (b_j a_ji / b_i) dd(X_j) nbar_j,
 
-    with dd(s) the dual dexp transport, then updates through the semidirect
-    exponential of (Y, dual-dexpinv_Y sum_i b_i n_i).
+    with dd(s) the dual dexp transport (dd(X_j) nbar_j is dd(-X_j) n_j, since
+    dd(-X) coAd(exp X) = dd(X)), then updates by
+    (exp Y, coAd(exp(-Y), sum_i b_i n_i)) . (g0, mu0).
     """
-    group = system.group
-    ct = system.cotangent()
-    d = group.dim
-    s = coeffs.stages
-    a, b = coeffs.a, coeffs.b
+    group, f = system.group, system.force_map
+    d, s = group.dim, coeffs.stages
     g0, mu0 = state
-    f = system.force_map
+    # z stacks (xi_1, nbar_1, ..., xi_s, nbar_s); the rows of weights slice it.
+    xi_at = [slice(2 * d * i, 2 * d * i + d) for i in range(s)]
+    y_row = [(xi_at[j], w) for j, w in coeffs.y_terms]
+    plan = [([(xi_at[j], w) for j, w in row], slice(2 * d * i + d, 2 * d * (i + 1)))
+            for i, row in enumerate(coeffs.x_terms)]
+    zero = np.zeros(d)
 
-    def unpack(z):
-        xi = [z[2 * d * i: 2 * d * i + d] for i in range(s)]
-        nbar = [z[2 * d * i + d: 2 * d * (i + 1)] for i in range(s)]
-        return xi, nbar
-
-    def transported(xi, nbar):
-        X = [sum(a[i, j] * xi[j] for j in range(s)) for i in range(s)]
-        Y = sum(b[i] * xi[i] for i in range(s))
-        n = [group.coAd(group.exp(X[i]), nbar[i]) for i in range(s)]
-        return X, Y, n
+    def stages(z):
+        """exp(X_j), dd(X_j) nbar_j where X_j != 0, and mu0 + sum_j b_j n_j."""
+        E, n, D = [], [], {}
+        for j, (row, q) in enumerate(plan):
+            X = _combine(row, z) if row else zero
+            nbar = z[q]
+            E.append(group.exp(X))
+            n.append(group.coAd(E[j], nbar))
+            if row:
+                D[j] = group.dual_dexp(X, nbar)
+        return E, D, _combine(coeffs.y_terms, n, mu0)
 
     def residual(z):
-        xi, nbar = unpack(z)
-        X, Y, n = transported(xi, nbar)
-        mu_base = group.dual_dexp(-Y, mu0)
-        trans_Y = [group.dual_dexp(-Y, n[j]) for j in range(s)]
-        trans_X = [group.dual_dexp(-X[j], n[j]) for j in range(s)]
-        out = np.empty(2 * d * s)
-        for i in range(s):
-            M = mu_base + sum(
-                b[j] * trans_Y[j] - (b[j] * a[j, i] / b[i]) * trans_X[j]
-                for j in range(s))
-            G = group.mul(group.exp(X[i]), g0)
-            f1, f2 = f(G, M)
-            out[2 * d * i: 2 * d * i + d] = xi[i] - h * np.asarray(f1, float)
-            out[2 * d * i + d: 2 * d * (i + 1)] = nbar[i] - h * np.asarray(f2, float)
-        return out
+        E, D, mu = stages(z)
+        base = group.dual_dexp(-_combine(y_row, z), mu)
+        forces = []
+        for e, row in zip(E, coeffs.m_terms):
+            forces += f(group.mul(e, g0), _combine(row, D, base))
+        # z - h (f1, f2, ...) is (xi_i - h f1_i, nbar_i - h f2_i), block by block.
+        return z - h * np.concatenate(forces, dtype=float)
 
-    f1, f2 = f(g0, mu0)
-    z0 = np.tile(np.concatenate([h * np.asarray(f1, float),
-                                 h * np.asarray(f2, float)]), s)
+    z0 = h * np.concatenate([*f(g0, mu0)] * s, dtype=float)
     solver = solver or ImplicitSolver()
     z = solver.solve(residual, z0, h=h)
-
-    xi, nbar = unpack(z)
-    X, Y, n = transported(xi, nbar)
-    n_sum = sum(b[i] * n[i] for i in range(s))
-    update = ct.exp(ct.join(Y, group.dual_dexpinv(Y, n_sum)))
-    return ct.mul(update, state)
+    # (exp Y, coAd(exp(-Y), sum_i b_i n_i)) . (g0, mu0), with the coAd taken once.
+    E = group.exp(_combine(y_row, z))
+    return group.mul(E, g0), group.coAd(group.inv(E), stages(z)[2])
 
 
 def theta_step(theta, system: HamiltonianSystem, state, h, solver=None):
-    """The s = 1 member with a_11 = theta, written in its simplified form.
-
-    Solves (xi, nbar) = h f(exp(theta xi) . g0,
-                            dd(-xi) mu0 + (1-theta) dd(-(1-theta) xi) nbar)
-    and updates by (exp(xi), coAd(exp(-(1-theta) xi), nbar)) . (g0, mu0).
-    """
-    group = system.group
-    ct = system.cotangent()
-    d = group.dim
-    g0, mu0 = state
-    f = system.force_map
-    c = 1.0 - theta
-
-    def residual(z):
-        xi, nbar = z[:d], z[d:]
-        G = group.mul(group.exp(theta * xi), g0)
-        M = group.dual_dexp(-xi, mu0) + c * group.dual_dexp(-c * xi, nbar)
-        # z - h (f1, f2) is (xi - h f1, nbar - h f2), entry by entry.
-        return z - h * np.concatenate(f(G, M), dtype=float)
-
-    z0 = h * np.concatenate(f(g0, mu0), dtype=float)
-    solver = solver or ImplicitSolver()
-    z = solver.solve(residual, z0, h=h)
-
-    xi, nbar = z[:d], z[d:]
-    update = (group.exp(xi), group.coAd(group.exp(-c * xi), nbar))
-    return ct.mul(update, state)
+    """The s = 1 member of the family, a_11 = theta."""
+    return symplectic_step(StageCoefficients.theta(theta), system, state, h, solver)
 
 
 # Truncation order of the RKMK theta stage's dexpinv series.
@@ -256,13 +243,10 @@ def rkmk_theta_step(theta, system: HamiltonianSystem, state, h, solver=None):
     RKMK_THETA_SERIES_ORDER, and the update is exp(h k) . y0.  Not
     symplectic; serves as the comparator.
     """
-    ct = system.cotangent()
-    f = system.force_map
+    ct = CotangentOps(system.group)
 
     def f_joined(y):
-        g, mu = y
-        f1, f2 = f(g, mu)
-        return ct.join(f1, f2)
+        return ct.join(*system.force_map(*y))
 
     if theta == 0.0:
         k = f_joined(state)
@@ -309,15 +293,11 @@ class HeavyTopParams:
     gravity: float = 1.0
 
     def __post_init__(self):
-        inertia = np.asarray(self.inertia, dtype=float)
-        u0 = np.asarray(self.u0, dtype=float)
-        object.__setattr__(self, "inertia", inertia)
-        object.__setattr__(self, "mu0", np.asarray(self.mu0, dtype=float))
-        object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "g0", np.asarray(self.g0, dtype=float))
-        if np.any(inertia <= 0.0):
+        for name in ("inertia", "mu0", "u0", "g0"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if np.any(self.inertia <= 0.0):
             raise ValueError("inertia entries must be positive")
-        if abs(np.linalg.norm(u0) - 1.0) > 1e-12:
+        if abs(np.linalg.norm(self.u0) - 1.0) > 1e-12:
             raise ValueError("u0 must be a unit vector")
 
     @classmethod
@@ -334,13 +314,13 @@ class HeavyTopParams:
 def heavy_top(params: HeavyTopParams) -> HamiltonianSystem:
     """H(g, mu) = 1/2 <mu, I^{-1} mu> + gravity * e3 . (g u0) on SO(3) x so(3)*."""
     inv_inertia = 1.0 / params.inertia
-    u0 = params.u0
-    gravity = params.gravity
+    gravity, u0 = params.gravity, params.u0
+    weighted_u0 = gravity * u0  # the force scales u0 once, not every result
 
     def hamiltonian(g, mu):
         return 0.5 * float(mu @ (inv_inertia * mu)) + gravity * float(E3 @ (g @ u0))
 
     def force_map(g, mu):
-        return inv_inertia * mu, gravity * cross3(E3, g @ u0)
+        return inv_inertia * mu, cross3(E3, g @ weighted_u0)
 
     return HamiltonianSystem(group=SO3, hamiltonian=hamiltonian, force_map=force_map)

@@ -2,10 +2,14 @@
 
 Everything here is deliberately brute force (truncated series, classical
 Runge-Kutta at tiny steps, closed-form flows) and shares no code path with
-the package.
+the package, except theta_step_reference: a second form of the symplectic
+theta step, which takes its group operations and Newton solver from the
+package so that only the form of the stage equations differs.
 """
 
 import numpy as np
+
+from ligi.symplectic import ImplicitSolver
 
 
 def taylor_expm(A, terms=30):
@@ -145,3 +149,35 @@ def state_distance(a, b):
         np.linalg.norm(np.asarray(g1) - np.asarray(g2))
         + np.linalg.norm(mu1 - mu2) / scale
     )
+
+
+def theta_step_reference(theta, system, state, h):
+    """The s = 1 symplectic step in its hand-simplified form.
+
+    With X = theta xi and Y = xi collinear, the momentum argument of the
+    stage equation collapses to two dual dexp transports:
+
+        (xi, nbar) = h f(exp(theta xi) . g0,
+                         dd(-xi) mu0 + (1-theta) dd(-(1-theta) xi) nbar),
+
+    and the update is (exp(xi), coAd(exp(-(1-theta) xi), nbar)) . (g0, mu0).
+    Solved with a fresh Newton solver from the explicit Euler start, as the
+    package's step is.
+    """
+    group = system.group
+    d = group.dim
+    g0, mu0 = state
+    f = system.force_map
+    c = 1.0 - theta
+
+    def residual(z):
+        xi, nbar = z[:d], z[d:]
+        G = group.mul(group.exp(theta * xi), g0)
+        M = group.dual_dexp(-xi, mu0) + c * group.dual_dexp(-c * xi, nbar)
+        return z - h * np.concatenate(f(G, M), dtype=float)
+
+    z = ImplicitSolver().solve(residual, h * np.concatenate(f(g0, mu0), dtype=float), h=h)
+    xi, nbar = z[:d], z[d:]
+    E = group.exp(xi)
+    return (group.mul(E, g0),
+            group.coAd(group.exp(-c * xi), nbar) + group.coAd(group.inv(E), mu0))

@@ -282,6 +282,18 @@ def test_solver_divergence_exit_3(monkeypatch, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
+def test_dexpinv_domain_error_exit_5(tmp_path, capsys):
+    # At h = 300 the first RKMK stage argument is far past 2 pi, where the
+    # so(3) dexpinv closed form has its first pole: a numerical-domain
+    # error, not a configuration error.
+    out = tmp_path / "traj.csv"
+    code = run(["integrate", "--problem", "frb_s2", "--scheme", "rkmk",
+                "--h", "300", "--steps", "2", "--out", str(out)])
+    assert code == 5
+    assert not out.exists()
+    assert "numerical domain error: dexpinv closed form" in capsys.readouterr().err
+
+
 def test_presets_all_valid():
     for name, values in cli.PRESETS.items():
         config = cli.RunConfig(command="integrate", **values)

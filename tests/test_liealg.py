@@ -11,6 +11,10 @@ from ligi.discrete_gradient import dg_step, free_rigid_body_quat
 from ligi.errors import (
     AlgebraMismatch,
     AngleNearPi,
+    CoincidentPoints,
+    CriticalPoint,
+    DexpinvOutOfRange,
+    DomainError,
     FixedPointDivergence,
     LogNearAntipode,
     SingularResolvent,
@@ -282,6 +286,15 @@ def test_dexpinv_so3_exact_trivials(rng):
     v = rng.normal(size=3)
     assert np.array_equal(dexpinv_so3_exact(np.zeros(3), v), v)
     assert np.allclose(dexpinv_so3_exact(2.0 * v, v), v, atol=1e-14)
+
+
+def test_dexpinv_so3_exact_pole_is_a_domain_error():
+    sigma = np.array([2.0 * np.pi, 0.0, 0.0])
+    with pytest.raises(DexpinvOutOfRange):
+        dexpinv_so3_exact(sigma, np.ones(3))
+    for error in (AngleNearPi, LogNearAntipode, SingularResolvent, CriticalPoint,
+                  CoincidentPoints, DexpinvOutOfRange):
+        assert issubclass(error, DomainError) and issubclass(error, ValueError)
 
 
 def test_dexpinv_so3_exact_matches_series(rng):

@@ -195,6 +195,17 @@ def test_rkmk_implicit_tableau_fixed_point():
     assert abs(slope - 2.0) < 0.3
 
 
+def test_rkmk_tiny_diagonal_tableau_iterates():
+    # A diagonal entry below np.allclose's 1e-8 tolerance is still implicit:
+    # the step iterates to a finite point near the explicit Euler one.
+    tiny = ButcherTableau(a=[[1e-9]], b=[1.0])
+    assert not tiny.explicit
+    y1 = rkmk_step(FRB, Y0_S2, 0.05, tableau=tiny)
+    assert np.isfinite(y1).all()
+    euler = rkmk_step(FRB, Y0_S2, 0.05, tableau=ButcherTableau(a=[[0.0]], b=[1.0]))
+    assert np.allclose(y1, euler, atol=1e-8)
+
+
 def test_rkmk_implicit_divergence_reports_h():
     # Contraction factor ~0.9: iterates stay bounded but cannot reach the
     # tolerance within the allowed iterations.

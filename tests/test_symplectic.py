@@ -16,7 +16,14 @@ from ligi.symplectic import (
     theta_step,
 )
 from ligi.steppers import integrate
-from oracles import central_difference, fit_slope, random_rotation, rk4_solve, state_distance
+from oracles import (
+    central_difference,
+    fit_slope,
+    random_rotation,
+    rk4_solve,
+    state_distance,
+    theta_step_reference,
+)
 
 BENCH = HeavyTopParams.benchmark()
 SYSTEM = heavy_top(BENCH)
@@ -132,26 +139,48 @@ def test_force_map_mu_derivative(rng):
 # Family / theta equivalence and solver agreement
 # ---------------------------------------------------------------------------
 
+def duplicated_theta(theta):
+    # With a_ij = theta * b_j the two stages coincide and the family
+    # collapses to the theta member; exercises the s > 1 coupling terms.
+    return StageCoefficients(a=[[theta / 2, theta / 2], [theta / 2, theta / 2]],
+                             b=[0.5, 0.5])
+
+
 def test_family_theta_equivalence_on_random_states(rng):
     for _ in range(20):
         state = random_state(rng, BENCH.mu0[2])
         theta = rng.uniform(0.0, 1.0)
-        s1 = theta_step(theta, SYSTEM, state, 0.05)
+        s1 = theta_step_reference(theta, SYSTEM, state, 0.05)
         s2 = symplectic_step(StageCoefficients.theta(theta), SYSTEM, state, 0.05)
         assert state_distance(s1, s2) < 1e-12
 
 
 def test_two_stage_duplicate_reduces_to_theta(rng):
-    # With a_ij = theta * b_j the stages coincide and the family collapses
-    # to the theta member; checks the s > 1 coupling terms.
     theta = 0.3
-    coeffs = StageCoefficients(a=[[theta / 2, theta / 2], [theta / 2, theta / 2]],
-                               b=[0.5, 0.5])
     for _ in range(10):
         state = random_state(rng, BENCH.mu0[2])
-        s2 = symplectic_step(coeffs, SYSTEM, state, 0.05)
-        s1 = theta_step(theta, SYSTEM, state, 0.05)
+        s2 = symplectic_step(duplicated_theta(theta), SYSTEM, state, 0.05)
+        s1 = theta_step_reference(theta, SYSTEM, state, 0.05)
         assert state_distance(s1, s2) < 1e-11
+
+
+@pytest.mark.parametrize("coeffs,tol", [(StageCoefficients.theta(0.5), 1e-12),
+                                        (duplicated_theta(0.5), 1e-11)],
+                         ids=["theta", "two-stage"])
+def test_step_past_two_pi_matches_reference(coeffs, tol):
+    # |h I^-1 mu| = 6.5 > 2 pi: an update through dexpinv_Y has a pole here.
+    state = (np.eye(3), BENCH.inertia * np.array([130.0, 0.0, 0.0]))
+    step = symplectic_step(coeffs, SYSTEM, state, 0.05)
+    assert state_distance(step, theta_step_reference(0.5, SYSTEM, state, 0.05)) < tol
+    energy = SYSTEM.energy(state)
+    assert abs(SYSTEM.energy(step) - energy) < 1e-6 * abs(energy)
+
+
+def test_theta_coefficients_are_shared_and_read_only():
+    coeffs = StageCoefficients.theta(0.5)
+    assert StageCoefficients.theta(0.5) is coeffs
+    with pytest.raises(ValueError):
+        coeffs.a[0, 0] = 0.0
 
 
 def test_newton_and_fixed_point_agree(rng):
