@@ -1,31 +1,36 @@
-"""L0 and L1 timings: closed forms, implicit-loop pieces and single steps.
+"""L0 and L1 timings: closed forms, implicit-loop pieces, single steps and CSV output.
 
     python scripts/bench_primitives.py
     python scripts/bench_primitives.py --baseline ../ligi-parent \
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_cotangent_family.json unless ``--out`` names another file.  The cases of
-``src/`` are timed as "change"; with ``--baseline`` those of
-``<baseline>/src`` are timed too, as "parent".  Each tree is timed in fresh
-single-threaded child interpreters, alternating between the trees for
-``ROUNDS`` rounds, so that a drift of the machine's speed hits both alike.  A
-case's headline time is the median over all ``timeit`` repeats (``REPEAT`` per
-round, each of the case's own number of calls), given with the quartiles of
-those repeats; the minimum and maximum are recorded too.  On a machine whose
-speed drifts, the minimum picks whichever repeat fell into a fast phase, so
-it is no headline.  With a baseline, each round's two children run back to
-back, and the change over the parent is the median (with quartiles) over the
-rounds of the ratio of their per-round medians: a drift between rounds
-cancels in each ratio.
+BENCH_explicit_actions.json unless ``--out`` names another file (the earlier
+records are BENCH_so3_kernels.json, BENCH_implicit_loops.json and
+BENCH_cotangent_family.json).  The cases of ``src/`` are timed as "change";
+with ``--baseline`` those of ``<baseline>/src`` are timed too, as "parent".
+Each tree is timed in fresh single-threaded child interpreters, alternating
+between the trees for ``ROUNDS`` rounds.  A case runs ``REPEAT`` ``timeit``
+repeats per round, each of the case's own number of calls, and each repeat is
+followed by ``REF_WINDOW_UNITS`` units of ``bench/worker.py``'s reference loop
+(imported, not copied): the repeat's time is scaled by ``REF_UNIT_S`` over the
+loop's mean unit time, as the benchmark scales its operations, so that it reads
+as at a fixed reference speed.  A case's headline time is the median over all
+scaled repeats, given with their quartiles; the minimum and maximum are
+recorded too.  With a baseline, each round's two children run back to back,
+and the change over the parent is the median (with quartiles) over the rounds
+of the ratio of their per-round medians.
 
-The L0 cases are the so(3) and S^3 closed forms.  The L1 cases are one call of
-each piece of the implicit inner loops (the theta and RKMK theta residuals,
-the semidirect bracket and dexpinv series, the two-form and the quaternion
-log) and one cold step of each implicit scheme from the heavy-top and
-quaternion free rigid body start states, each with a fresh solver: the
-symplectic family at theta = 1/2 and theta = 0, through theta_step and
-through symplectic_step, and its two-stage Gauss member.
+The L0 cases are the so(3) and S^3 closed forms, the 2x2 exponential of
+``SL2`` against ``scipy.linalg.expm`` on the same matrix, and the torus
+exponential with its action.  The L1 cases are one call of each piece of the
+implicit inner loops (the theta and RKMK theta residuals, the semidirect
+bracket and dexpinv series, the two-form and the quaternion log), one cold
+step of each implicit scheme from the heavy-top and quaternion free rigid body
+start states, each with a fresh solver (the symplectic family at theta = 1/2
+and theta = 0, through theta_step and through symplectic_step, and its
+two-stage Gauss member), and ``cli.write_csv`` of the full-length
+torus-descent and heavytop-theta05 trajectories into memory.
 
 ``--runs LABEL=DIR`` adds the end-to-end results of ``bench/run.py``: DIR
 holds one file per run with that run's stdout.  Each workload's metrics are
@@ -68,6 +73,10 @@ L0_KERNELS = (
     ("quat_log", "P"),
 )
 CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERNELS) + (
+    ("SL2.exp", "liealg.SL2.exp(A2)", NUMBER),
+    ("scipy.linalg.expm_2x2", "scipy.linalg.expm(A2)", NUMBER),
+    ("TorusOps.exp+TorusAction.apply", "actions.TORUS.apply(actions.TORUS.exp(XI2), M22)",
+     NUMBER),
     ("theta_residual", "THETA_RESIDUAL(THETA_Z)", 2000),
     ("rkmk_theta_residual", "RKMK_RESIDUAL(RKMK_K)", 1000),
     ("CotangentOps.bracket", "CT.bracket(A6, B6)", 5000),
@@ -83,10 +92,14 @@ CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERN
      "symplectic.symplectic_step(GAUSS2, HT, HT_STATE, 0.05)", 50),
     ("rkmk_theta_step_cold", "symplectic.rkmk_theta_step(0.5, HT, HT_STATE, 0.05)", 100),
     ("dg_step_cold", "discrete_gradient.dg_step(FRB, P, 1 / 64)", 300),
+    ("write_csv_torus_descent", "cli.write_csv(*TORUS_RUN, io.StringIO())", 5),
+    ("write_csv_heavytop_theta05", "cli.write_csv(*HEAVYTOP_RUN, io.StringIO())", 3),
 )
 SETUP = """
+import io
 import numpy as np
-from ligi import discrete_gradient, liealg, semidirect, symplectic
+import scipy.linalg
+from ligi import actions, cli, discrete_gradient, liealg, problems, semidirect, symplectic
 S = np.array([0.31, -0.22, 0.38])
 V = np.array([0.1, 0.5, -0.3])
 P = np.array([0.9, 0.1, -0.3, 0.3]) / np.linalg.norm([0.9, 0.1, -0.3, 0.3])
@@ -113,17 +126,32 @@ FRB = discrete_gradient.free_rigid_body_quat(np.array([1.0, 5.0, 60.0]),
                                              np.array([1.0, 0.1, -1.0 / 60.0]))
 GAMMA = discrete_gradient.trivialized_differential(
     FRB.group, FRB.energy, P, closed_form=FRB.energy_differential)
+A2 = np.array([[0.0, 0.01], [-0.015625, 0.0]])  # h f at the duffing-sl2 start
+XI2 = np.array([-0.068, 0.175])  # h f at the torus-descent start
+M22 = problems.torus_state(0.3, 1.2)
+TORUS_RUN = cli.run_trajectory(cli.RunConfig(**cli.PRESETS["torus-descent"]))
+HEAVYTOP_RUN = cli.run_trajectory(cli.RunConfig(**cli.PRESETS["heavytop-theta05"]))
 """
 END_TO_END = ("steps_per_s", "solve_us_p50", "solve_us_p99", "setup_s", "peak_rss_mb")
 HIGHER_IS_BETTER = {"steps_per_s"}
 
 
 def time_primitives():
-    """Per-call microseconds of every repeat, for the ligi on sys.path."""
+    """Per-call microseconds of every repeat at the reference speed, for the ligi on sys.path."""
+    # The worker imports ligi, so only the children, with src/ on their path, load it.
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    from worker import REF_UNIT_S, REF_WINDOW_UNITS, reference_time
+
+    namespace = {}
+    exec(SETUP, namespace)
     out = {}
     for name, statement, number in CASES:
-        times = timeit.repeat(statement, SETUP, repeat=REPEAT, number=number)
-        out[name] = [t / number * 1e6 for t in times]
+        timer = timeit.Timer(statement, globals=namespace)
+        out[name] = []
+        for _ in range(REPEAT):
+            seconds = timer.timeit(number)
+            scale = REF_UNIT_S / reference_time(REF_WINDOW_UNITS)
+            out[name].append(seconds / number * 1e6 * scale)
     return out
 
 
@@ -193,7 +221,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_cotangent_family.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_explicit_actions.json"))
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
@@ -225,9 +253,11 @@ def main(argv=None):
                         "python": platform.python_version(),
                         "numpy": numpy.__version__, "scipy": scipy.__version__},
         "method": {"rounds": ROUNDS, "repeat": REPEAT,
+                   "scaling": "bench/worker.py reference loop after each repeat",
                    "number": {name: number for name, _, number in CASES},
                    "statements": {name: statement for name, statement, _ in CASES},
-                   "inputs": SETUP.strip().splitlines()[2:]},
+                   "inputs": [line for line in SETUP.strip().splitlines()
+                              if not line.startswith(("import ", "from "))]},
         "primitives": primitives,
     }
     if args.runs:

@@ -184,6 +184,7 @@ class TorusAction(GroupAction):
     """SO(2) x SO(2) acting componentwise on pairs of unit 2-vectors.
 
     Points are arrays of shape (2, 2): rows are the two circle components.
+    apply multiplies row k by g[k] on Python floats.
     """
 
     name = "torus"
@@ -193,7 +194,10 @@ class TorusAction(GroupAction):
         m = np.asarray(m, float)
         if m.shape != (2, 2):
             raise ActionMismatch("torus points are (2, 2) arrays")
-        return np.stack([g[0] @ m[0], g[1] @ m[1]])
+        (u0, u1), (v0, v1) = m.tolist()
+        (a, b, c, d), (e, f, p, q) = np.asarray(g, float).reshape(2, 4).tolist()
+        return np.array([a * u0 + b * u1, c * u0 + d * u1,
+                         e * v0 + f * v1, p * v0 + q * v1]).reshape(2, 2)
 
     def generator(self, xi, m):
         m = np.asarray(m, float)

@@ -225,14 +225,25 @@ def run_trajectory(config: RunConfig) -> tuple[Trajectory, list]:
     return traj, setup["labels"]
 
 
+# Rows per block of write_csv: few enough that a block's text stays small.
+CSV_BLOCK_ROWS = 256
+
+
 def write_csv(traj: Trajectory, labels, stream):
+    """Write t, the flattened state and the invariants, one row per time.
+
+    Every value is written as "%.17g".  Rows are formatted and written in
+    blocks of CSV_BLOCK_ROWS, each block one float array read with tolist().
+    """
     names = list(traj.invariants)
-    header = ["t"] + list(labels) + names
-    stream.write(",".join(header) + "\n")
-    for i, t in enumerate(traj.times):
-        row = [t] + list(_flatten_state(traj.states[i])) \
-            + [traj.invariants[name][i] for name in names]
-        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    stream.write(",".join(["t", *labels, *names]) + "\n")
+    for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        block = np.column_stack([traj.times[rows],
+                                 [_flatten_state(y) for y in traj.states[rows]],
+                                 *(traj.invariants[name][rows] for name in names)])
+        row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+        stream.write("".join([row % tuple(values) for values in block.tolist()]))
 
 
 def cmd_integrate(config: RunConfig) -> int:

@@ -135,14 +135,20 @@ def _rodrigues(x, y, z, c1, c2):
 
 
 def _rotation_coeffs(theta2):
-    """Coefficients (sin t / t, (1 - cos t) / t^2) with a series branch."""
+    """Coefficients (sin t / t, (1 - cos t) / t^2) with a series branch.
+
+    An infinite angle gives NaN coefficients.
+    """
     if theta2 < SMALL_ANGLE ** 2:
         c1 = 1.0 - theta2 / 6.0 * (1.0 - theta2 / 20.0)
         c2 = 0.5 - theta2 / 24.0 * (1.0 - theta2 / 30.0)
     else:
         theta = math.sqrt(theta2)
-        c1 = math.sin(theta) / theta
-        c2 = (1.0 - math.cos(theta)) / theta2
+        try:
+            c1 = math.sin(theta) / theta
+            c2 = (1.0 - math.cos(theta)) / theta2
+        except ValueError:  # math.sin(inf)
+            return math.nan, math.nan
     return c1, c2
 
 
@@ -187,7 +193,10 @@ def log_so3_vector(R):
 
 
 def _dexp_coeffs(theta):
-    """Coefficients a, b with dexp_v = I + a ad_v + b ad_v^2 on so(3)."""
+    """Coefficients a, b with dexp_v = I + a ad_v + b ad_v^2 on so(3).
+
+    An infinite angle gives NaN coefficients.
+    """
     if theta < SMALL_ANGLE:
         t2 = theta * theta
         a = 0.5 - t2 / 24.0 * (1.0 - t2 / 30.0)
@@ -196,9 +205,12 @@ def _dexp_coeffs(theta):
         t2 = theta * theta
         # 1 - cos t = 2 sin^2(t/2) without the cancellation that costs
         # 1e-12 relative accuracy just above SMALL_ANGLE.
-        s = math.sin(0.5 * theta) / theta
-        a = 2.0 * s * s
-        b = (theta - math.sin(theta)) / (t2 * theta)
+        try:
+            s = math.sin(0.5 * theta) / theta
+            a = 2.0 * s * s
+            b = (theta - math.sin(theta)) / (t2 * theta)
+        except ValueError:  # math.sin(inf)
+            return math.nan, math.nan
     return a, b
 
 
@@ -297,7 +309,7 @@ def quat_exp(w):
     """Exponential of a pure quaternion given by its vector part.
 
     quat_exp(w) = (cos|w|, sin|w| w/|w|); it covers the rotation
-    expm_so3(hat(2 w)).
+    expm_so3(hat(2 w)).  An infinite |w| gives a NaN quaternion.
     """
     x, y, z = np.asarray(w, dtype=float).tolist()
     theta2 = x * x + y * y + z * z
@@ -306,8 +318,11 @@ def quat_exp(w):
         c = 1.0 - theta2 / 2.0 * (1.0 - theta2 / 12.0)
     else:
         theta = math.sqrt(theta2)
-        s = math.sin(theta) / theta
-        c = math.cos(theta)
+        try:
+            s = math.sin(theta) / theta
+            c = math.cos(theta)
+        except ValueError:  # math.sin(inf)
+            return np.full(4, math.nan)
     return _unit_quat(c, s * x, s * y, s * z)
 
 
@@ -334,6 +349,39 @@ def euler_rodrigues(q):
     """Double cover S^3 -> SO(3): I + 2 q0 hat(q) + 2 hat(q)^2."""
     q0, x, y, z = np.asarray(q, dtype=float).tolist()
     return _rodrigues(x, y, z, 2.0 * q0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# 2x2 matrices
+# ---------------------------------------------------------------------------
+
+def expm_2x2(A):
+    """Exponential of a 2x2 matrix in closed form, on Python floats.
+
+    With m = tr(A) / 2, the traceless part B = A - m I has B^2 = -q I for
+    q = det B, so exp(A) = e^m (c I + s B) with c = cos(sqrt q) and
+    s = sin(sqrt q) / sqrt q for q > 0, cosh and sinh of sqrt(-q) for q < 0,
+    and their common series in q near q = 0.  An overflow of e^m, cosh or
+    sinh, or an infinite sqrt q, gives NaN entries.
+    """
+    (a, b), (c, d) = np.asarray(A, dtype=float).tolist()
+    p = 0.5 * (a - d)  # B = [[p, b], [c, -p]]
+    q = -(p * p + b * c)
+    try:
+        if abs(q) < SMALL_ANGLE ** 2:
+            cq = 1.0 - q / 2.0 * (1.0 - q / 12.0)
+            sq = 1.0 - q / 6.0 * (1.0 - q / 20.0)
+        elif q > 0.0:
+            r = math.sqrt(q)
+            cq, sq = math.cos(r), math.sin(r) / r
+        else:
+            r = math.sqrt(-q)
+            cq, sq = math.cosh(r), math.sinh(r) / r
+        e = math.exp(0.5 * (a + d))
+    except (OverflowError, ValueError):  # e^1000 overflows; math.cos(inf)
+        return np.full((2, 2), math.nan)
+    ec, es = e * cq, e * sq
+    return np.array([ec + es * p, es * b, es * c, ec - es * p]).reshape(2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +705,8 @@ class MatrixOps(GroupOps):
         raise NotImplementedError("basis only provided for the skew kind")
 
     def exp(self, xi):
+        if self.n == 2:
+            return expm_2x2(xi)
         xi = np.asarray(xi, float)
         if self.kind == "so" and self.n == 3:
             return expm_so3(xi)
@@ -723,15 +773,12 @@ class TranslationOps(GroupOps):
         return np.asarray(mu, float)
 
 
-def planar_rotation(alpha):
-    c, s = math.cos(alpha), math.sin(alpha)
-    return np.array([[c, -s], [s, c]])
-
-
 class TorusOps(GroupOps):
     """SO(2) x SO(2): group elements are stacked pairs of 2x2 rotations.
 
     Algebra coordinates are the pair of angles (a, b); the group is abelian.
+    exp builds the rotations [[cos a, -sin a], [sin a, cos a]] on Python
+    floats; an infinite angle gives NaN entries.
     """
 
     dim = 2
@@ -744,7 +791,12 @@ class TorusOps(GroupOps):
         return np.zeros(2)
 
     def exp(self, xi):
-        return np.stack([planar_rotation(xi[0]), planar_rotation(xi[1])])
+        a, b = np.asarray(xi, dtype=float).tolist()
+        try:
+            ca, sa, cb, sb = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
+        except ValueError:  # math.cos(inf)
+            return np.full((2, 2, 2), math.nan)
+        return np.array([ca, -sa, sa, ca, cb, -sb, sb, cb]).reshape(2, 2, 2)
 
     def mul(self, g1, g2):
         return np.stack([g1[0] @ g2[0], g1[1] @ g2[1]])

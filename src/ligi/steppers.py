@@ -4,6 +4,12 @@ All steppers advance a point by composing exact flows of frozen vector
 fields, so any invariant of the group orbits (norms, orthonormality) is
 preserved by construction.  On the translation action every scheme reduces
 to its classical Runge-Kutta counterpart.
+
+The steps do not screen their inputs: a NaN in the state gives NaN in the
+result (rkmk4_step on the sphere maps [nan, 0, 1] to [nan, nan, nan]), and
+an exponential that overflows gives NaN entries.  Only integrate, and
+through it the CLI, checks each new state and invariant, and stops the run
+with NonFiniteState.
 """
 
 from __future__ import annotations

@@ -68,6 +68,9 @@ class StageCoefficients:
         a.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        if a.shape != (len(b), len(b)):
+            raise ValueError(f"stage matrix a must have shape {(len(b), len(b))}"
+                             f" for {len(b)} stage weights, got {a.shape}")
         if abs(b.sum() - 1.0) > 1e-14:
             raise ValueError("stage weights must sum to 1")
         if np.any(b == 0.0):
@@ -185,7 +188,9 @@ def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state,
 
     with dd(s) the dual dexp transport (dd(X_j) nbar_j is dd(-X_j) n_j, since
     dd(-X) coAd(exp X) = dd(X)), then updates by
-    (exp Y, coAd(exp(-Y), sum_i b_i n_i)) . (g0, mu0).
+    (exp Y, coAd(exp(-Y), sum_i b_i n_i)) . (g0, mu0).  The update takes
+    mu0 + sum_i b_i n_i from the last residual evaluation when the solver
+    returns that iterate, as Newton does, and recomputes it otherwise.
     """
     group, f = system.group, system.force_map
     d, s = group.dim, coeffs.stages
@@ -209,8 +214,11 @@ def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state,
                 D[j] = group.dual_dexp(X, nbar)
         return E, D, _combine(coeffs.y_terms, n, mu0)
 
+    last = {}  # the bytes of the last residual's iterate, and its momentum sum
+
     def residual(z):
         E, D, mu = stages(z)
+        last["z"], last["mu"] = z.tobytes(), mu
         base = group.dual_dexp(-_combine(y_row, z), mu)
         forces = []
         for e, row in zip(E, coeffs.m_terms):
@@ -221,9 +229,10 @@ def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state,
     z0 = h * np.concatenate([*f(g0, mu0)] * s, dtype=float)
     solver = solver or ImplicitSolver()
     z = solver.solve(residual, z0, h=h)
+    mu = last["mu"] if last.get("z") == z.tobytes() else stages(z)[2]
     # (exp Y, coAd(exp(-Y), sum_i b_i n_i)) . (g0, mu0), with the coAd taken once.
     E = group.exp(_combine(y_row, z))
-    return group.mul(E, g0), group.coAd(group.inv(E), stages(z)[2])
+    return group.mul(E, g0), group.coAd(group.inv(E), mu)
 
 
 def theta_step(theta, system: HamiltonianSystem, state, h, solver=None):

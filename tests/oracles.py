@@ -4,7 +4,8 @@ Everything here is deliberately brute force (truncated series, classical
 Runge-Kutta at tiny steps, closed-form flows) and shares no code path with
 the package, except theta_step_reference: a second form of the symplectic
 theta step, which takes its group operations and Newton solver from the
-package so that only the form of the stage equations differs.
+package so that only the form of the stage equations differs.  write_csv_rows
+is the one-row-at-a-time form of the CLI's CSV writer.
 """
 
 import numpy as np
@@ -181,3 +182,15 @@ def theta_step_reference(theta, system, state, h):
     E = group.exp(xi)
     return (group.mul(E, g0),
             group.coAd(group.exp(-c * xi), nbar) + group.coAd(group.inv(E), mu0))
+
+
+def write_csv_rows(traj, labels, stream):
+    """The CSV writer row by row: t, the flattened state, the invariants, "%.17g" each."""
+    names = list(traj.invariants)
+    stream.write(",".join(["t"] + list(labels) + names) + "\n")
+    for i, t in enumerate(traj.times):
+        state = traj.states[i]
+        parts = state if isinstance(state, tuple) else (state,)
+        row = [t] + [v for part in parts for v in np.ravel(np.asarray(part, float))] \
+            + [traj.invariants[name][i] for name in names]
+        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")

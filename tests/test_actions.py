@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,21 @@ def test_action_mismatch_errors():
         SO3_ON_S2.apply(np.eye(3), np.zeros(4))
     with pytest.raises(ActionMismatch):
         TORUS.apply(TORUS.group.identity(), np.zeros(3))
+
+
+def _planar_rotation(alpha):
+    c, s = math.cos(alpha), math.sin(alpha)
+    return np.array([[c, -s], [s, c]])
+
+
+def test_torus_exp_and_apply_match_rotation_matrices(rng):
+    for _ in range(50):
+        xi = rng.uniform(-10.0, 10.0, size=2)
+        m = _random_point(TORUS, rng)
+        g = TORUS.exp(xi)
+        R = np.stack([_planar_rotation(xi[0]), _planar_rotation(xi[1])])
+        assert np.array_equal(g, R)
+        assert np.max(np.abs(TORUS.apply(g, m) - np.stack([R[0] @ m[0], R[1] @ m[1]]))) < 1e-15
 
 
 def test_se2_exp_matches_duffing_frozen_flow():

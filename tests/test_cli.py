@@ -1,11 +1,16 @@
 import dataclasses
+import io
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
 from ligi import cli, symplectic
 from ligi.errors import FixedPointDivergence
+from ligi.problems import free_rigid_body_s2
+from ligi.steppers import Trajectory, integrate, rkmk4_step
+from oracles import write_csv_rows
 
 
 def run(argv):
@@ -204,6 +209,55 @@ def test_non_finite_state_exit_4_without_csv(tmp_path, capsys):
     assert code == 4
     assert not out.exists()
     assert "non-finite state: step 8 (t=16.0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--problem", "torus", "--scheme", "lie_euler", "--h", "1e308"],
+    ["--problem", "frb_s2", "--scheme", "rkmk4", "--h", "1e308"],
+    ["--problem", "duffing_sl2", "--scheme", "lie_euler", "--h", "1e200"],
+], ids=["torus", "frb_s2", "duffing_sl2"])
+def test_overflowing_exponential_exit_4_without_csv(tmp_path, capsys, argv):
+    # An infinite rotation angle, or an overflowing sl(2) exponential, gives
+    # NaN entries, not a math domain error.
+    out = tmp_path / "traj.csv"
+    code = run(["integrate", *argv, "--steps", "3", "--out", str(out)])
+    assert code == 4
+    assert not out.exists()
+    assert "non-finite state: step 1 " in capsys.readouterr().err
+
+
+def _both_writers(traj, labels):
+    block, rows = io.StringIO(), io.StringIO()
+    cli.write_csv(traj, labels, block)
+    write_csv_rows(traj, labels, rows)
+    return block.getvalue(), rows.getvalue()
+
+
+def test_write_csv_matches_row_writer_on_tuple_states():
+    # 301 rows: one full block and a partial one.
+    config = cli.RunConfig(problem="heavytop", scheme="symplectic_theta", h=0.05,
+                           steps=300)
+    block, rows = _both_writers(*cli.run_trajectory(config))
+    assert block == rows
+    assert block.count("\n") == 302
+
+
+def test_write_csv_matches_row_writer_without_invariants():
+    states = [np.array([-0.0, 1.0]), np.array([0.0, -0.0]),
+              np.array([1e-310, -np.inf]), np.array([np.nan, 1.0 / 3.0])]
+    traj = Trajectory(np.arange(4) * 0.1, states)
+    block, rows = _both_writers(traj, ["x", "y"])
+    assert block == rows
+    assert block.splitlines()[1:3] == ["0,-0,1", "0.10000000000000001,0,-0"]
+
+
+def test_write_csv_matches_row_writer_on_one_row():
+    problem = free_rigid_body_s2(1.0, 5.0, 60.0)
+    traj = integrate(partial(rkmk4_step, problem), np.array([-0.0, 0.6, 0.8]), 0.05, 0,
+                     problem.invariants)
+    block, rows = _both_writers(traj, ["m1", "m2", "m3"])
+    assert block == rows
+    assert block.splitlines()[1].startswith("0,-0,0.59999999999999998,")
 
 
 @pytest.mark.parametrize("scheme", ["symplectic", "rkmk4"])

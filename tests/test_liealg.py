@@ -24,6 +24,8 @@ from ligi.liealg import (
     SL2,
     SMALL_ANGLE,
     SO3,
+    MatrixOps,
+    TorusOps,
     affine_exp,
     cayley,
     dexp_series,
@@ -34,6 +36,7 @@ from ligi.liealg import (
     dual_dexp_so3_exact,
     dual_dexpinv_so3_exact,
     euler_rodrigues,
+    expm_2x2,
     expm_so3,
     hat,
     logm_so3,
@@ -453,6 +456,61 @@ def test_euler_rodrigues_identity_and_orthogonality(rng):
         E = euler_rodrigues(q)
         assert np.linalg.norm(E.T @ E - np.eye(3)) < 1e-12
         assert np.allclose(E, euler_rodrigues(-q), atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The closed 2x2 exponential
+# ---------------------------------------------------------------------------
+
+def _traceless_with_det(q, p, b, transpose):
+    """[[p, b], [c, -p]] with c chosen so that its determinant is q."""
+    B = np.array([[p, b], [-(q + p * p) / b, -p]])
+    return B.T if transpose else B
+
+
+# det B near 0 of both signs (the series branch and just past it) and away
+# from 0; entries of B up to 1e4; traces up to 60, so e^m up to 1e13.  Past
+# |det B| = 4 scipy's own error approaches 1e-13 (1.2e-13 at B = [[0, 1],
+# [11, 0]] against a 50-digit mpmath expm, where the closed form is within
+# 1e-16), so the draws stop there.
+near_zero_det = st.floats(-3.0 * SMALL_ANGLE ** 2, 3.0 * SMALL_ANGLE ** 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.one_of(near_zero_det, st.floats(-4.0, 4.0)), p=st.floats(-1.0, 1.0),
+       b=st.one_of(st.floats(1e-2, 1e4), st.floats(-1e4, -1e-2)),
+       transpose=st.booleans(), trace=st.floats(-60.0, 60.0))
+def test_expm_2x2_matches_scipy(q, p, b, transpose, trace):
+    # scipy's expm does not shift the trace, and loses up to ~3.5e-12
+    # relative at |tr A| = 60; exp(A) = e^m exp(B) puts the trace into an
+    # exact factor.
+    B = _traceless_with_det(q, p, b, transpose)
+    m = 0.5 * trace
+    A = B + m * np.eye(2)
+    ref = math.exp(m) * scipy.linalg.expm(B)
+    for E in (expm_2x2(A), MatrixOps(2).exp(A), SL2.exp(B) * math.exp(m)):
+        assert np.linalg.norm(E - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("A", [
+    [[0.0, 1e200], [-1e200, 0.0]],  # det B = inf: cos(inf)
+    [[0.0, 1e3], [1e3, 0.0]],  # cosh(1e3) overflows
+    [[800.0, 0.0], [0.0, 800.0]],  # e^800 overflows
+    [[np.inf, 0.0], [0.0, 0.0]],
+], ids=["infinite-angle", "cosh-overflow", "exp-overflow", "infinite-entry"])
+def test_expm_2x2_overflow_is_nan(A):
+    assert np.isnan(expm_2x2(A)).all()
+
+
+@pytest.mark.parametrize("exp, arg", [
+    (rotation_from_vector, [np.inf, 0.0, 0.0]),
+    (rotation_from_vector, [1e200, 1e200, 0.0]),
+    (quat_exp, [0.0, np.inf, 0.0]),
+    (TorusOps().exp, [0.5, np.inf]),
+    (lambda s: dexp_so3_exact(s, [1.0, 0.0, 0.0]), [0.0, 0.0, -np.inf]),
+], ids=["rotation", "rotation-overflow", "quat", "torus", "dexp"])
+def test_closed_forms_at_an_infinite_angle_are_nan(exp, arg):
+    assert np.isnan(exp(np.array(arg))).all()
 
 
 # ---------------------------------------------------------------------------

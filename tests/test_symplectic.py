@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ligi.errors import FixedPointDivergence
-from ligi.liealg import SO3, hat
+from ligi.liealg import SO3, So3Ops, hat
 from ligi.symplectic import (
     E3,
     HamiltonianSystem,
@@ -71,6 +71,15 @@ def test_stage_coefficients_validation():
     with pytest.raises(ValueError):
         StageCoefficients(a=[[0.0, 0.0], [0.0, 0.0]], b=[1.0, 0.0])
     assert StageCoefficients.theta(0.3).a[0, 0] == 0.3
+
+
+@pytest.mark.parametrize("a, b, shape", [
+    ([[0.5]], [0.5, 0.5], r"\(1, 1\)"),
+    ([[0.5, 0.1]], [1.0], r"\(1, 2\)"),
+], ids=["fewer-rows-than-weights", "not-square"])
+def test_stage_matrix_must_be_square_over_the_weights(a, b, shape):
+    with pytest.raises(ValueError, match=f"stage matrix a must have shape .* got {shape}"):
+        StageCoefficients(a=a, b=b)
 
 
 def test_zero_hamiltonian_identity_steps():
@@ -205,6 +214,59 @@ def test_non_finite_jacobian_is_divergence():
 
     with pytest.raises(FixedPointDivergence, match="Jacobian is not finite"):
         ImplicitSolver().solve(residual, np.zeros(2), h=0.1)
+
+
+class _Capture:
+    """A solver that keeps the residual and returns the start point."""
+
+    def solve(self, residual, z0, h=None):
+        self.residual = residual
+        return z0
+
+
+def test_residual_at_an_infinite_iterate_is_not_finite():
+    # Newton restarts from a non-finite residual; a raising closed form
+    # (math.sin(inf) in the exponential) would escape as a ValueError.
+    capture = _Capture()
+    theta_step(0.5, SYSTEM, BENCH.state0, 0.05, solver=capture)
+    r = capture.residual(np.full(6, np.inf))
+    assert not np.isfinite(r).any()
+
+
+class _CountingSO3(So3Ops):
+    def __init__(self):
+        self.exps = 0
+
+    def exp(self, xi):
+        self.exps += 1
+        return super().exp(xi)
+
+
+class _OneMove:
+    """One fixed-point move z0 - r(z0); evaluates the residual at the result or not."""
+
+    def __init__(self, evaluate_result):
+        self.evaluate_result = evaluate_result
+
+    def solve(self, residual, z0, h=None):
+        z = z0 - residual(z0)
+        if self.evaluate_result:
+            residual(z)
+        return z
+
+
+def test_update_reuses_the_momentum_of_the_last_residual():
+    steps = {}
+    for evaluate_result in (True, False):
+        group = _CountingSO3()
+        system = HamiltonianSystem(group, SYSTEM.hamiltonian, SYSTEM.force_map)
+        steps[evaluate_result] = theta_step(0.5, system, BENCH.state0, 0.05,
+                                            solver=_OneMove(evaluate_result))
+        # one exp per residual and one for the update; the stage pass is rerun
+        # (one more exp) only when the residual last saw another iterate
+        assert group.exps == 3
+    for a, b in zip(steps[True], steps[False]):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("method", ["newton", "fixed_point"])
