@@ -5,10 +5,11 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_explicit_actions.json unless ``--out`` names another file (the earlier
-records are BENCH_so3_kernels.json, BENCH_implicit_loops.json and
-BENCH_cotangent_family.json).  The cases of ``src/`` are timed as "change";
-with ``--baseline`` those of ``<baseline>/src`` are timed too, as "parent".
+BENCH_rkmk_family.json unless ``--out`` names another file (the earlier
+records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
+BENCH_cotangent_family.json and BENCH_explicit_actions.json).  The cases of
+``src/`` are timed as "change"; with ``--baseline`` those of
+``<baseline>/src`` are timed too, as "parent".
 Each tree is timed in fresh single-threaded child interpreters, alternating
 between the trees for ``ROUNDS`` rounds.  A case runs ``REPEAT`` ``timeit``
 repeats per round, each of the case's own number of calls, and each repeat is
@@ -29,7 +30,9 @@ bracket and dexpinv series, the two-form and the quaternion log), one cold
 step of each implicit scheme from the heavy-top and quaternion free rigid body
 start states, each with a fresh solver (the symplectic family at theta = 1/2
 and theta = 0, through theta_step and through symplectic_step, and its
-two-stage Gauss member), and ``cli.write_csv`` of the full-length
+two-stage Gauss member; the RKMK theta comparator at theta = 1/2 and
+theta = 0), one explicit KUTTA4 ``rkmk_step`` on the free rigid body on S^2
+from the frb-s2 preset's start, and ``cli.write_csv`` of the full-length
 torus-descent and heavytop-theta05 trajectories into memory.
 
 ``--runs LABEL=DIR`` adds the end-to-end results of ``bench/run.py``: DIR
@@ -91,6 +94,8 @@ CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERN
     ("symplectic_step_gauss2_cold",
      "symplectic.symplectic_step(GAUSS2, HT, HT_STATE, 0.05)", 50),
     ("rkmk_theta_step_cold", "symplectic.rkmk_theta_step(0.5, HT, HT_STATE, 0.05)", 100),
+    ("rkmk_theta0_step_cold", "symplectic.rkmk_theta_step(0.0, HT, HT_STATE, 0.05)", 2000),
+    ("rkmk_step_kutta4_frb_s2", "steppers.rkmk_step(FRB_S2, M3, 0.05)", 2000),
     ("dg_step_cold", "discrete_gradient.dg_step(FRB, P, 1 / 64)", 300),
     ("write_csv_torus_descent", "cli.write_csv(*TORUS_RUN, io.StringIO())", 5),
     ("write_csv_heavytop_theta05", "cli.write_csv(*HEAVYTOP_RUN, io.StringIO())", 3),
@@ -99,7 +104,8 @@ SETUP = """
 import io
 import numpy as np
 import scipy.linalg
-from ligi import actions, cli, discrete_gradient, liealg, problems, semidirect, symplectic
+from ligi import actions, cli, discrete_gradient, liealg, problems, semidirect, steppers
+from ligi import symplectic
 S = np.array([0.31, -0.22, 0.38])
 V = np.array([0.1, 0.5, -0.3])
 P = np.array([0.9, 0.1, -0.3, 0.3]) / np.linalg.norm([0.9, 0.1, -0.3, 0.3])
@@ -129,6 +135,8 @@ GAMMA = discrete_gradient.trivialized_differential(
 A2 = np.array([[0.0, 0.01], [-0.015625, 0.0]])  # h f at the duffing-sl2 start
 XI2 = np.array([-0.068, 0.175])  # h f at the torus-descent start
 M22 = problems.torus_state(0.3, 1.2)
+FRB_S2 = problems.free_rigid_body_s2(1.0, 5.0, 60.0)
+M3 = np.array([np.cos(1.1), 0.0, np.sin(1.1)])  # the frb-s2 preset's start
 TORUS_RUN = cli.run_trajectory(cli.RunConfig(**cli.PRESETS["torus-descent"]))
 HEAVYTOP_RUN = cli.run_trajectory(cli.RunConfig(**cli.PRESETS["heavytop-theta05"]))
 """
@@ -221,7 +229,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_explicit_actions.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_rkmk_family.json"))
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 

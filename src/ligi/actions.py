@@ -77,27 +77,6 @@ class MatrixLinearAction(GroupAction):
         return np.asarray(xi, float) @ np.asarray(m, float)
 
 
-class HomogeneousPlanarAction(GroupAction):
-    """Affine-type subgroups in homogeneous 3x3 form acting on R^2."""
-
-    def __init__(self, name="se2_on_r2"):
-        self.group = AffineOps(2)
-        self.name = name
-
-    @staticmethod
-    def _lift(m):
-        m = np.asarray(m, float)
-        if m.shape != (2,):
-            raise ActionMismatch("points are 2-vectors")
-        return np.array([m[0], m[1], 1.0])
-
-    def apply(self, g, m):
-        return (g @ self._lift(m))[:2]
-
-    def generator(self, xi, m):
-        return (np.asarray(xi, float) @ self._lift(m))[:2]
-
-
 class AffineAction(GroupAction):
     """The affine group of R^n acting by x -> A x + b (homogeneous form)."""
 
@@ -207,7 +186,7 @@ class TorusAction(GroupAction):
 
 SO3_ON_S2 = SphereRotationAction()
 SL2_ON_R2 = MatrixLinearAction(SL2, "sl2_on_r2")
-SE2_ON_R2 = HomogeneousPlanarAction()
+SE2_ON_R2 = AffineAction(2)
 TORUS = TorusAction()
 QUAT_LEFT = LeftMultiplicationAction(S3, "s3_left")
 SO3_COADJOINT = CoadjointAction(SO3)

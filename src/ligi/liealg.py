@@ -398,40 +398,30 @@ def cayley(xi):
         raise SingularResolvent(f"I - xi/2 is singular: {exc}") from exc
 
 
-def phi1(Z):
-    """The entire function phi(z) = (exp(z) - 1)/z evaluated at a matrix.
+def _exp_with_phi(Z, B):
+    """expm(Z) and phi(Z) B, read off expm([[Z, B], [0, 0]]) = [[expm(Z), phi(Z) B], [0, I]]."""
+    n, m = B.shape
+    block = np.zeros((n + m, n + m))
+    block[:n, :n], block[:n, n:] = Z, B
+    E = scipy.linalg.expm(block)
+    return E[:n, :n], E[:n, n:]
 
-    A truncated series is used for small ||Z||; otherwise Z phi = exp(Z) - I
-    is solved directly, falling back on the block-matrix identity
-    expm([[Z, I], [0, 0]]) = [[exp(Z), phi(Z)], [0, I]] when Z is singular.
-    """
+
+def phi1(Z):
+    """The entire function phi(z) = (exp(z) - 1)/z evaluated at a matrix."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    n = Z.shape[0]
-    if np.linalg.norm(Z) < SMALL_ANGLE:
-        Z2 = Z @ Z
-        return np.eye(n) + Z / 2.0 + Z2 / 6.0 + (Z2 @ Z) / 24.0
-    W = scipy.linalg.expm(Z) - np.eye(n)
-    try:
-        phi = np.linalg.solve(Z, W)
-        if np.linalg.norm(Z @ phi - W) <= 1e-10 * max(1.0, np.linalg.norm(W)):
-            return phi
-    except np.linalg.LinAlgError:
-        pass
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = Z
-    block[:n, n:] = np.eye(n)
-    return scipy.linalg.expm(block)[:n, n:]
+    return _exp_with_phi(Z, np.eye(len(Z)))[1]
 
 
 def affine_exp(t, L, b):
     """One-parameter subgroup of the affine group.
 
-    exp(t (L, b)) = (expm(t L), phi(t L) t b); returns the pair (A, c).
+    exp(t (L, b)) = (expm(t L), phi(t L) t b), from one exponential; returns the pair (A, c).
     """
     L = np.atleast_2d(np.asarray(L, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    tL = t * L
-    return scipy.linalg.expm(tL), phi1(tL) @ (t * b)
+    A, c = _exp_with_phi(t * L, (t * b)[:, None])
+    return A, c[:, 0]
 
 
 def affine_to_homogeneous(A, b):

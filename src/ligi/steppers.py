@@ -9,7 +9,7 @@ The steps do not screen their inputs: a NaN in the state gives NaN in the
 result (rkmk4_step on the sphere maps [nan, 0, 1] to [nan, nan, nan]), and
 an exponential that overflows gives NaN entries.  Only integrate, and
 through it the CLI, checks each new state and invariant, and stops the run
-with NonFiniteState.
+with NonFiniteState (naming the step, also when the step's solver raised it).
 """
 
 from __future__ import annotations
@@ -26,9 +26,27 @@ from .errors import NonFiniteState
 from .liealg import affine_exp, fixed_point
 
 
+def nonzero_terms(row):
+    """The (j, w) pairs of the nonzero weights w = row[j]."""
+    return tuple((j, w) for j, w in enumerate(row) if w != 0.0)
+
+
+def weighted_sum(terms, vectors, out=None):
+    """out + sum of w vectors[j] over the (j, w) in terms; a unit weight adds vectors[j]."""
+    for j, w in terms:
+        v = vectors[j] if w == 1.0 else w * vectors[j]
+        out = v if out is None else out + v
+    return out
+
+
 @dataclass(frozen=True)
 class ButcherTableau:
-    """Runge-Kutta coefficients (a, b, c) with c defaulting to row sums."""
+    """Runge-Kutta coefficients (a, b, c) with c defaulting to row sums.
+
+    The nonzero weights are kept once as Python floats: rows[i] holds the
+    (j, a_ij) pairs of row i of a, and b_terms the (i, b_i) pairs; explicit
+    reads the rows.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -43,15 +61,15 @@ class ButcherTableau:
             raise ValueError(f"tableau weights must sum to 1, got {b.sum()!r}")
         c = self.c if self.c is not None else a.sum(axis=1)
         object.__setattr__(self, "c", np.asarray(c, dtype=float))
+        object.__setattr__(self, "rows", tuple(map(nonzero_terms, a.tolist())))
+        object.__setattr__(self, "b_terms", nonzero_terms(b.tolist()))
+        # a_ij == 0 exactly for j >= i: a tiny diagonal is still implicit.
+        object.__setattr__(self, "explicit",
+                           all(j < i for i, row in enumerate(self.rows) for j, _ in row))
 
     @property
     def stages(self):
         return len(self.b)
-
-    @property
-    def explicit(self):
-        """True when a_ij == 0 exactly for j >= i: a tiny diagonal is still implicit."""
-        return not np.triu(self.a).any()
 
 
 KUTTA4 = ButcherTableau(
@@ -110,35 +128,51 @@ def heun_step(problem: FrozenFieldProblem, y, h, variant="rkmk"):
 
 
 def rkmk_step(problem: FrozenFieldProblem, y, h, tableau: ButcherTableau = KUTTA4,
-              series_order=4, tol=1e-12, max_iter=100):
+              series_order=4, solver=None):
     """Runge-Kutta method run in the Lie algebra with dexpinv corrections.
 
-    Stage equations k_i = dexpinv_{u_i}(f(exp(u_i) . y)), u_i = h sum_j a_ij k_j,
-    update y1 = exp(h sum_i b_i k_i) . y.  Implicit tableaus are solved by
-    fixed-point iteration on the stage vector.
+    Stage equations k_i = dexpinv_{u_i}(f(exp(u_i) . y)), u_i = sum_j (h a_ij) k_j,
+    update y1 = exp(h sum_i b_i k_i) . y.  An implicit tableau solves for the
+    stacked stages z = (k_1, ..., k_s) from the start (f(y), ..., f(y)): with
+    solver.solve(residual, z0, h=h) on the residual z - k(z) when a solver is
+    given, and by fixed-point iteration z <- k(z) otherwise.
     """
     act = problem.action
     group = act.group
     f = problem.coefficient_map
-    a, b, s = tableau.a, tableau.b, tableau.stages
+    s = tableau.stages
+    # h a_ij in float64: an np.float32 h would round the stage weights to float32.
+    h_rows = [[(j, float(h) * w) for j, w in row] for row in tableau.rows]
 
-    def stage(stages, i):
-        terms = [a[i, j] * stages[j] for j in range(s) if a[i, j] != 0.0]
-        if not terms:  # all-zero row: u = 0 whatever the type of h
+    def stage(ks, i):
+        if not h_rows[i]:  # all-zero row: u = 0 whatever the type of h
             return f(y)
-        u = h * sum(terms)
+        u = weighted_sum(h_rows[i], ks)
         return group.dexpinv(u, f(act.apply(group.exp(u), y)), series_order)
 
     if tableau.explicit:
-        stages = []
+        ks = []
         for i in range(s):
-            stages.append(stage(stages, i))
+            ks.append(stage(ks, i))
     else:
-        stages = fixed_point(lambda z: [stage(z, i) for i in range(s)], [f(y)] * s,
-                             tol, max_iter, h, "implicit tableau stages did not converge")
+        k0 = np.asarray(f(y), dtype=float)
+        stacked = (s, *k0.shape)  # z is the flat form of the stages k_1, ..., k_s
 
-    v = h * sum(b[i] * stages[i] for i in range(s))
-    return act.apply(group.exp(v), y)
+        def stacked_stages(z):
+            if s == 1 and k0.ndim == 1:  # z is the one stage: no reshape, no concatenation
+                return stage((z,), 0)
+            ks = z.reshape(stacked)
+            return np.concatenate([stage(ks, i) for i in range(s)], axis=None)
+
+        z0 = np.concatenate([k0] * s, axis=None)
+        if solver is None:
+            z = fixed_point(stacked_stages, z0, 1e-12, 100, h,
+                            "implicit tableau stages did not converge")
+        else:
+            z = solver.solve(lambda z: z - stacked_stages(z), z0, h=h)
+        ks = z.reshape(stacked)
+
+    return act.apply(group.exp(h * weighted_sum(tableau.b_terms, ks)), y)
 
 
 def rkmk4_step(problem: FrozenFieldProblem, y, h):
@@ -219,7 +253,10 @@ def integrate(step: Callable, y0, h, n_steps, invariants=()) -> Trajectory:
     states, y = [y0], y0
     rows = [[fn(y0) for _, fn in invariants]]
     for n in range(1, n_steps + 1):
-        y = step(y, h)
+        try:
+            y = step(y, h)
+        except NonFiniteState as exc:  # an overflow inside the step, seen by its solver
+            raise NonFiniteState(f"step {n} (t={float(times[n])!r}) {exc}") from exc
         states.append(y)
         rows.append([fn(y) for _, fn in invariants])
         if not (_finite(y) and all(map(math.isfinite, rows[-1]))):

@@ -5,9 +5,11 @@ map f = (dH/dmu, -R_g^* dH/dg).  symplectic_step is the one implementation of
 the s-stage symplectic family, for any StageCoefficients (a, b): exponentials
 of the stage variables and dual dexp transports of the momentum, symplectic
 by its variational derivation.  theta_step names its s = 1 member with
-a_11 = theta.  Also here: a Runge-Kutta-Munthe-Kaas theta comparator, the
-heavy-top Hamiltonian, and cotangent_step, the one-step map of either theta
-scheme for steppers.integrate.  Each step solves its stage equations with the
+a_11 = theta.  Its comparator, the Runge-Kutta-Munthe-Kaas theta method, is
+steppers.rkmk_step with the tableau [[theta]], [1] on G x| g* acting on itself;
+this module only builds that problem.  Also here: the heavy-top Hamiltonian,
+and cotangent_step, the one-step map of either theta scheme for
+steppers.integrate.  Each step solves its stage equations with the
 ImplicitSolver passed as solver, a fresh Newton solver by default.
 """
 
@@ -15,15 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import FixedPointDivergence
-from .liealg import SO3, GroupOps, cross3, dexpinv_series, fixed_point, max_abs
+from .actions import FrozenFieldProblem, LeftMultiplicationAction
+from .errors import FixedPointDivergence, NonFiniteState
+from .liealg import SO3, GroupOps, cross3, fixed_point, max_abs
+from .liealg import dexpinv_series  # noqa: F401  (a name the traced benchmark patches)
 from .semidirect import CotangentOps
+from .steppers import ButcherTableau, nonzero_terms, rkmk_step, weighted_sum
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -48,6 +53,13 @@ class HamiltonianSystem:
     @property
     def invariants(self):
         return (("energy", self.energy),)
+
+    @cached_property
+    def cotangent_problem(self):
+        """The system on G x| g* acting on itself, coefficient map (dH/dmu, -R_g^* dH/dg)."""
+        ct, force_map = CotangentOps(self.group), self.force_map
+        return FrozenFieldProblem(action=LeftMultiplicationAction(ct, "cotangent_left"),
+                                  coefficient_map=lambda y: ct.join(*force_map(*y)))
 
 
 @dataclass(frozen=True)
@@ -77,9 +89,9 @@ class StageCoefficients:
             raise ValueError("stage weights must be nonzero")
         a, b = a.tolist(), b.tolist()
         coupling = [[-b[j] * a[j][i] / b[i] for j in range(len(b))] for i in range(len(b))]
-        object.__setattr__(self, "x_terms", tuple(map(_nonzero, a)))
-        object.__setattr__(self, "y_terms", _nonzero(b))
-        object.__setattr__(self, "m_terms", tuple(map(_nonzero, coupling)))
+        object.__setattr__(self, "x_terms", tuple(map(nonzero_terms, a)))
+        object.__setattr__(self, "y_terms", nonzero_terms(b))
+        object.__setattr__(self, "m_terms", tuple(map(nonzero_terms, coupling)))
 
     @classmethod
     @lru_cache(maxsize=16)
@@ -89,18 +101,6 @@ class StageCoefficients:
     @property
     def stages(self):
         return len(self.b)
-
-
-def _nonzero(row):
-    return tuple((j, w) for j, w in enumerate(row) if w != 0.0)
-
-
-def _combine(terms, vectors, out=None):
-    """out + sum of w vectors[j] over the (j, w) in terms; a unit weight adds vectors[j]."""
-    for j, w in terms:
-        v = vectors[j] if w == 1.0 else w * vectors[j]
-        out = v if out is None else out + v
-    return out
 
 
 class ImplicitSolver:
@@ -138,6 +138,10 @@ class ImplicitSolver:
 
     def solve(self, residual, z0, h=None):
         z0 = np.asarray(z0, dtype=float)
+        # Restarts go back to z0: a start that is not finite is an overflow, not a divergence.
+        if not (math.isfinite(sum(z0.tolist())) or np.isfinite(z0).all()):
+            raise NonFiniteState(f"started its stage iteration at a point that is not finite"
+                                 f" (h={h!r})")
         z = self._z if (self._z is not None and len(self._z) == len(z0)) else z0
         z = z.copy()
         if self.method == "fixed_point":
@@ -206,23 +210,23 @@ def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state,
         """exp(X_j), dd(X_j) nbar_j where X_j != 0, and mu0 + sum_j b_j n_j."""
         E, n, D = [], [], {}
         for j, (row, q) in enumerate(plan):
-            X = _combine(row, z) if row else zero
+            X = weighted_sum(row, z) if row else zero
             nbar = z[q]
             E.append(group.exp(X))
             n.append(group.coAd(E[j], nbar))
             if row:
                 D[j] = group.dual_dexp(X, nbar)
-        return E, D, _combine(coeffs.y_terms, n, mu0)
+        return E, D, weighted_sum(coeffs.y_terms, n, mu0)
 
     last = {}  # the bytes of the last residual's iterate, and its momentum sum
 
     def residual(z):
         E, D, mu = stages(z)
         last["z"], last["mu"] = z.tobytes(), mu
-        base = group.dual_dexp(-_combine(y_row, z), mu)
+        base = group.dual_dexp(-weighted_sum(y_row, z), mu)
         forces = []
         for e, row in zip(E, coeffs.m_terms):
-            forces += f(group.mul(e, g0), _combine(row, D, base))
+            forces += f(group.mul(e, g0), weighted_sum(row, D, base))
         # z - h (f1, f2, ...) is (xi_i - h f1_i, nbar_i - h f2_i), block by block.
         return z - h * np.concatenate(forces, dtype=float)
 
@@ -231,7 +235,7 @@ def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state,
     z = solver.solve(residual, z0, h=h)
     mu = last["mu"] if last.get("z") == z.tobytes() else stages(z)[2]
     # (exp Y, coAd(exp(-Y), sum_i b_i n_i)) . (g0, mu0), with the coAd taken once.
-    E = group.exp(_combine(y_row, z))
+    E = group.exp(weighted_sum(y_row, z))
     return group.mul(E, g0), group.coAd(group.inv(E), mu)
 
 
@@ -244,32 +248,21 @@ def theta_step(theta, system: HamiltonianSystem, state, h, solver=None):
 RKMK_THETA_SERIES_ORDER = 2
 
 
+@lru_cache(maxsize=16)
+def _theta_tableau(theta):
+    return ButcherTableau(a=[[float(theta)]], b=[1.0])
+
+
 def rkmk_theta_step(theta, system: HamiltonianSystem, state, h, solver=None):
     """Runge-Kutta-Munthe-Kaas theta method on the semidirect group.
 
-    The stage lives in the semidirect algebra, k = dexpinv_{h theta k}
-    (f(exp(h theta k) . y0)) with the dexpinv series truncated at
-    RKMK_THETA_SERIES_ORDER, and the update is exp(h k) . y0.  Not
-    symplectic; serves as the comparator.
+    steppers.rkmk_step with the tableau [[theta]], [1] on the system's
+    cotangent_problem: the stage k = dexpinv_{h theta k}(f(exp(h theta k) . y0)),
+    with the dexpinv series truncated at RKMK_THETA_SERIES_ORDER, and the
+    update exp(h k) . y0.  Not symplectic; serves as the comparator.
     """
-    ct = CotangentOps(system.group)
-
-    def f_joined(y):
-        return ct.join(*system.force_map(*y))
-
-    if theta == 0.0:
-        k = f_joined(state)
-    else:
-        h_theta = h * theta
-
-        def residual(k):
-            u = h_theta * k
-            val = f_joined(ct.mul(ct.exp(u), state))
-            return k - dexpinv_series(ct, u, val, RKMK_THETA_SERIES_ORDER)
-
-        solver = solver or ImplicitSolver()
-        k = solver.solve(residual, f_joined(state), h=h)
-    return ct.mul(ct.exp(h * k), state)
+    return rkmk_step(system.cotangent_problem, state, h, tableau=_theta_tableau(theta),
+                     series_order=RKMK_THETA_SERIES_ORDER, solver=solver or ImplicitSolver())
 
 
 def cotangent_step(system: HamiltonianSystem, scheme, theta=0.5):

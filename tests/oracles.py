@@ -2,15 +2,18 @@
 
 Everything here is deliberately brute force (truncated series, classical
 Runge-Kutta at tiny steps, closed-form flows) and shares no code path with
-the package, except theta_step_reference: a second form of the symplectic
-theta step, which takes its group operations and Newton solver from the
-package so that only the form of the stage equations differs.  write_csv_rows
-is the one-row-at-a-time form of the CLI's CSV writer.
+the package, except theta_step_reference and rkmk_theta_step_reference:
+second forms of the symplectic and RKMK theta steps, which take their group
+operations and Newton solver from the package so that only the form of the
+stage equations differs.  write_csv_rows is the one-row-at-a-time form of the
+CLI's CSV writer.
 """
 
 import numpy as np
 
-from ligi.symplectic import ImplicitSolver
+from ligi.liealg import dexpinv_series
+from ligi.semidirect import CotangentOps
+from ligi.symplectic import RKMK_THETA_SERIES_ORDER, ImplicitSolver
 
 
 def taylor_expm(A, terms=30):
@@ -182,6 +185,33 @@ def theta_step_reference(theta, system, state, h):
     E = group.exp(xi)
     return (group.mul(E, g0),
             group.coAd(group.exp(-c * xi), nbar) + group.coAd(group.inv(E), mu0))
+
+
+def rkmk_theta_step_reference(theta, system, state, h):
+    """The RKMK theta step written out on the semidirect group.
+
+    The stage k = dexpinv_{h theta k}(f(exp(h theta k) . y0)), with the
+    dexpinv series truncated at RKMK_THETA_SERIES_ORDER, and the update
+    exp(h k) . y0.  Solved with a fresh Newton solver from k = f(y0), as the
+    package's step is; theta = 0 takes k = f(y0).
+    """
+    ct = CotangentOps(system.group)
+
+    def f_joined(y):
+        return ct.join(*system.force_map(*y))
+
+    if theta == 0.0:
+        k = f_joined(state)
+    else:
+        h_theta = h * theta
+
+        def residual(k):
+            u = h_theta * k
+            val = f_joined(ct.mul(ct.exp(u), state))
+            return k - dexpinv_series(ct, u, val, RKMK_THETA_SERIES_ORDER)
+
+        k = ImplicitSolver().solve(residual, f_joined(state), h=h)
+    return ct.mul(ct.exp(h * k), state)
 
 
 def write_csv_rows(traj, labels, stream):

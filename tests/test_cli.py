@@ -215,10 +215,13 @@ def test_non_finite_state_exit_4_without_csv(tmp_path, capsys):
     ["--problem", "torus", "--scheme", "lie_euler", "--h", "1e308"],
     ["--problem", "frb_s2", "--scheme", "rkmk4", "--h", "1e308"],
     ["--problem", "duffing_sl2", "--scheme", "lie_euler", "--h", "1e200"],
-], ids=["torus", "frb_s2", "duffing_sl2"])
+    ["--problem", "heavytop", "--scheme", "symplectic_theta", "--theta", "0.5", "--h", "1e308"],
+    ["--problem", "heavytop", "--scheme", "symplectic_theta", "--theta", "0", "--h", "1e308"],
+], ids=["torus", "frb_s2", "duffing_sl2", "heavytop_theta05", "heavytop_theta0"])
 def test_overflowing_exponential_exit_4_without_csv(tmp_path, capsys, argv):
     # An infinite rotation angle, or an overflowing sl(2) exponential, gives
-    # NaN entries, not a math domain error.
+    # NaN entries, not a math domain error.  The symplectic theta step starts
+    # its stage iteration at h f(g0, mu0), which is already infinite.
     out = tmp_path / "traj.csv"
     code = run(["integrate", *argv, "--steps", "3", "--out", str(out)])
     assert code == 4

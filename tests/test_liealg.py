@@ -177,7 +177,7 @@ def _rkmk_midpoint(max_iter):
                                  coefficient_map=lambda m: np.array([m[1], m[2], m[0]]))
     midpoint = ButcherTableau(a=[[0.5]], b=[1.0])
     return rkmk_step(problem, np.array([1.0, 0.0, 0.0]), 0.1, tableau=midpoint,
-                     max_iter=max_iter)
+                     solver=ImplicitSolver(method="fixed_point", max_iter=max_iter))
 
 
 def _dg(max_iter):

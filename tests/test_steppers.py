@@ -32,6 +32,7 @@ from ligi.steppers import (
     rkmk4_step,
     rkmk_step,
 )
+from ligi.symplectic import ImplicitSolver
 from oracles import classical_rk_step, fit_slope
 
 FRB = free_rigid_body_s2(1.0, 5.0, 60.0)
@@ -214,7 +215,8 @@ def test_rkmk_implicit_divergence_reports_h():
         action=SO3_ON_S2,
         coefficient_map=lambda m: 8.0 * np.array([m[1], m[2], m[0]]))
     with pytest.raises(FixedPointDivergence) as err:
-        rkmk_step(problem, Y0_S2, 0.225, tableau=midpoint, max_iter=10)
+        rkmk_step(problem, Y0_S2, 0.225, tableau=midpoint,
+                  solver=ImplicitSolver(method="fixed_point", max_iter=10))
     assert err.value.h == 0.225
 
 

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ligi.errors import FixedPointDivergence
 from ligi.liealg import SO3, So3Ops, hat
@@ -21,6 +25,7 @@ from oracles import (
     fit_slope,
     random_rotation,
     rk4_solve,
+    rkmk_theta_step_reference,
     state_distance,
     theta_step_reference,
 )
@@ -183,6 +188,39 @@ def test_step_past_two_pi_matches_reference(coeffs, tol):
     assert state_distance(step, theta_step_reference(0.5, SYSTEM, state, 0.05)) < tol
     energy = SYSTEM.energy(state)
     assert abs(SYSTEM.energy(step) - energy) < 1e-6 * abs(energy)
+
+
+unit_box = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)
+
+
+@given(rotation=unit_box, omega=unit_box, theta=st.sampled_from([0.0, 0.5, 0.3]))
+@settings(max_examples=40, deadline=None)
+def test_rkmk_theta_step_matches_reference(rotation, omega, theta):
+    # The step through rkmk_step forms the same floating-point operations as
+    # the written-out one at theta in {0, 1/2}; other theta are held to 1e-13.
+    state = SO3.exp(2.5 * rotation), BENCH.mu0[2] * omega
+    got = rkmk_theta_step(theta, SYSTEM, state, 0.05)
+    expected = rkmk_theta_step_reference(theta, SYSTEM, state, 0.05)
+    for a, b in zip(got, expected):
+        if theta in (0.0, 0.5):
+            assert np.array_equal(a, b)
+        else:
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("h, h_float, rtol", [
+    (1, 1.0, 0.0),
+    (np.float32(0.05), 0.05, 1e-6),
+    (np.float64(0.05), 0.05, 0.0),
+    (Fraction(1, 20), 0.05, 0.0),
+], ids=["int", "float32", "float64", "Fraction"])
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+def test_rkmk_theta_step_accepts_any_real_step_type(theta, h, h_float, rtol):
+    expected = rkmk_theta_step(theta, SMALL_SYSTEM, SMALL.state0, h_float)
+    got = rkmk_theta_step(theta, SMALL_SYSTEM, SMALL.state0, h)
+    for a, b in zip(got, expected):
+        assert a.dtype == np.float64
+        np.testing.assert_allclose(a, b, rtol=rtol, atol=0.0)
 
 
 def test_theta_coefficients_are_shared_and_read_only():
