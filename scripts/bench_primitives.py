@@ -5,9 +5,10 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_rkmk_family.json unless ``--out`` names another file (the earlier
+BENCH_one_solver.json unless ``--out`` names another file (the earlier
 records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
-BENCH_cotangent_family.json and BENCH_explicit_actions.json).  The cases of
+BENCH_cotangent_family.json, BENCH_explicit_actions.json and
+BENCH_rkmk_family.json).  The cases of
 ``src/`` are timed as "change"; with ``--baseline`` those of
 ``<baseline>/src`` are timed too, as "parent".
 Each tree is timed in fresh single-threaded child interpreters, alternating
@@ -229,7 +230,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_rkmk_family.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_one_solver.json"))
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 

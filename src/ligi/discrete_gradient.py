@@ -22,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CoincidentPoints, CriticalPoint
-from .liealg import GroupOps, S3, cross3, euler_rodrigues, fixed_point
+from .liealg import GroupOps, S3, cross3, euler_rodrigues
+from .symplectic import ImplicitSolver
 
 _EPS = np.finfo(float).eps
 
@@ -143,14 +144,14 @@ def two_form_matrix(system: InvariantSystem, x, gamma=None):
 
 
 def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", midpoint_form=True,
-            quad_nodes=4, tol=1e-12, max_iter=100):
+            quad_nodes=4, solver=None):
     """One energy-preserving step x' = exp(h W dbar_H(x, x')) . x.
 
-    The implicit relation is solved by fixed-point iteration started from a
-    Lie-Euler predictor.  With the Gonzalez differential the energy is
-    conserved to solver tolerance; with the averaged one, to quadrature
-    accuracy.  midpoint_form evaluates W at the geodesic midpoint, which
-    makes the step symmetric.
+    The implicit relation is iterated by solver.fixed_point (a fresh
+    ImplicitSolver by default) from a Lie-Euler predictor.  With the Gonzalez
+    differential the energy is conserved to solver tolerance; with the
+    averaged one, to quadrature accuracy.  midpoint_form evaluates W at the
+    geodesic midpoint, which makes the step symmetric.
     """
     if tdd not in ("gonzalez", "avf"):
         raise ValueError(f"unknown discrete differential {tdd!r}")
@@ -179,8 +180,8 @@ def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", midpoint_form=True,
         return group.mul(group.exp(h * (W @ dbar)), x)
 
     x1 = group.mul(group.exp(h * np.asarray(system.field(x), float)), x)
-    return fixed_point(update, x1, tol, max_iter, h,
-                       "energy-preserving step did not converge")
+    return (solver or ImplicitSolver()).fixed_point(update, x1, h,
+                                                    "energy-preserving step did not converge")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .errors import (
     AlgebraMismatch,
     AngleNearPi,
     DexpinvOutOfRange,
-    FixedPointDivergence,
     LogNearAntipode,
     SingularResolvent,
 )
@@ -71,24 +70,6 @@ def max_abs_diff(a, b):
     a = np.asarray(a, float).ravel().tolist()
     b = np.asarray(b, float).ravel().tolist()
     return max_abs([p - q for p, q in zip(a, b)])
-
-
-def fixed_point(update, z0, tol, max_iter, h, what):
-    """Iterate z <- update(z) until one move is below tol in the max norm.
-
-    Returns the last iterate.  Otherwise, after max_iter moves, raises
-    FixedPointDivergence with the message what, the step size h and the last
-    move as its residual (inf when max_iter allows no move); a NaN move never
-    reads as converged.
-    """
-    z, delta = z0, math.inf
-    for _ in range(max_iter):
-        new = update(z)
-        delta = max_abs_diff(new, z)
-        z = new
-        if delta < tol:
-            return z
-    raise FixedPointDivergence(what, h=h, residual=delta)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from .actions import FrozenFieldProblem
 from .errors import NonFiniteState
-from .liealg import affine_exp, fixed_point
+from .liealg import affine_exp
 
 
 def nonzero_terms(row):
@@ -132,10 +132,10 @@ def rkmk_step(problem: FrozenFieldProblem, y, h, tableau: ButcherTableau = KUTTA
     """Runge-Kutta method run in the Lie algebra with dexpinv corrections.
 
     Stage equations k_i = dexpinv_{u_i}(f(exp(u_i) . y)), u_i = sum_j (h a_ij) k_j,
-    update y1 = exp(h sum_i b_i k_i) . y.  An implicit tableau solves for the
-    stacked stages z = (k_1, ..., k_s) from the start (f(y), ..., f(y)): with
-    solver.solve(residual, z0, h=h) on the residual z - k(z) when a solver is
-    given, and by fixed-point iteration z <- k(z) otherwise.
+    update y1 = exp(h sum_i b_i k_i) . y.  An implicit tableau needs a solver,
+    an ImplicitSolver or any object with its solve: solver.solve(residual, z0,
+    h=h) finds the stacked stages z = (k_1, ..., k_s) where the residual
+    z - k(z) vanishes, from the start (f(y), ..., f(y)).
     """
     act = problem.action
     group = act.group
@@ -155,6 +155,8 @@ def rkmk_step(problem: FrozenFieldProblem, y, h, tableau: ButcherTableau = KUTTA
         for i in range(s):
             ks.append(stage(ks, i))
     else:
+        if solver is None:
+            raise ValueError("an implicit tableau needs a solver, e.g. solver=ImplicitSolver()")
         k0 = np.asarray(f(y), dtype=float)
         stacked = (s, *k0.shape)  # z is the flat form of the stages k_1, ..., k_s
 
@@ -165,12 +167,7 @@ def rkmk_step(problem: FrozenFieldProblem, y, h, tableau: ButcherTableau = KUTTA
             return np.concatenate([stage(ks, i) for i in range(s)], axis=None)
 
         z0 = np.concatenate([k0] * s, axis=None)
-        if solver is None:
-            z = fixed_point(stacked_stages, z0, 1e-12, 100, h,
-                            "implicit tableau stages did not converge")
-        else:
-            z = solver.solve(lambda z: z - stacked_stages(z), z0, h=h)
-        ks = z.reshape(stacked)
+        ks = solver.solve(lambda z: z - stacked_stages(z), z0, h=h).reshape(stacked)
 
     return act.apply(group.exp(h * weighted_sum(tableau.b_terms, ks)), y)
 

@@ -10,7 +10,9 @@ steppers.rkmk_step with the tableau [[theta]], [1] on G x| g* acting on itself;
 this module only builds that problem.  Also here: the heavy-top Hamiltonian,
 and cotangent_step, the one-step map of either theta scheme for
 steppers.integrate.  Each step solves its stage equations with the
-ImplicitSolver passed as solver, a fresh Newton solver by default.
+ImplicitSolver passed as solver, a fresh one by default: the package's one
+implicit solver, whose Newton solve also serves rkmk_step's implicit
+tableaus and whose fixed_point serves discrete_gradient.dg_step.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .actions import FrozenFieldProblem, LeftMultiplicationAction
 from .errors import FixedPointDivergence, NonFiniteState
-from .liealg import SO3, GroupOps, cross3, fixed_point, max_abs
+from .liealg import SO3, GroupOps, cross3, max_abs, max_abs_diff
 from .liealg import dexpinv_series  # noqa: F401  (a name the traced benchmark patches)
 from .semidirect import CotangentOps
 from .steppers import ButcherTableau, nonzero_terms, rkmk_step, weighted_sum
@@ -104,18 +106,15 @@ class StageCoefficients:
 
 
 class ImplicitSolver:
-    """Newton iteration with a reusable finite-difference Jacobian.
+    """Newton iteration with a reusable finite-difference Jacobian, and a plain
+    fixed-point iteration, both to the tolerance tol within max_iter moves.
 
-    The factorised Jacobian and the last solution are kept between calls, so
-    successive steps of a trajectory converge in a couple of iterations.  A
-    plain fixed-point mode is available for cross-checking; both converge to
-    the same root within tolerance.
+    solve (Newton) keeps the factorised Jacobian and the last solution between
+    calls, so successive steps of a trajectory converge in a couple of
+    iterations.  fixed_point iterates an update map with no warm start.
     """
 
-    def __init__(self, method="newton", tol=1e-12, max_iter=200):
-        if method not in ("newton", "fixed_point"):
-            raise ValueError(f"unknown solver method {method!r}")
-        self.method = method
+    def __init__(self, tol=1e-12, max_iter=200):
         self.tol = tol
         self.max_iter = max_iter
         self._lu = None
@@ -137,6 +136,7 @@ class ImplicitSolver:
         self._lu = lu_factor(J, check_finite=False)
 
     def solve(self, residual, z0, h=None):
+        """Newton on residual(z) = 0, warm-started from the last solution."""
         z0 = np.asarray(z0, dtype=float)
         # Restarts go back to z0: a start that is not finite is an overflow, not a divergence.
         if not (math.isfinite(sum(z0.tolist())) or np.isfinite(z0).all()):
@@ -144,11 +144,6 @@ class ImplicitSolver:
                                  f" (h={h!r})")
         z = self._z if (self._z is not None and len(self._z) == len(z0)) else z0
         z = z.copy()
-        if self.method == "fixed_point":
-            self._z = fixed_point(lambda z: z - residual(z), z, self.tol, self.max_iter,
-                                  h, "fixed-point iteration did not converge")
-            return self._z
-
         r = residual(z)
         norm_prev = math.inf
         rebuilds = 0
@@ -173,6 +168,24 @@ class ImplicitSolver:
             r = residual(z)
         raise FixedPointDivergence(
             "Newton iteration did not converge", h=h, residual=max_abs(r.tolist()))
+
+    # dg steps iterate here, not in solve, whose calls feed the traced per-solve counts.
+    def fixed_point(self, update, z0, h, what):
+        """Iterate z <- update(z) until one move is below tol in the max norm.
+
+        Returns the last iterate.  Otherwise, after max_iter moves, raises
+        FixedPointDivergence with the message what, the step size h and the
+        last move as its residual (inf when max_iter allows no move); a NaN
+        move never reads as converged.
+        """
+        z, delta = z0, math.inf
+        for _ in range(self.max_iter):
+            new = update(z)
+            delta = max_abs_diff(new, z)
+            z = new
+            if delta < self.tol:
+                return z
+        raise FixedPointDivergence(what, h=h, residual=delta)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ the package, except theta_step_reference and rkmk_theta_step_reference:
 second forms of the symplectic and RKMK theta steps, which take their group
 operations and Newton solver from the package so that only the form of the
 stage equations differs.  write_csv_rows is the one-row-at-a-time form of the
-CLI's CSV writer.
+CLI's CSV writer.  FixedPointSolver solves a residual by the package solver's
+fixed-point loop instead of its Newton iteration.
 """
 
 import numpy as np
@@ -153,6 +154,18 @@ def state_distance(a, b):
         np.linalg.norm(np.asarray(g1) - np.asarray(g2))
         + np.linalg.norm(mu1 - mu2) / scale
     )
+
+
+class FixedPointSolver:
+    """Solves residual(z) = 0 by iterating z <- z - residual(z), as a
+    stand-in for the Newton solver of the symplectic steps."""
+
+    def __init__(self, max_iter):
+        self.solver = ImplicitSolver(max_iter=max_iter)
+
+    def solve(self, residual, z0, h=None):
+        return self.solver.fixed_point(lambda z: z - residual(z), np.asarray(z0, float), h,
+                                       "fixed-point iteration did not converge")
 
 
 def theta_step_reference(theta, system, state, h):

@@ -79,19 +79,35 @@ def test_dg_step_builds_one_two_form_per_iteration(monkeypatch):
     system = discrete_gradient.free_rigid_body_quat([1.0, 5.0, 60.0], [1.0, 0.1, -0.01])
     with pytest.raises(FixedPointDivergence):  # tol 0 is never reached
         discrete_gradient.dg_step(system, np.array([1.0, 0.0, 0.0, 0.0]), 1 / 64,
-                                  tol=0.0, max_iter=ITERATIONS)
+                                  solver=symplectic.ImplicitSolver(tol=0.0, max_iter=ITERATIONS))
     assert len(calls) == ITERATIONS
 
 
-def test_fixed_point_solve_evaluates_one_residual_per_iteration():
-    """symplectic.residual_evals_per_solve counts calls of the residual."""
+def test_fixed_point_evaluates_one_update_per_iteration():
+    """The dg iterations the traced run counts are the moves of fixed_point."""
     calls = []
 
-    def residual(z):
+    def update(z):
         calls.append(1)
-        return 0.1 * z + 1.0
+        return 0.9 * z + 1.0
 
-    solver = symplectic.ImplicitSolver(method="fixed_point", max_iter=ITERATIONS)
+    solver = symplectic.ImplicitSolver(max_iter=ITERATIONS)
     with pytest.raises(FixedPointDivergence):
-        solver.solve(residual, np.zeros(2), h=0.1)
+        solver.fixed_point(update, np.zeros(2), 0.1, "no convergence")
     assert len(calls) == ITERATIONS
+
+
+def test_dg_step_never_calls_solve(monkeypatch):
+    """The traced run counts every ImplicitSolver.solve call into the
+    symplectic.*_per_solve metrics; a dg step must add none."""
+    calls = []
+    solve = symplectic.ImplicitSolver.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(symplectic.ImplicitSolver, "solve", counted)
+    system = discrete_gradient.free_rigid_body_quat([1.0, 5.0, 60.0], [1.0, 0.1, -0.01])
+    discrete_gradient.dg_step(system, np.array([1.0, 0.0, 0.0, 0.0]), 1 / 64)
+    assert calls == []

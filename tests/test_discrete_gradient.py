@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from ligi.discrete_gradient import (
 )
 from ligi.errors import CoincidentPoints, CriticalPoint, FixedPointDivergence
 from ligi.liealg import S3, SO3, TranslationOps, quat_exp, quat_mul
+from ligi.symplectic import ImplicitSolver
 from oracles import fit_slope, random_rotation, random_unit_quaternion, rk4_solve
 
 INERTIA = np.array([1.0, 5.0, 60.0])
@@ -324,7 +327,21 @@ def test_dg_step_nan_iterate_is_divergence():
                              field=lambda x: np.array([1.0, 0.0, 0.0]),
                              energy_differential=lambda x: gamma)
     with pytest.raises(FixedPointDivergence):
-        dg_step(system, np.zeros(3), 0.1, tdd="avf", max_iter=5)
+        dg_step(system, np.zeros(3), 0.1, tdd="avf", solver=ImplicitSolver(max_iter=5))
+
+
+@pytest.mark.parametrize("h, h_float, rtol", [
+    (1, 1.0, 0.0),
+    (np.float32(1 / 64), 1 / 64, 1e-6),
+    (np.float64(1 / 64), 1 / 64, 0.0),
+    (Fraction(1, 64), 1 / 64, 0.0),
+], ids=["int", "float32", "float64", "Fraction"])
+def test_dg_step_accepts_any_real_step_type(h, h_float, rtol):
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    expected = dg_step(FRB, q, h_float)
+    got = dg_step(FRB, q, h)
+    assert got.dtype == np.float64
+    np.testing.assert_allclose(got, expected, rtol=rtol, atol=0.0)
 
 
 def test_dg_step_second_order():

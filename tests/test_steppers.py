@@ -187,13 +187,22 @@ def test_rkmk4_agrees_with_generic_kutta_to_h5():
     assert slope >= 4.5
 
 
-def test_rkmk_implicit_tableau_fixed_point():
-    # Implicit midpoint as a 1-stage tableau; second order, solved by
-    # fixed-point iteration.
+def test_rkmk_implicit_tableau_second_order():
+    # Implicit midpoint as a 1-stage tableau; second order, solved by Newton.
     midpoint = ButcherTableau(a=[[0.5]], b=[1.0])
     slope, _ = convergence_study(FRB, rkmk_step, Y0_S2, 1.0, H_SWEEP[:4],
-                                 tableau=midpoint, series_order=4)
+                                 tableau=midpoint, series_order=4, solver=ImplicitSolver())
     assert abs(slope - 2.0) < 0.3
+
+
+def test_rkmk_implicit_tableau_without_solver_raises():
+    # The check comes before any evaluation: the coefficient map is never called.
+    def coefficient_map(m):
+        raise AssertionError("evaluated the field")
+
+    problem = FrozenFieldProblem(action=SO3_ON_S2, coefficient_map=coefficient_map)
+    with pytest.raises(ValueError, match="needs a solver"):
+        rkmk_step(problem, Y0_S2, 0.1, tableau=ButcherTableau(a=[[0.5]], b=[1.0]))
 
 
 def test_rkmk_tiny_diagonal_tableau_iterates():
@@ -201,36 +210,35 @@ def test_rkmk_tiny_diagonal_tableau_iterates():
     # the step iterates to a finite point near the explicit Euler one.
     tiny = ButcherTableau(a=[[1e-9]], b=[1.0])
     assert not tiny.explicit
-    y1 = rkmk_step(FRB, Y0_S2, 0.05, tableau=tiny)
+    y1 = rkmk_step(FRB, Y0_S2, 0.05, tableau=tiny, solver=ImplicitSolver())
     assert np.isfinite(y1).all()
     euler = rkmk_step(FRB, Y0_S2, 0.05, tableau=ButcherTableau(a=[[0.0]], b=[1.0]))
     assert np.allclose(y1, euler, atol=1e-8)
 
 
 def test_rkmk_implicit_divergence_reports_h():
-    # Contraction factor ~0.9: iterates stay bounded but cannot reach the
-    # tolerance within the allowed iterations.
+    # A stiff stage that one Newton move cannot solve to the tolerance.
     midpoint = ButcherTableau(a=[[0.5]], b=[1.0])
     problem = FrozenFieldProblem(
         action=SO3_ON_S2,
         coefficient_map=lambda m: 8.0 * np.array([m[1], m[2], m[0]]))
     with pytest.raises(FixedPointDivergence) as err:
         rkmk_step(problem, Y0_S2, 0.225, tableau=midpoint,
-                  solver=ImplicitSolver(method="fixed_point", max_iter=10))
+                  solver=ImplicitSolver(max_iter=1))
     assert err.value.h == 0.225
 
 
 def test_rkmk_implicit_nan_stage_is_divergence():
     # The first stage is f(y0) and never moves; the second is NaN off y0.
-    # The stage moves 0.0 and NaN must not read as converged, though
-    # Python's max(0.0, nan) is 0.0.
+    # The NaN residual must not read as converged, though Python's
+    # max(0.0, nan) is 0.0.
     tableau = ButcherTableau(a=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5])
     problem = FrozenFieldProblem(
         action=SO3_ON_S2,
         coefficient_map=lambda m: (np.array([m[1], m[2], m[0]]) if np.array_equal(m, Y0_S2)
                                    else np.full(3, np.nan)))
     with pytest.raises(FixedPointDivergence):
-        rkmk_step(problem, Y0_S2, 0.1, tableau=tableau)
+        rkmk_step(problem, Y0_S2, 0.1, tableau=tableau, solver=ImplicitSolver())
 
 
 @pytest.mark.parametrize("h, h_float, rtol", [

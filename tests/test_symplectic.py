@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ligi.discrete_gradient import dg_step
 from ligi.errors import FixedPointDivergence
 from ligi.liealg import SO3, So3Ops, hat
 from ligi.symplectic import (
@@ -19,8 +21,9 @@ from ligi.symplectic import (
     symplectic_step,
     theta_step,
 )
-from ligi.steppers import integrate
+from ligi.steppers import integrate, rkmk_step
 from oracles import (
+    FixedPointSolver,
     central_difference,
     fit_slope,
     random_rotation,
@@ -214,10 +217,15 @@ def test_rkmk_theta_step_matches_reference(rotation, omega, theta):
     (np.float64(0.05), 0.05, 0.0),
     (Fraction(1, 20), 0.05, 0.0),
 ], ids=["int", "float32", "float64", "Fraction"])
-@pytest.mark.parametrize("theta", [0.0, 0.5])
-def test_rkmk_theta_step_accepts_any_real_step_type(theta, h, h_float, rtol):
-    expected = rkmk_theta_step(theta, SMALL_SYSTEM, SMALL.state0, h_float)
-    got = rkmk_theta_step(theta, SMALL_SYSTEM, SMALL.state0, h)
+@pytest.mark.parametrize("step, theta", [
+    (rkmk_theta_step, 0.0),
+    (rkmk_theta_step, 0.5),
+    (theta_step, 0.0),
+    (theta_step, 0.5),
+], ids=["0.0", "0.5", "theta_step-0.0", "theta_step-0.5"])
+def test_rkmk_theta_step_accepts_any_real_step_type(step, theta, h, h_float, rtol):
+    expected = step(theta, SMALL_SYSTEM, SMALL.state0, h_float)
+    got = step(theta, SMALL_SYSTEM, SMALL.state0, h)
     for a, b in zip(got, expected):
         assert a.dtype == np.float64
         np.testing.assert_allclose(a, b, rtol=rtol, atol=0.0)
@@ -232,16 +240,24 @@ def test_theta_coefficients_are_shared_and_read_only():
 
 def test_newton_and_fixed_point_agree(rng):
     state = random_state(rng, BENCH.mu0[2])
-    a = theta_step(0.5, SYSTEM, state, 0.05, solver=ImplicitSolver(method="newton"))
-    b = theta_step(0.5, SYSTEM, state, 0.05,
-                   solver=ImplicitSolver(method="fixed_point", max_iter=2000))
+    a = theta_step(0.5, SYSTEM, state, 0.05, solver=ImplicitSolver())
+    b = theta_step(0.5, SYSTEM, state, 0.05, solver=FixedPointSolver(max_iter=2000))
     assert state_distance(a, b) < 1e-10
 
 
 def test_solver_divergence_error():
-    solver = ImplicitSolver(method="fixed_point", tol=1e-12, max_iter=4)
+    # The moves shrink tenfold each time: 1e-3 after four, far above tol.
+    solver = ImplicitSolver(tol=1e-12, max_iter=4)
     with pytest.raises(FixedPointDivergence):
-        solver.solve(lambda z: 0.9 * z + 1.0, np.zeros(2), h=0.1)
+        solver.fixed_point(lambda z: z - (0.9 * z + 1.0), np.zeros(2), 0.1, "no convergence")
+
+
+def test_implicit_steps_take_only_a_solver():
+    for step in (symplectic_step, theta_step, rkmk_theta_step, rkmk_step, dg_step):
+        parameters = inspect.signature(step).parameters
+        assert "solver" in parameters, step.__name__
+        assert not {"tol", "max_iter", "method"} & set(parameters), step.__name__
+    assert list(inspect.signature(ImplicitSolver).parameters) == ["tol", "max_iter"]
 
 
 def test_non_finite_jacobian_is_divergence():
@@ -307,12 +323,16 @@ def test_update_reuses_the_momentum_of_the_last_residual():
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("method", ["newton", "fixed_point"])
-def test_nan_residual_never_reads_as_converged(method):
-    # Python's max([0.0, nan]) is 0.0; the residual norm must stay NaN.
-    solver = ImplicitSolver(method=method, max_iter=5)
+@pytest.mark.parametrize("entry", ["newton", "fixed_point"])
+def test_nan_residual_never_reads_as_converged(entry):
+    # Python's max([0.0, nan]) is 0.0; the residual norm, or the move, must stay NaN.
+    solver = ImplicitSolver(max_iter=5)
     with pytest.raises(FixedPointDivergence):
-        solver.solve(lambda z: np.array([0.0, np.nan]), np.zeros(2), h=0.1)
+        if entry == "newton":
+            solver.solve(lambda z: np.array([0.0, np.nan]), np.zeros(2), h=0.1)
+        else:
+            solver.fixed_point(lambda z: z - np.array([0.0, np.nan]), np.zeros(2), 0.1,
+                               "no convergence")
 
 
 # ---------------------------------------------------------------------------
