@@ -5,10 +5,10 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_one_solver.json unless ``--out`` names another file (the earlier
+BENCH_one_tableau.json unless ``--out`` names another file (the earlier
 records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
-BENCH_cotangent_family.json, BENCH_explicit_actions.json and
-BENCH_rkmk_family.json).  The cases of
+BENCH_cotangent_family.json, BENCH_explicit_actions.json,
+BENCH_rkmk_family.json and BENCH_one_solver.json).  The cases of
 ``src/`` are timed as "change"; with ``--baseline`` those of
 ``<baseline>/src`` are timed too, as "parent".
 Each tree is timed in fresh single-threaded child interpreters, alternating
@@ -116,9 +116,12 @@ A6 = np.concatenate([S, 40.0 * V])
 B6 = np.concatenate([V, 30.0 * S])
 HT = symplectic.heavy_top(symplectic.HeavyTopParams.benchmark())
 HT_STATE = symplectic.HeavyTopParams.benchmark().state0
-THETA05 = symplectic.StageCoefficients.theta(0.5)
-THETA0 = symplectic.StageCoefficients.theta(0.0)
-GAUSS2 = symplectic.StageCoefficients(  # the two-stage Gauss-Legendre coefficients
+# steppers.ButcherTableau; a tree from before it parametrised the symplectic
+# family has the separate symplectic.StageCoefficients, with the same theta().
+TABLEAU = getattr(symplectic, "StageCoefficients", steppers.ButcherTableau)
+THETA05 = TABLEAU.theta(0.5)
+THETA0 = TABLEAU.theta(0.0)
+GAUSS2 = TABLEAU(  # the two-stage Gauss-Legendre coefficients
     a=[[0.25, 0.25 - 3 ** 0.5 / 6], [0.25 + 3 ** 0.5 / 6, 0.25]], b=[0.5, 0.5])
 class Capture:  # a solver that keeps the residual and returns the start point
     def solve(self, residual, z0, h=None):
@@ -230,7 +233,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_one_solver.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_one_tableau.json"))
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,31 +41,41 @@ def weighted_sum(terms, vectors, out=None):
 
 @dataclass(frozen=True)
 class ButcherTableau:
-    """Runge-Kutta coefficients (a, b, c) with c defaulting to row sums.
+    """Runge-Kutta coefficients (a, b): an s x s stage matrix and s weights summing to 1.
 
-    The nonzero weights are kept once as Python floats: rows[i] holds the
-    (j, a_ij) pairs of row i of a, and b_terms the (i, b_i) pairs; explicit
-    reads the rows.
+    One type parametrises rkmk_step and the symplectic family of
+    symplectic.symplectic_step, which also needs every b_i != 0 and checks
+    that itself.  a and b are read-only copies, so theta() can share its
+    instances.  The nonzero weights are kept once as Python floats: rows[i]
+    holds the (j, a_ij) pairs of row i of a, and b_terms the (i, b_i) pairs;
+    explicit reads the rows.
     """
 
     a: np.ndarray
     b: np.ndarray
-    c: np.ndarray = None
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        b = np.asarray(self.b, dtype=float)
+        a = np.array(self.a, dtype=float, ndmin=2)
+        b = np.array(self.b, dtype=float, ndmin=1)
+        a.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if abs(b.sum() - 1.0) > 1e-14:
+        if a.shape != (len(b), len(b)):
+            raise ValueError(f"stage matrix a must have shape {(len(b), len(b))}"
+                             f" for {len(b)} stage weights, got {a.shape}")
+        if not abs(b.sum() - 1.0) <= 1e-14:  # a NaN weight fails too
             raise ValueError(f"tableau weights must sum to 1, got {b.sum()!r}")
-        c = self.c if self.c is not None else a.sum(axis=1)
-        object.__setattr__(self, "c", np.asarray(c, dtype=float))
         object.__setattr__(self, "rows", tuple(map(nonzero_terms, a.tolist())))
         object.__setattr__(self, "b_terms", nonzero_terms(b.tolist()))
         # a_ij == 0 exactly for j >= i: a tiny diagonal is still implicit.
         object.__setattr__(self, "explicit",
                            all(j < i for i, row in enumerate(self.rows) for j, _ in row))
+
+    @classmethod
+    @lru_cache(maxsize=16)
+    def theta(cls, theta):
+        """The one-stage tableau [[theta]], [1], one shared instance per theta."""
+        return cls(a=[[float(theta)]], b=[1.0])
 
     @property
     def stages(self):

@@ -2,12 +2,13 @@
 
 States are pairs (g, mu).  A Hamiltonian H(g, mu) induces the coefficient
 map f = (dH/dmu, -R_g^* dH/dg).  symplectic_step is the one implementation of
-the s-stage symplectic family, for any StageCoefficients (a, b): exponentials
-of the stage variables and dual dexp transports of the momentum, symplectic
-by its variational derivation.  theta_step names its s = 1 member with
-a_11 = theta.  Its comparator, the Runge-Kutta-Munthe-Kaas theta method, is
-steppers.rkmk_step with the tableau [[theta]], [1] on G x| g* acting on itself;
-this module only builds that problem.  Also here: the heavy-top Hamiltonian,
+the s-stage symplectic family, for any steppers.ButcherTableau (a, b) with
+every b_i != 0: exponentials of the stage variables and dual dexp transports
+of the momentum, symplectic by its variational derivation.  theta_step names
+its s = 1 member, the tableau ButcherTableau.theta(theta) = [[theta]], [1].
+Its comparator, the Runge-Kutta-Munthe-Kaas theta method, is
+steppers.rkmk_step with that same tableau on G x| g* acting on itself; this
+module only builds that problem.  Also here: the heavy-top Hamiltonian,
 and cotangent_step, the one-step map of either theta scheme for
 steppers.integrate.  Each step solves its stage equations with the
 ImplicitSolver passed as solver, a fresh one by default: the package's one
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import FixedPointDivergence, NonFiniteState
 from .liealg import SO3, GroupOps, cross3, max_abs, max_abs_diff
 from .liealg import dexpinv_series  # noqa: F401  (a name the traced benchmark patches)
 from .semidirect import CotangentOps
-from .steppers import ButcherTableau, nonzero_terms, rkmk_step, weighted_sum
+from .steppers import ButcherTableau, rkmk_step, weighted_sum
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -62,47 +63,6 @@ class HamiltonianSystem:
         ct, force_map = CotangentOps(self.group), self.force_map
         return FrozenFieldProblem(action=LeftMultiplicationAction(ct, "cotangent_left"),
                                   coefficient_map=lambda y: ct.join(*force_map(*y)))
-
-
-@dataclass(frozen=True)
-class StageCoefficients:
-    """Coefficients (a, b) of the symplectic family; needs sum(b) = 1, b_i != 0.
-
-    The nonzero weights are kept as rows of (j, w) pairs, built once: x_terms
-    of X_i = sum_j a_ij xi_j, y_terms of Y = sum_j b_j xi_j, and m_terms of the
-    momentum couplings -b_j a_ji / b_i, nonzero only where row j of a is.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.a, dtype=float, ndmin=2)  # read-only copies: theta()
-        b = np.array(self.b, dtype=float, ndmin=1)  # shares its instances
-        a.flags.writeable = b.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if a.shape != (len(b), len(b)):
-            raise ValueError(f"stage matrix a must have shape {(len(b), len(b))}"
-                             f" for {len(b)} stage weights, got {a.shape}")
-        if abs(b.sum() - 1.0) > 1e-14:
-            raise ValueError("stage weights must sum to 1")
-        if np.any(b == 0.0):
-            raise ValueError("stage weights must be nonzero")
-        a, b = a.tolist(), b.tolist()
-        coupling = [[-b[j] * a[j][i] / b[i] for j in range(len(b))] for i in range(len(b))]
-        object.__setattr__(self, "x_terms", tuple(map(nonzero_terms, a)))
-        object.__setattr__(self, "y_terms", nonzero_terms(b))
-        object.__setattr__(self, "m_terms", tuple(map(nonzero_terms, coupling)))
-
-    @classmethod
-    @lru_cache(maxsize=16)
-    def theta(cls, theta):
-        return cls(a=[[float(theta)]], b=[1.0])
-
-    @property
-    def stages(self):
-        return len(self.b)
 
 
 class ImplicitSolver:
@@ -192,9 +152,9 @@ class ImplicitSolver:
 # The symplectic family
 # ---------------------------------------------------------------------------
 
-def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state, h,
+def symplectic_step(tableau: ButcherTableau, system: HamiltonianSystem, state, h,
                     solver=None):
-    """One step of the s-stage symplectic family.
+    """One step of the s-stage symplectic family of a tableau (a, b) with every b_i != 0.
 
     Solves the coupled stage system
 
@@ -207,16 +167,25 @@ def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state,
     dd(-X) coAd(exp X) = dd(X)), then updates by
     (exp Y, coAd(exp(-Y), sum_i b_i n_i)) . (g0, mu0).  The update takes
     mu0 + sum_i b_i n_i from the last residual evaluation when the solver
-    returns that iterate, as Newton does, and recomputes it otherwise.
+    returns that iterate, as Newton does, and recomputes it otherwise.  A zero
+    weight raises ValueError before anything is evaluated.
     """
     group, f = system.group, system.force_map
-    d, s = group.dim, coeffs.stages
+    d, s = group.dim, tableau.stages
+    b = tableau.b.tolist()
+    if 0.0 in b:
+        raise ValueError(f"the symplectic family needs every stage weight nonzero, got b = {b}")
+    # The momentum couplings -b_j a_ji / b_i, one for each nonzero a_ji.
+    couplings = [[] for _ in range(s)]
+    for j, row in enumerate(tableau.rows):
+        for i, w in row:
+            couplings[i].append((j, -b[j] * w / b[i]))
     g0, mu0 = state
     # z stacks (xi_1, nbar_1, ..., xi_s, nbar_s); the rows of weights slice it.
     xi_at = [slice(2 * d * i, 2 * d * i + d) for i in range(s)]
-    y_row = [(xi_at[j], w) for j, w in coeffs.y_terms]
+    y_row = [(xi_at[j], w) for j, w in tableau.b_terms]
     plan = [([(xi_at[j], w) for j, w in row], slice(2 * d * i + d, 2 * d * (i + 1)))
-            for i, row in enumerate(coeffs.x_terms)]
+            for i, row in enumerate(tableau.rows)]
     zero = np.zeros(d)
 
     def stages(z):
@@ -229,7 +198,7 @@ def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state,
             n.append(group.coAd(E[j], nbar))
             if row:
                 D[j] = group.dual_dexp(X, nbar)
-        return E, D, weighted_sum(coeffs.y_terms, n, mu0)
+        return E, D, weighted_sum(tableau.b_terms, n, mu0)
 
     last = {}  # the bytes of the last residual's iterate, and its momentum sum
 
@@ -238,7 +207,7 @@ def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state,
         last["z"], last["mu"] = z.tobytes(), mu
         base = group.dual_dexp(-weighted_sum(y_row, z), mu)
         forces = []
-        for e, row in zip(E, coeffs.m_terms):
+        for e, row in zip(E, couplings):
             forces += f(group.mul(e, g0), weighted_sum(row, D, base))
         # z - h (f1, f2, ...) is (xi_i - h f1_i, nbar_i - h f2_i), block by block.
         return z - h * np.concatenate(forces, dtype=float)
@@ -254,16 +223,11 @@ def symplectic_step(coeffs: StageCoefficients, system: HamiltonianSystem, state,
 
 def theta_step(theta, system: HamiltonianSystem, state, h, solver=None):
     """The s = 1 member of the family, a_11 = theta."""
-    return symplectic_step(StageCoefficients.theta(theta), system, state, h, solver)
+    return symplectic_step(ButcherTableau.theta(theta), system, state, h, solver)
 
 
 # Truncation order of the RKMK theta stage's dexpinv series.
 RKMK_THETA_SERIES_ORDER = 2
-
-
-@lru_cache(maxsize=16)
-def _theta_tableau(theta):
-    return ButcherTableau(a=[[float(theta)]], b=[1.0])
 
 
 def rkmk_theta_step(theta, system: HamiltonianSystem, state, h, solver=None):
@@ -274,7 +238,7 @@ def rkmk_theta_step(theta, system: HamiltonianSystem, state, h, solver=None):
     with the dexpinv series truncated at RKMK_THETA_SERIES_ORDER, and the
     update exp(h k) . y0.  Not symplectic; serves as the comparator.
     """
-    return rkmk_step(system.cotangent_problem, state, h, tableau=_theta_tableau(theta),
+    return rkmk_step(system.cotangent_problem, state, h, tableau=ButcherTableau.theta(theta),
                      series_order=RKMK_THETA_SERIES_ORDER, solver=solver or ImplicitSolver())
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -59,17 +60,21 @@ def constant_field_problem(action, xi):
 # ---------------------------------------------------------------------------
 
 def test_tableau_weights_must_sum_to_one():
-    with pytest.raises(ValueError):
-        ButcherTableau(a=[[0.0]], b=[0.9])
+    for b in ([0.9], [float("nan")]):
+        with pytest.raises(ValueError, match="weights must sum to 1"):
+            ButcherTableau(a=[[0.0]], b=b)
 
 
 def test_tableau_row_sums():
-    assert np.allclose(KUTTA4.c, [0.0, 0.5, 0.5, 1.0])
     assert np.allclose(KUTTA4.b, [1 / 6, 1 / 3, 1 / 3, 1 / 6])
     assert np.allclose(KUTTA4.a[1:, :3],
                        [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
     assert KUTTA4.explicit
     assert not ButcherTableau(a=[[0.5]], b=[1.0]).explicit
+
+
+def test_tableau_fields_are_the_stage_matrix_and_the_weights():
+    assert [f.name for f in dataclasses.fields(ButcherTableau)] == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,28 @@
 import inspect
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ligi.discrete_gradient import dg_step
+from ligi import symplectic
+from ligi.discrete_gradient import dg_step, free_rigid_body_quat
 from ligi.errors import FixedPointDivergence
-from ligi.liealg import SO3, So3Ops, hat
+from ligi.liealg import SO3, So3Ops, hat, quat_exp
 from ligi.symplectic import (
     E3,
     HamiltonianSystem,
     HeavyTopParams,
     ImplicitSolver,
-    StageCoefficients,
     cotangent_step,
     heavy_top,
     rkmk_theta_step,
     symplectic_step,
     theta_step,
 )
-from ligi.steppers import integrate, rkmk_step
+from ligi.steppers import KUTTA4, ButcherTableau, integrate, rkmk_step
 from oracles import (
     FixedPointSolver,
     central_difference,
@@ -75,19 +76,30 @@ def flat_reference(system, state, T, n=4000):
 
 def test_stage_coefficients_validation():
     with pytest.raises(ValueError):
-        StageCoefficients(a=[[0.0]], b=[0.5])
-    with pytest.raises(ValueError):
-        StageCoefficients(a=[[0.0, 0.0], [0.0, 0.0]], b=[1.0, 0.0])
-    assert StageCoefficients.theta(0.3).a[0, 0] == 0.3
+        ButcherTableau(a=[[0.0]], b=[0.5])
+    assert ButcherTableau.theta(0.3).a[0, 0] == 0.3
+    # A zero weight is a legal tableau, but not for the symplectic family: its
+    # step refuses it before the first force evaluation.
+    zero_weight = ButcherTableau(a=[[0.0, 0.0], [0.0, 0.0]], b=[1.0, 0.0])
+
+    def force_map(g, mu):
+        raise AssertionError("force map evaluated")
+
+    system = HamiltonianSystem(group=SO3, hamiltonian=lambda g, mu: 0.0, force_map=force_map)
+    with pytest.raises(ValueError, match="stage weight nonzero"):
+        symplectic_step(zero_weight, system, (np.eye(3), np.ones(3)), 0.1)
 
 
 @pytest.mark.parametrize("a, b, shape", [
     ([[0.5]], [0.5, 0.5], r"\(1, 1\)"),
     ([[0.5, 0.1]], [1.0], r"\(1, 2\)"),
-], ids=["fewer-rows-than-weights", "not-square"])
+    ([[0.0, 0.0], [0.5, 0.0], [0.0, 1.0]], [0.5, 0.5], r"\(3, 2\)"),
+], ids=["fewer-rows-than-weights", "not-square", "more-rows-than-weights"])
 def test_stage_matrix_must_be_square_over_the_weights(a, b, shape):
+    # As RKMK tableaus, the first two once reached rkmk_step and failed there
+    # with IndexError, and the third stepped, ignoring row 3.
     with pytest.raises(ValueError, match=f"stage matrix a must have shape .* got {shape}"):
-        StageCoefficients(a=a, b=b)
+        ButcherTableau(a=a, b=b)
 
 
 def test_zero_hamiltonian_identity_steps():
@@ -95,7 +107,7 @@ def test_zero_hamiltonian_identity_steps():
     state = (np.eye(3), np.array([1.0, 2.0, 3.0]))
     for step in (
         lambda: theta_step(0.5, system, state, 0.1),
-        lambda: symplectic_step(StageCoefficients.theta(0.0), system, state, 0.1),
+        lambda: symplectic_step(ButcherTableau.theta(0.0), system, state, 0.1),
         lambda: rkmk_theta_step(0.5, system, state, 0.1),
         lambda: rkmk_theta_step(0.0, system, state, 0.1),
     ):
@@ -159,8 +171,7 @@ def test_force_map_mu_derivative(rng):
 def duplicated_theta(theta):
     # With a_ij = theta * b_j the two stages coincide and the family
     # collapses to the theta member; exercises the s > 1 coupling terms.
-    return StageCoefficients(a=[[theta / 2, theta / 2], [theta / 2, theta / 2]],
-                             b=[0.5, 0.5])
+    return ButcherTableau(a=[[theta / 2, theta / 2], [theta / 2, theta / 2]], b=[0.5, 0.5])
 
 
 def test_family_theta_equivalence_on_random_states(rng):
@@ -168,7 +179,7 @@ def test_family_theta_equivalence_on_random_states(rng):
         state = random_state(rng, BENCH.mu0[2])
         theta = rng.uniform(0.0, 1.0)
         s1 = theta_step_reference(theta, SYSTEM, state, 0.05)
-        s2 = symplectic_step(StageCoefficients.theta(theta), SYSTEM, state, 0.05)
+        s2 = symplectic_step(ButcherTableau.theta(theta), SYSTEM, state, 0.05)
         assert state_distance(s1, s2) < 1e-12
 
 
@@ -181,13 +192,13 @@ def test_two_stage_duplicate_reduces_to_theta(rng):
         assert state_distance(s1, s2) < 1e-11
 
 
-@pytest.mark.parametrize("coeffs,tol", [(StageCoefficients.theta(0.5), 1e-12),
-                                        (duplicated_theta(0.5), 1e-11)],
+@pytest.mark.parametrize("tableau,tol", [(ButcherTableau.theta(0.5), 1e-12),
+                                         (duplicated_theta(0.5), 1e-11)],
                          ids=["theta", "two-stage"])
-def test_step_past_two_pi_matches_reference(coeffs, tol):
+def test_step_past_two_pi_matches_reference(tableau, tol):
     # |h I^-1 mu| = 6.5 > 2 pi: an update through dexpinv_Y has a pole here.
     state = (np.eye(3), BENCH.inertia * np.array([130.0, 0.0, 0.0]))
-    step = symplectic_step(coeffs, SYSTEM, state, 0.05)
+    step = symplectic_step(tableau, SYSTEM, state, 0.05)
     assert state_distance(step, theta_step_reference(0.5, SYSTEM, state, 0.05)) < tol
     energy = SYSTEM.energy(state)
     assert abs(SYSTEM.energy(step) - energy) < 1e-6 * abs(energy)
@@ -231,11 +242,74 @@ def test_rkmk_theta_step_accepts_any_real_step_type(step, theta, h, h_float, rto
         np.testing.assert_allclose(a, b, rtol=rtol, atol=0.0)
 
 
-def test_theta_coefficients_are_shared_and_read_only():
-    coeffs = StageCoefficients.theta(0.5)
-    assert StageCoefficients.theta(0.5) is coeffs
-    with pytest.raises(ValueError):
-        coeffs.a[0, 0] = 0.0
+# The quaternion free rigid body of the frb-s3 presets: I = (1, 5, 60), I m0 = (1, 1/2, -1).
+FRB_S3 = free_rigid_body_quat(np.array([1.0, 5.0, 60.0]),
+                              np.array([1.0, 0.1, -1.0 / 60.0]))
+
+
+def heavy_top_state(rotation, omega):
+    return SO3.exp(2.5 * rotation), BENCH.mu0[2] * omega
+
+
+def quaternion_state(rotation, omega):
+    return quat_exp(1.5 * rotation)
+
+
+def max_abs_distance(p, q):
+    return float(np.max(np.abs(p - q)))
+
+
+# name: (step(y, h), h, state from two points of the unit box, distance)
+REVERSAL_CASES = {
+    "theta_step-0.5": (partial(theta_step, 0.5, SYSTEM), 0.05, heavy_top_state,
+                       state_distance),
+    "rkmk_theta_step-0.5": (partial(rkmk_theta_step, 0.5, SYSTEM), 0.05, heavy_top_state,
+                            state_distance),
+    "dg_step-midpoint": (partial(dg_step, FRB_S3), 1 / 64, quaternion_state, max_abs_distance),
+    "theta_step-0.0": (partial(theta_step, 0.0, SYSTEM), 0.05, heavy_top_state,
+                       state_distance),
+    "dg_step-not-midpoint": (partial(dg_step, FRB_S3, midpoint_form=False), 1 / 64,
+                             quaternion_state, max_abs_distance),
+}
+
+
+def reversal_error(case, rotation, omega):
+    """The distance of step(step(y, h), -h) from y."""
+    step, h, state, distance = REVERSAL_CASES[case]
+    y = state(rotation, omega)
+    return distance(step(step(y, h), -h), y)
+
+
+@pytest.mark.parametrize("case", ["theta_step-0.5", "rkmk_theta_step-0.5", "dg_step-midpoint"])
+@given(rotation=unit_box, omega=unit_box)
+@settings(max_examples=200, deadline=None)
+def test_symmetric_steps_are_time_reversible(case, rotation, omega):
+    # Hairer, Lubich & Wanner, Geometric Numerical Integration, ch. V.
+    assert reversal_error(case, rotation, omega) < 1e-10
+
+
+@pytest.mark.parametrize("case", ["theta_step-0.0", "dg_step-not-midpoint"])
+def test_asymmetric_steps_are_not_time_reversible(case, rng):
+    # Controls for the property above: these steps do not come back, so the
+    # worst of a few random states lies far above its 1e-10.
+    boxes = rng.uniform(-1.0, 1.0, size=(20, 2, 3))
+    assert max(reversal_error(case, rotation, omega) for rotation, omega in boxes) > 1e-8
+
+
+def test_theta_coefficients_are_shared_and_read_only(monkeypatch):
+    tableau = ButcherTableau.theta(0.5)
+    assert ButcherTableau.theta(0.5) is tableau
+    # Both theta schemes step with that one cached instance.
+    seen = []
+    monkeypatch.setattr(symplectic, "symplectic_step", lambda t, *args: seen.append(t))
+    monkeypatch.setattr(symplectic, "rkmk_step", lambda *args, tableau, **kw: seen.append(tableau))
+    theta_step(0.5, SYSTEM, BENCH.state0, 0.05)
+    rkmk_theta_step(0.5, SYSTEM, BENCH.state0, 0.05)
+    assert len(seen) == 2 and all(t is tableau for t in seen)
+    for shared in (tableau, KUTTA4):
+        for array in (shared.a, shared.b):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 def test_newton_and_fixed_point_agree(rng):
