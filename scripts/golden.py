@@ -3,8 +3,9 @@
     PYTHONPATH=src python scripts/golden.py            # rewrite tests/golden/
     PYTHONPATH=src python scripts/golden.py --check    # rerun the full presets
 
-`tests/golden/` holds the first GOLDEN_STEPS steps of every preset, one
-`order` report and one `drift` report, each the exact bytes `ligi ... --out`
+`tests/golden/` holds the first GOLDEN_STEPS steps of every preset, three
+`order` reports (explicit, symplectic and discrete-gradient schemes) and one
+`drift` report, each the exact bytes `ligi ... --out`
 writes; `tests/test_golden.py` reruns the commands listed in `cases.json`
 and compares byte for byte.  Full-length preset runs take tens of seconds,
 so they are kept as sha256 digests in `PRESET_DIGESTS.json`; `--check`
@@ -40,6 +41,12 @@ def golden_cases():
              for preset in sorted(cli.PRESETS)}
     cases["order-frb_s2-rkmk.json"] = [
         "order", "--problem", "frb_s2", "--scheme", "rkmk",
+        "--h-list", "0.1,0.05,0.025,0.0125", "--T", "2"]
+    cases["order-heavytop-symplectic_theta.json"] = [
+        "order", "--problem", "heavytop", "--scheme", "symplectic_theta",
+        "--h-list", "0.02,0.01,0.005", "--T", "0.2"]
+    cases["order-frb_s3-dg.json"] = [
+        "order", "--problem", "frb_s3", "--scheme", "dg",
         "--h-list", "0.1,0.05,0.025,0.0125", "--T", "2"]
     cases["drift-frb-s3-dg.json"] = [
         "drift", "--preset", "frb-s3-dg", "--steps", str(GOLDEN_STEPS)]

@@ -1,11 +1,13 @@
 """Command-line front end: run experiments, order studies and drift reports.
 
     ligi integrate --problem frb_s2 --scheme rkmk4 --h 0.05 --steps 200
-    ligi order     --problem frb_s2 --scheme lie_euler --h-list 0.1,0.05,0.025
+    ligi order     --problem heavytop --scheme symplectic_theta --h-list 0.02,0.01,0.005 --T 0.2
     ligi drift     --preset heavytop-theta05
 
-Trajectories are written as CSV (full precision, deterministic for a given
-config and seed); order and drift reports are printed as JSON.
+Every command runs on every problem and each of its schemes.  Trajectories
+are written as CSV (full precision, deterministic for a given config and
+seed); order and drift reports are printed as JSON.  An order study measures
+the scheme against RKMK4 on the same problem at a finer step.
 
 Exit codes: 2 configuration error, 3 solver divergence, 4 non-finite state or
 invariant, 5 numerical-domain error (errors.DomainError: a closed form that is
@@ -15,6 +17,7 @@ undefined at the values the run reached; a smaller h usually avoids it).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import numbers
@@ -62,7 +65,6 @@ class RunConfig:
     h: float = None
     steps: int = None
     theta: float = 0.5
-    tdd: str = "gonzalez"
     series_order: int = 4
     seed: int = 0
     out: str = None
@@ -72,8 +74,6 @@ class RunConfig:
     def validate(self):
         if self.problem not in PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}; known: {sorted(PROBLEMS)}")
-        if self.scheme is None:
-            raise ConfigError("a scheme is required")
         if self.command in ("integrate", "drift"):
             if self.h is None or not (math.isfinite(self.h) and self.h > 0.0):
                 raise ConfigError("h must be positive and finite")
@@ -127,54 +127,62 @@ ACTION_STEPS = {
 }
 
 
-def _action_setup(problem, state0, labels, config, other_schemes=()):
-    """The run of config.scheme on a group-action problem.
+def _action_schemes(problem, config):
+    """The make_step of every ACTION_STEPS scheme on problem; each reads the table when called."""
 
-    An unknown scheme's error also lists the problem's other_schemes.
+    def make_step(name):
+        function, kwargs = ACTION_STEPS[name]
+        if name == "rkmk":
+            kwargs = {**kwargs, "series_order": config.series_order}
+        return partial(function, problem, **kwargs)
+
+    return {name: partial(make_step, name) for name in ACTION_STEPS}
+
+
+def _setup(config, problem, state0, labels, schemes=None):
+    """The run of config.scheme as dict(state0, labels, invariants, problem, make_step).
+
+    schemes maps each scheme name of the problem to its make_step (by default
+    _action_schemes); an unknown scheme raises ConfigError listing the names.
     """
-    if config.scheme not in ACTION_STEPS:
-        raise ConfigError(
-            f"scheme {config.scheme!r} not available for {config.problem!r};"
-            f" choose from {sorted([*ACTION_STEPS, *other_schemes])}")
-    function, kwargs = ACTION_STEPS[config.scheme]
-    if config.scheme == "rkmk":
-        kwargs = {**kwargs, "series_order": config.series_order}
+    schemes = schemes or _action_schemes(problem, config)
+    if config.scheme not in schemes:
+        raise ConfigError(f"scheme {config.scheme!r} not available for {config.problem!r};"
+                          f" choose from {sorted(schemes)}")
     return dict(state0=state0, labels=labels, invariants=problem.invariants,
-                step=partial(function, problem, **kwargs),
-                order=(problem, function, kwargs))
+                problem=problem, make_step=schemes[config.scheme])
 
 
 def _problem_duffing(frame, config):
     problem = duffing_problem(DuffingParams(1.0, 1.0), frame)
-    return _action_setup(problem, np.array([0.75, 0.75]), ["x", "y"], config)
+    return _setup(config, problem, np.array([0.75, 0.75]), ["x", "y"])
 
 
 def _problem_frb_s2(config):
     problem = free_rigid_body_s2(1.0, 5.0, 60.0)
     state0 = np.array([np.cos(1.1), 0.0, np.sin(1.1)])
-    return _action_setup(problem, state0, ["m1", "m2", "m3"], config)
+    return _setup(config, problem, state0, ["m1", "m2", "m3"])
 
 
 def _problem_torus(config):
-    return _action_setup(torus_descent_problem(), torus_state(0.3, 1.2),
-                         ["u1", "u2", "v1", "v2"], config)
+    return _setup(config, torus_descent_problem(), torus_state(0.3, 1.2),
+                  ["u1", "u2", "v1", "v2"])
 
 
 def _problem_stiefel(config):
     flow = StiefelFlowProblem(np.diag([5.0, 4.0, 3.0, 2.0, 1.0]), k=2)
     q0 = random_orthonormal(flow.n, flow.k, config.seed)
     labels = [f"q{i + 1}{j + 1}" for i in range(flow.n) for j in range(flow.k)]
-    return _action_setup(pca_gradient_problem(flow), q0, labels, config)
+    return _setup(config, pca_gradient_problem(flow), q0, labels)
 
 
 def _problem_heavytop(config):
     params = HeavyTopParams.benchmark()
     system = heavy_top(params)
-    return dict(state0=params.state0,
-                labels=[f"g{i + 1}{j + 1}" for i in range(3) for j in range(3)]
-                       + ["mu1", "mu2", "mu3"],
-                invariants=system.invariants,
-                step=cotangent_step(system, config.scheme, theta=config.theta))
+    schemes = {name: partial(cotangent_step, system, name, theta=config.theta)
+               for name in ("symplectic_theta", "rkmk_theta")}
+    labels = [f"g{i + 1}{j + 1}" for i in range(3) for j in range(3)] + ["mu1", "mu2", "mu3"]
+    return _setup(config, system.cotangent_problem, params.state0, labels, schemes)
 
 
 def _problem_frb_s3(config):
@@ -186,19 +194,19 @@ def _problem_frb_s3(config):
         ("norm", lambda q: float(np.linalg.norm(q))),
         ("momentum_norm", lambda q: float(np.linalg.norm(body_momentum(q, m0)))),
     )
-    state0, labels = np.array([1.0, 0.0, 0.0, 0.0]), ["q0", "q1", "q2", "q3"]
-    dg_schemes = {"dg": config.tdd, "dg_avf": "avf"}
-    if config.scheme not in dg_schemes:
-        problem = FrozenFieldProblem(action=QUAT_LEFT, coefficient_map=system.field,
-                                     invariants=invariants)
-        return _action_setup(problem, state0, labels, config, dg_schemes)
-    return dict(state0=state0, labels=labels, invariants=invariants,
-                step=partial(dg_step, system, tdd=dg_schemes[config.scheme]))
+    problem = FrozenFieldProblem(action=QUAT_LEFT, coefficient_map=system.field,
+                                 invariants=invariants)
+    schemes = _action_schemes(problem, config)
+    schemes["dg"] = lambda: partial(dg_step, system)
+    schemes["dg_avf"] = lambda: partial(dg_step, system, tdd="avf")
+    return _setup(config, problem, np.array([1.0, 0.0, 0.0, 0.0]),
+                  ["q0", "q1", "q2", "q3"], schemes)
 
 
-# Every builder maps a RunConfig to dict(state0, labels, invariants, step),
-# with step(y, h) the one-step map of config.scheme on that problem; a
-# group-action run adds order=(problem, scheme function, kwargs) for cmd_order.
+# Every builder maps a RunConfig to dict(state0, labels, invariants, problem,
+# make_step): make_step() returns a fresh one-step map step(y, h) of
+# config.scheme, and problem is the FrozenFieldProblem of the same ODE on which
+# cmd_order runs its reference.
 PROBLEMS = {
     "duffing_r2": partial(_problem_duffing, "r2"),
     "duffing_sl2": partial(_problem_duffing, "sl2"),
@@ -220,7 +228,7 @@ def _flatten_state(state):
 def run_trajectory(config: RunConfig) -> tuple[Trajectory, list]:
     """Execute the configured run; returns the trajectory and state labels."""
     setup = PROBLEMS[config.problem](config)
-    traj = integrate(setup["step"], setup["state0"], config.h, config.steps,
+    traj = integrate(setup["make_step"](), setup["state0"], config.h, config.steps,
                      setup["invariants"])
     return traj, setup["labels"]
 
@@ -248,17 +256,14 @@ def write_csv(traj: Trajectory, labels, stream):
 
 def cmd_integrate(config: RunConfig) -> int:
     traj, labels = run_trajectory(config)
-    if config.out:
-        with open(config.out, "w") as fh:
-            write_csv(traj, labels, fh)
-    else:
-        write_csv(traj, labels, sys.stdout)
+    with open(config.out, "w") if config.out else contextlib.nullcontext(sys.stdout) as fh:
+        write_csv(traj, labels, fh)
     return 0
 
 
 def write_json(report, config: RunConfig) -> int:
-    """Print a report as JSON, and also write it to config.out when set."""
-    text = json.dumps(report, indent=2)
+    """Print the report, headed by the problem and scheme, as JSON; also to config.out when set."""
+    text = json.dumps({"problem": config.problem, "scheme": config.scheme, **report}, indent=2)
     print(text)
     if config.out:
         with open(config.out, "w") as fh:
@@ -270,28 +275,15 @@ def cmd_drift(config: RunConfig) -> int:
     traj, _ = run_trajectory(config)
     if not traj.invariants:
         raise ConfigError("drift needs a problem exposing at least one invariant")
-    return write_json({
-        "problem": config.problem,
-        "scheme": config.scheme,
-        "T": float(traj.times[-1]),
-        "invariants": drift_report(traj),
-    }, config)
+    return write_json({"T": float(traj.times[-1]), "invariants": drift_report(traj)}, config)
 
 
 def cmd_order(config: RunConfig) -> int:
     setup = PROBLEMS[config.problem](config)
-    if "order" not in setup:
-        raise ConfigError("order studies are provided for group-action problems")
-    problem, function, kwargs = setup["order"]
-    slope, errors = convergence_study(problem, function, setup["state0"], config.T,
-                                      list(config.h_list), **kwargs)
-    return write_json({
-        "problem": config.problem,
-        "scheme": config.scheme,
-        "slope": slope,
-        "h_list": list(config.h_list),
-        "errors": errors,
-    }, config)
+    slope, errors = convergence_study(setup["make_step"], setup["problem"], setup["state0"],
+                                      config.T, list(config.h_list))
+    return write_json({"slope": slope, "h_list": list(config.h_list), "errors": errors},
+                      config)
 
 
 def build_parser():
@@ -309,7 +301,6 @@ def build_parser():
         p.add_argument("--h", type=float)
         p.add_argument("--steps", type=int)
         p.add_argument("--theta", type=float)
-        p.add_argument("--tdd", choices=["gonzalez", "avf"])
         p.add_argument("--series-order", dest="series_order", type=int)
         p.add_argument("--preset", choices=sorted(PRESETS))
         p.add_argument("--config", help="JSON file with config values")
@@ -338,7 +329,7 @@ def _check_config_file(values):
         if value is not None and (isinstance(value, bool)
                                   or not isinstance(value, numbers.Integral)):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
-    for name in ("problem", "scheme", "tdd", "out"):
+    for name in ("problem", "scheme", "out"):
         if values.get(name) is not None and not isinstance(values[name], str):
             raise ConfigError(f"{name} must be a string, got {values[name]!r}")
     h_list = values.get("h_list")
@@ -354,17 +345,14 @@ def _assemble_config(args) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             values.update(_check_config_file(json.load(fh)))
-    for name in ("problem", "scheme", "h", "steps", "theta", "tdd",
-                 "series_order", "seed", "out", "T"):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
+    for name in ("problem", "scheme", "h", "steps", "theta", "series_order", "seed", "out", "T"):
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
     if getattr(args, "h_list", None) is not None:
-        values["h_list"] = tuple(float(x) for x in args.h_list.split(","))
-    elif "h_list" in values and values["h_list"] is not None:
+        values["h_list"] = args.h_list.split(",")
+    if values.get("h_list") is not None:
         values["h_list"] = tuple(float(x) for x in values["h_list"])
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(values) - known
+    unknown = set(values) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     config = RunConfig(command=args.command, **values)

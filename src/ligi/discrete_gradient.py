@@ -16,6 +16,7 @@ The module works on groups whose algebra coordinates are flat vectors
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import CoincidentPoints, CriticalPoint
 from .liealg import GroupOps, S3, cross3, euler_rodrigues
+from .steppers import screen_start
 from .symplectic import ImplicitSolver
 
 _EPS = np.finfo(float).eps
@@ -151,7 +153,8 @@ def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", midpoint_form=True,
     ImplicitSolver by default) from a Lie-Euler predictor.  With the Gonzalez
     differential the energy is conserved to solver tolerance; with the
     averaged one, to quadrature accuracy.  midpoint_form evaluates W at the
-    geodesic midpoint, which makes the step symmetric.
+    geodesic midpoint, which makes the step symmetric.  A predictor left NaN by
+    an exponent h f(x) whose squared norm overflows raises NonFiniteState.
     """
     if tdd not in ("gonzalez", "avf"):
         raise ValueError(f"unknown discrete differential {tdd!r}")
@@ -179,7 +182,10 @@ def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", midpoint_form=True,
         W = two_form_matrix(system, w_point, gamma=gamma)
         return group.mul(group.exp(h * (W @ dbar)), x)
 
-    x1 = group.mul(group.exp(h * np.asarray(system.field(x), float)), x)
+    v = h * np.asarray(system.field(x), float)
+    x1 = group.mul(group.exp(v), x)
+    if not math.isfinite(float(v @ v)):  # where the so(3) and s^3 exponentials give NaN
+        screen_start(x1, h)
     return (solver or ImplicitSolver()).fixed_point(update, x1, h,
                                                     "energy-preserving step did not converge")
 

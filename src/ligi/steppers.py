@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -39,16 +39,16 @@ def weighted_sum(terms, vectors, out=None):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ButcherTableau:
     """Runge-Kutta coefficients (a, b): an s x s stage matrix and s weights summing to 1.
 
     One type parametrises rkmk_step and the symplectic family of
     symplectic.symplectic_step, which also needs every b_i != 0 and checks
     that itself.  a and b are read-only copies, so theta() can share its
-    instances.  The nonzero weights are kept once as Python floats: rows[i]
-    holds the (j, a_ij) pairs of row i of a, and b_terms the (i, b_i) pairs;
-    explicit reads the rows.
+    instances, and tableaus compare and hash by identity.  The nonzero weights
+    are kept once as Python floats: rows[i] holds the (j, a_ij) pairs of row i
+    of a, and b_terms the (i, b_i) pairs; explicit reads the rows.
     """
 
     a: np.ndarray
@@ -145,7 +145,8 @@ def rkmk_step(problem: FrozenFieldProblem, y, h, tableau: ButcherTableau = KUTTA
     update y1 = exp(h sum_i b_i k_i) . y.  An implicit tableau needs a solver,
     an ImplicitSolver or any object with its solve: solver.solve(residual, z0,
     h=h) finds the stacked stages z = (k_1, ..., k_s) where the residual
-    z - k(z) vanishes, from the start (f(y), ..., f(y)).
+    z - k(z) vanishes, from the start (f(y), ..., f(y)); a start whose h f(y)
+    overflows raises NonFiniteState.
     """
     act = problem.action
     group = act.group
@@ -168,6 +169,7 @@ def rkmk_step(problem: FrozenFieldProblem, y, h, tableau: ButcherTableau = KUTTA
         if solver is None:
             raise ValueError("an implicit tableau needs a solver, e.g. solver=ImplicitSolver()")
         k0 = np.asarray(f(y), dtype=float)
+        screen_start(float(h) * k0, h)  # the stages enter the exponentials scaled by h
         stacked = (s, *k0.shape)  # z is the flat form of the stages k_1, ..., k_s
 
         def stacked_stages(z):
@@ -249,6 +251,12 @@ def _finite(y):
     return math.isfinite(sum(a.ravel().tolist())) or bool(np.isfinite(a).all())
 
 
+def screen_start(z0, h):
+    """Raise NonFiniteState when an implicit iteration starts at a value that is not finite."""
+    if not _finite(z0):
+        raise NonFiniteState(f"started its iteration at a point that is not finite (h={h!r})")
+
+
 def integrate(step: Callable, y0, h, n_steps, invariants=()) -> Trajectory:
     """Run a one-step map step(y, h) -> y, recording states and invariants.
 
@@ -306,28 +314,26 @@ def state_distance(a, b):
     return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
 
 
-def convergence_study(problem: FrozenFieldProblem, step: Callable, y0, T, h_list,
-                      reference_step: Optional[Callable] = None,
-                      reference_refinement=20, **step_kwargs):
+def convergence_study(make_step: Callable, problem: FrozenFieldProblem, y0, T, h_list,
+                      reference_refinement=20):
     """Empirical order of a scheme against a fine reference trajectory.
 
-    Returns (slope, errors): the least-squares slope of log error against
-    log h and the terminal-state errors for each step size.  The reference
-    is the fourth-order scheme run at h_min / reference_refinement.
+    make_step() gives a fresh one-step map step(y, h) for each step size, so no
+    run inherits another's solver state.  The reference is rkmk4_step on problem
+    at h_min / reference_refinement.  Returns (slope, errors): the least-squares
+    slope of log error against log h and the terminal-state error at each h.
     """
     h_list = list(h_list)
     if any(h2 >= h1 for h1, h2 in zip(h_list, h_list[1:])):
         raise ValueError("h_list must be strictly decreasing")
-    if reference_step is None:
-        reference_step = rkmk4_step
     h_ref = h_list[-1] / reference_refinement
     n_ref = int(round(T / h_ref))
-    y_ref = integrate(partial(reference_step, problem), y0, T / n_ref, n_ref).final
+    y_ref = integrate(partial(rkmk4_step, problem), y0, T / n_ref, n_ref).final
 
     errors = []
     for h in h_list:
         n = int(round(T / h))
-        y = integrate(partial(step, problem, **step_kwargs), y0, T / n, n).final
+        y = integrate(make_step(), y0, T / n, n).final
         errors.append(state_distance(y, y_ref))
     slope = float(np.polyfit(np.log(h_list), np.log(errors), 1)[0])
     return slope, errors

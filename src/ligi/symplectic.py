@@ -27,11 +27,11 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .actions import FrozenFieldProblem, LeftMultiplicationAction
-from .errors import FixedPointDivergence, NonFiniteState
+from .errors import FixedPointDivergence
 from .liealg import SO3, GroupOps, cross3, max_abs, max_abs_diff
 from .liealg import dexpinv_series  # noqa: F401  (a name the traced benchmark patches)
 from .semidirect import CotangentOps
-from .steppers import ButcherTableau, rkmk_step, weighted_sum
+from .steppers import ButcherTableau, rkmk_step, screen_start, weighted_sum
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -62,7 +62,8 @@ class HamiltonianSystem:
         """The system on G x| g* acting on itself, coefficient map (dH/dmu, -R_g^* dH/dg)."""
         ct, force_map = CotangentOps(self.group), self.force_map
         return FrozenFieldProblem(action=LeftMultiplicationAction(ct, "cotangent_left"),
-                                  coefficient_map=lambda y: ct.join(*force_map(*y)))
+                                  coefficient_map=lambda y: ct.join(*force_map(*y)),
+                                  invariants=self.invariants)
 
 
 class ImplicitSolver:
@@ -99,11 +100,8 @@ class ImplicitSolver:
         """Newton on residual(z) = 0, warm-started from the last solution."""
         z0 = np.asarray(z0, dtype=float)
         # Restarts go back to z0: a start that is not finite is an overflow, not a divergence.
-        if not (math.isfinite(sum(z0.tolist())) or np.isfinite(z0).all()):
-            raise NonFiniteState(f"started its stage iteration at a point that is not finite"
-                                 f" (h={h!r})")
-        z = self._z if (self._z is not None and len(self._z) == len(z0)) else z0
-        z = z.copy()
+        screen_start(z0, h)
+        z = (self._z if (self._z is not None and len(self._z) == len(z0)) else z0).copy()
         r = residual(z)
         norm_prev = math.inf
         rebuilds = 0
@@ -168,7 +166,8 @@ def symplectic_step(tableau: ButcherTableau, system: HamiltonianSystem, state, h
     (exp Y, coAd(exp(-Y), sum_i b_i n_i)) . (g0, mu0).  The update takes
     mu0 + sum_i b_i n_i from the last residual evaluation when the solver
     returns that iterate, as Newton does, and recomputes it otherwise.  A zero
-    weight raises ValueError before anything is evaluated.
+    weight raises ValueError before anything is evaluated.  Measured orders: 1 at
+    theta = 0, 2 at theta = 1/2 and 2 for the two-stage Gauss tableau (classical 4).
     """
     group, f = system.group, system.force_map
     d, s = group.dim, tableau.stages

@@ -2,8 +2,10 @@
 
 bench/ligi_api.py lists every (module, name) that the traced benchmark wraps
 to count work per layer.  The tables are read here, not patched.  The traced
-run reads iteration counts from calls of hooked names, so the last tests
-check that each such name is called once per iteration.
+run reads iteration counts from calls of hooked names, so later tests
+check that each such name is called once per iteration.  The traced run
+patches the names before it runs the CLI, so the last test checks that the
+CLI looks them up when it runs, not when it is imported.
 """
 
 import importlib
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ligi import discrete_gradient, symplectic
+from ligi import cli, discrete_gradient, steppers, symplectic
 from ligi.errors import FixedPointDivergence
 
 LIGI_API = Path(__file__).resolve().parent.parent / "bench" / "ligi_api.py"
@@ -111,3 +113,37 @@ def test_dg_step_never_calls_solve(monkeypatch):
     system = discrete_gradient.free_rigid_body_quat([1.0, 5.0, 60.0], [1.0, 0.1, -0.01])
     discrete_gradient.dg_step(system, np.array([1.0, 0.0, 0.0, 0.0]), 1 / 64)
     assert calls == []
+
+
+def _counted(fn, calls):
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+INTEGRATE = ["integrate", "--h", "0.05", "--steps", "2"]
+ORDER = ["order", "--h-list", "0.1,0.05,0.025", "--T", "0.1"]
+
+
+@pytest.mark.parametrize("module, name, problem, scheme, commands", [
+    (steppers, "rkmk4_step", "frb_s2", "lie_euler", [ORDER]),  # convergence_study's reference
+    (cli, "ACTION_STEPS", "frb_s2", "lie_euler", [INTEGRATE, ORDER]),
+    (cli, "dg_step", "frb_s3", "dg", [INTEGRATE, ORDER]),
+    (symplectic, "theta_step", "heavytop", "symplectic_theta", [INTEGRATE, ORDER]),
+], ids=["rkmk4_step", "ACTION_STEPS", "dg_step", "theta_step"])
+def test_cli_reads_hooked_names_at_call_time(monkeypatch, capsys, module, name, problem,
+                                             scheme, commands):
+    # A CLI that bound one of these names at import would step past the wrapper.
+    for command, *options in commands:
+        calls = []
+        if name == "ACTION_STEPS":  # a table entry, wrapped in place
+            fn, kwargs = cli.ACTION_STEPS[scheme]
+            monkeypatch.setitem(cli.ACTION_STEPS, scheme, (_counted(fn, calls), kwargs))
+        else:
+            monkeypatch.setattr(module, name, _counted(getattr(module, name), calls))
+        argv = [command, "--problem", problem, "--scheme", scheme, *options]
+        assert cli.main(argv) == 0
+        assert calls, f"ligi {' '.join(argv)} never called the hooked {name}"
+        monkeypatch.undo()

@@ -217,11 +217,17 @@ def test_non_finite_state_exit_4_without_csv(tmp_path, capsys):
     ["--problem", "duffing_sl2", "--scheme", "lie_euler", "--h", "1e200"],
     ["--problem", "heavytop", "--scheme", "symplectic_theta", "--theta", "0.5", "--h", "1e308"],
     ["--problem", "heavytop", "--scheme", "symplectic_theta", "--theta", "0", "--h", "1e308"],
-], ids=["torus", "frb_s2", "duffing_sl2", "heavytop_theta05", "heavytop_theta0"])
+    ["--problem", "heavytop", "--scheme", "rkmk_theta", "--theta", "0.5", "--h", "1e308"],
+    ["--problem", "frb_s3", "--scheme", "dg", "--h", "1e308"],
+    ["--problem", "frb_s3", "--scheme", "dg_avf", "--h", "1e308"],
+], ids=["torus", "frb_s2", "duffing_sl2", "heavytop_theta05", "heavytop_theta0",
+        "heavytop_rkmk_theta05", "frb_s3_dg", "frb_s3_dg_avf"])
 def test_overflowing_exponential_exit_4_without_csv(tmp_path, capsys, argv):
     # An infinite rotation angle, or an overflowing sl(2) exponential, gives
     # NaN entries, not a math domain error.  The symplectic theta step starts
-    # its stage iteration at h f(g0, mu0), which is already infinite.
+    # its stage iteration at h f(g0, mu0), which is already infinite; the
+    # implicit RKMK theta step screens h f(y0), and the dg step starts its
+    # fixed-point iteration at a Lie-Euler predictor that is already NaN.
     out = tmp_path / "traj.csv"
     code = run(["integrate", *argv, "--steps", "3", "--out", str(out)])
     assert code == 4
@@ -272,11 +278,41 @@ def test_heavytop_unknown_scheme_exit_2(capsys, scheme):
             in capsys.readouterr().err)
 
 
-def test_order_on_heavytop_exit_2(capsys):
-    code = run(["order", "--problem", "heavytop", "--scheme", "symplectic_theta",
-                "--h-list", "0.1,0.05,0.025"])
+@pytest.mark.parametrize("argv", [
+    ["--problem", "heavytop", "--scheme", "symplectic_theta",
+     "--h-list", "0.02,0.01,0.005", "--T", "0.2"],
+    ["--problem", "heavytop", "--scheme", "rkmk_theta",
+     "--h-list", "0.02,0.01,0.005", "--T", "0.2"],
+    ["--problem", "frb_s3", "--scheme", "dg", "--h-list", "0.1,0.05,0.025,0.0125", "--T", "2"],
+], ids=["heavytop_symplectic_theta", "heavytop_rkmk_theta", "frb_s3_dg"])
+def test_order_on_implicit_problems(capsys, argv):
+    # Each step size gets a fresh step, so its solver starts cold; the
+    # reference is RKMK4 on the same problem (G x| g* acting on itself for the
+    # heavy top, S^3 for the quaternion rigid body).
+    assert run(["order", *argv]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert abs(report["slope"] - 2.0) < 0.3
+
+
+def test_unknown_scheme_lists_every_scheme_of_the_problem(capsys):
+    code = run(["integrate", "--problem", "frb_s3", "--scheme", "dg_gonzalez",
+                "--h", "0.05", "--steps", "2"])
     assert code == 2
-    assert "group-action problems" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not available for 'frb_s3'" in err
+    assert all(f"'{name}'" in err for name in ("dg", "dg_avf", "heun_rkmk", *cli.ACTION_STEPS))
+
+
+def test_tdd_option_is_gone(tmp_path, capsys):
+    # --scheme dg_avf runs the averaged differential.
+    with pytest.raises(SystemExit):
+        run(["integrate", "--problem", "frb_s3", "--scheme", "dg", "--tdd", "avf",
+             "--h", "0.05", "--steps", "2"])
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"problem": "frb_s3", "scheme": "dg", "tdd": "avf",
+                               "h": 0.05, "steps": 2}))
+    assert run(["integrate", "--config", str(cfg)]) == 2
+    assert "unknown config keys ['tdd']" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):

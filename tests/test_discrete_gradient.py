@@ -14,7 +14,7 @@ from ligi.discrete_gradient import (
     trivialized_differential,
     two_form_matrix,
 )
-from ligi.errors import CoincidentPoints, CriticalPoint, FixedPointDivergence
+from ligi.errors import CoincidentPoints, CriticalPoint, FixedPointDivergence, NonFiniteState
 from ligi.liealg import S3, SO3, TranslationOps, quat_exp, quat_mul
 from ligi.symplectic import ImplicitSolver
 from oracles import fit_slope, random_rotation, random_unit_quaternion, rk4_solve
@@ -328,6 +328,15 @@ def test_dg_step_nan_iterate_is_divergence():
                              energy_differential=lambda x: gamma)
     with pytest.raises(FixedPointDivergence):
         dg_step(system, np.zeros(3), 0.1, tdd="avf", solver=ImplicitSolver(max_iter=5))
+
+
+@pytest.mark.parametrize("tdd", ["gonzalez", "avf"])
+def test_dg_step_overflowing_predictor_is_non_finite_state(tdd):
+    # |h f(q0)|^2 overflows, so the quaternion exponential of the Lie-Euler
+    # predictor is NaN: an overflow, where the NaN predictor above, at a
+    # modest h, is a divergence.
+    with pytest.raises(NonFiniteState, match="not finite"):
+        dg_step(FRB, np.array([1.0, 0.0, 0.0, 0.0]), 1e308, tdd=tdd)
 
 
 @pytest.mark.parametrize("h, h_float, rtol", [

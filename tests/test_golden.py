@@ -1,7 +1,7 @@
 """Byte-for-byte comparison of CLI outputs against committed references.
 
-The references in tests/golden/ are short prefixes of every preset plus one
-order and one drift report (see scripts/golden.py, which writes them and
+The references in tests/golden/ are short prefixes of every preset plus three
+order reports and one drift report (see scripts/golden.py, which writes them and
 checks the full-length presets against their digests).
 """
 

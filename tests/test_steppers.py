@@ -9,7 +9,7 @@ from ligi.actions import (
     FrozenFieldProblem,
     TranslationAction,
 )
-from ligi.errors import FixedPointDivergence
+from ligi.errors import FixedPointDivergence, NonFiniteState
 from ligi.liealg import SO3, GroupOps
 from ligi.problems import (
     DuffingParams,
@@ -75,6 +75,16 @@ def test_tableau_row_sums():
 
 def test_tableau_fields_are_the_stage_matrix_and_the_weights():
     assert [f.name for f in dataclasses.fields(ButcherTableau)] == ["a", "b"]
+
+
+def test_tableaus_compare_and_hash_by_identity():
+    # Field-wise == would compare arrays, whose truth value is ambiguous.
+    same_numbers = ButcherTableau(a=[[0.0, 0.0], [1.0, 0.0]], b=[0.5, 0.5])
+    assert isinstance(hash(HEUN2), int)
+    assert (HEUN2 == same_numbers) is False
+    assert HEUN2 == HEUN2
+    assert len({HEUN2: 1, same_numbers: 2, KUTTA4: 3}) == 3
+    assert ButcherTableau.theta(0.5) is ButcherTableau.theta(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +186,8 @@ def test_rigid_body_orders():
         "cf4": (4.0, 0.3),
     }
     for name, step, kwargs in ALL_STEPS:
-        slope, _ = convergence_study(FRB, step, Y0_S2, 2.0, H_SWEEP, **kwargs)
+        slope, _ = convergence_study(lambda: partial(step, FRB, **kwargs), FRB, Y0_S2, 2.0,
+                                     H_SWEEP)
         order, tol = expected[name]
         assert abs(slope - order) <= tol, (name, slope)
 
@@ -195,8 +206,10 @@ def test_rkmk4_agrees_with_generic_kutta_to_h5():
 def test_rkmk_implicit_tableau_second_order():
     # Implicit midpoint as a 1-stage tableau; second order, solved by Newton.
     midpoint = ButcherTableau(a=[[0.5]], b=[1.0])
-    slope, _ = convergence_study(FRB, rkmk_step, Y0_S2, 1.0, H_SWEEP[:4],
-                                 tableau=midpoint, series_order=4, solver=ImplicitSolver())
+    def make_step():
+        return partial(rkmk_step, FRB, tableau=midpoint, series_order=4, solver=ImplicitSolver())
+
+    slope, _ = convergence_study(make_step, FRB, Y0_S2, 1.0, H_SWEEP[:4])
     assert abs(slope - 2.0) < 0.3
 
 
@@ -244,6 +257,14 @@ def test_rkmk_implicit_nan_stage_is_divergence():
                                    else np.full(3, np.nan)))
     with pytest.raises(FixedPointDivergence):
         rkmk_step(problem, Y0_S2, 0.1, tableau=tableau, solver=ImplicitSolver())
+
+
+def test_rkmk_implicit_overflowing_start_is_non_finite_state():
+    # h f(y0) overflows before the solver runs: an overflow, not a divergence.
+    midpoint = ButcherTableau(a=[[0.5]], b=[1.0])
+    problem = constant_field_problem(SO3_ON_S2, np.full(3, 10.0))
+    with pytest.raises(NonFiniteState, match="not finite"):
+        rkmk_step(problem, Y0_S2, 1e308, tableau=midpoint, solver=ImplicitSolver())
 
 
 @pytest.mark.parametrize("h, h_float, rtol", [
@@ -373,7 +394,7 @@ def test_integrate_large_finite_state_is_not_flagged():
 
 def test_convergence_study_requires_decreasing_h():
     with pytest.raises(ValueError):
-        convergence_study(FRB, lie_euler_step, Y0_S2, 1.0, [0.1, 0.1])
+        convergence_study(lambda: partial(lie_euler_step, FRB), FRB, Y0_S2, 1.0, [0.1, 0.1])
 
 
 def test_duffing_linear_lie_euler_exact_any_h():

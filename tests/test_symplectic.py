@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from ligi import symplectic
 from ligi.discrete_gradient import dg_step, free_rigid_body_quat
-from ligi.errors import FixedPointDivergence
-from ligi.liealg import SO3, So3Ops, hat, quat_exp
+from ligi.errors import FixedPointDivergence, NonFiniteState
+from ligi.liealg import SO3, So3Ops, dexp_so3_exact, hat, quat_exp
 from ligi.symplectic import (
     E3,
     HamiltonianSystem,
@@ -326,6 +326,12 @@ def test_solver_divergence_error():
         solver.fixed_point(lambda z: z - (0.9 * z + 1.0), np.zeros(2), 0.1, "no convergence")
 
 
+def test_newton_start_that_is_not_finite_is_non_finite_state():
+    # An overflow, not a divergence; restarts would go back to this start.
+    with pytest.raises(NonFiniteState, match="not finite"):
+        ImplicitSolver().solve(lambda z: z, np.array([1.0, np.inf]), h=0.1)
+
+
 def test_implicit_steps_take_only_a_solver():
     for step in (symplectic_step, theta_step, rkmk_theta_step, rkmk_step, dg_step):
         parameters = inspect.signature(step).parameters
@@ -434,6 +440,17 @@ def test_explicit_scheme_not_symmetric(rng):
 # Orders against a brute-force reference (small scale)
 # ---------------------------------------------------------------------------
 
+def small_top_slope(make_step, T=1.0):
+    """Order of make_step()'s steps on the small top, against the flat RK4 reference."""
+    ref = flat_reference(SMALL_SYSTEM, SMALL.state0, T)
+    errs, hs = [], []
+    for n in (10, 20, 40, 80):
+        g, mu = integrate(make_step(), SMALL.state0, T / n, n).final
+        errs.append(np.linalg.norm(g - ref[0]) + np.linalg.norm(mu - ref[1]))
+        hs.append(T / n)
+    return fit_slope(hs, errs)
+
+
 @pytest.mark.parametrize("scheme,theta,expected", [
     ("symplectic_theta", 0.5, 2.0),
     ("symplectic_theta", 0.0, 1.0),
@@ -441,17 +458,72 @@ def test_explicit_scheme_not_symmetric(rng):
     ("rkmk_theta", 0.0, 1.0),
 ])
 def test_small_top_orders(scheme, theta, expected):
-    T = 1.0
-    ref = flat_reference(SMALL_SYSTEM, SMALL.state0, T)
-    errs, hs = [], []
-    for n in (10, 20, 40, 80):
-        traj = integrate(cotangent_step(SMALL_SYSTEM, scheme, theta=theta),
-                         SMALL.state0, T / n, n, SMALL_SYSTEM.invariants)
-        g, mu = traj.final
-        errs.append(np.linalg.norm(g - ref[0]) + np.linalg.norm(mu - ref[1]))
-        hs.append(T / n)
-    slope = fit_slope(hs, errs)
+    slope = small_top_slope(lambda: cotangent_step(SMALL_SYSTEM, scheme, theta=theta))
     assert abs(slope - expected) < 0.3, (scheme, theta, slope)
+
+
+# The two-stage Gauss-Legendre tableau, classical order 4.
+GAUSS2 = ButcherTableau(a=[[0.25, 0.25 - np.sqrt(3) / 6], [0.25 + np.sqrt(3) / 6, 0.25]],
+                        b=[0.5, 0.5])
+
+
+def test_gauss2_member_is_second_order():
+    # Order 2, not the tableau's classical 4 (measured slope 2.001).
+    slope = small_top_slope(
+        lambda: partial(symplectic_step, GAUSS2, SMALL_SYSTEM, solver=ImplicitSolver()))
+    assert abs(slope - 2.0) < 0.3, slope
+
+
+# ---------------------------------------------------------------------------
+# Symplecticity in canonical coordinates
+# ---------------------------------------------------------------------------
+
+def _dexp_matrix(zeta):
+    return np.column_stack([dexp_so3_exact(zeta, e) for e in np.eye(3)])
+
+
+def _from_canonical(x, g0):
+    """(zeta, p) -> (g, mu) = (exp(zeta) g0, dexp_zeta^{-T} p)."""
+    zeta, p = x[:3], x[3:]
+    return SO3.exp(zeta) @ g0, np.linalg.solve(_dexp_matrix(zeta).T, p)
+
+
+def _to_canonical(state, g0):
+    g, mu = state
+    zeta = SO3.log(g @ g0.T)
+    return np.concatenate([zeta, _dexp_matrix(zeta).T @ mu])
+
+
+def symplecticity_defect(step, h=0.2, d=1e-5):
+    """max |M^T J M - J| for the central-difference Jacobian M of one step.
+
+    The canonical coordinates (zeta, p), with g = exp(zeta) g0 and
+    p = dexp_zeta^T mu, are Darboux coordinates of T*SO(3) near g0.
+    """
+    g0 = SMALL.g0
+    x0 = _to_canonical(SMALL.state0, g0) + np.array([0.1, -0.2, 0.15, 0.0, 0.0, 0.0])
+    M = np.empty((6, 6))
+    for j, e in enumerate(d * np.eye(6)):
+        plus = _to_canonical(step(_from_canonical(x0 + e, g0), h), g0)
+        minus = _to_canonical(step(_from_canonical(x0 - e, g0), h), g0)
+        M[:, j] = (plus - minus) / (2 * d)
+    J = np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]])
+    return np.abs(M.T @ J @ M - J).max()
+
+
+@pytest.mark.parametrize("step", [
+    partial(theta_step, 0.0, SMALL_SYSTEM),
+    partial(theta_step, 0.5, SMALL_SYSTEM),
+    partial(symplectic_step, GAUSS2, SMALL_SYSTEM),
+], ids=["theta0", "theta05", "gauss2"])
+def test_family_is_symplectic(step):
+    # Measured 1.5e-11 to 1.9e-11.
+    assert symplecticity_defect(step) < 1e-8
+
+
+def test_rkmk_theta_comparator_is_not_symplectic():
+    # The control that shows the test can fail: measured 1.4e-4.
+    assert symplecticity_defect(partial(rkmk_theta_step, 0.5, SMALL_SYSTEM)) > 1e-8
 
 
 # ---------------------------------------------------------------------------
