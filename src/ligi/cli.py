@@ -9,9 +9,11 @@ are written as CSV (full precision, deterministic for a given config and
 seed); order and drift reports are printed as JSON.  An order study measures
 the scheme against RKMK4 on the same problem at a finer step.
 
-Exit codes: 2 configuration error, 3 solver divergence, 4 non-finite state or
+Exit codes: 2 configuration error (ConfigError, raised before the run starts)
+or an unreadable or unwritable file, 3 solver divergence, 4 non-finite state or
 invariant, 5 numerical-domain error (errors.DomainError: a closed form that is
-undefined at the values the run reached; a smaller h usually avoids it).
+undefined at the values the run reached; a smaller h usually avoids it).  Any
+other exception, exit 1 with a traceback, is a defect, not a bad input.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -30,6 +32,7 @@ import numpy as np
 from .actions import QUAT_LEFT, FrozenFieldProblem
 from .discrete_gradient import body_momentum, dg_step, free_rigid_body_quat
 from .errors import DomainError, FixedPointDivergence, NonFiniteState
+from .liealg import MAX_SERIES_ORDER
 from .problems import (
     DuffingParams,
     StiefelFlowProblem,
@@ -53,44 +56,6 @@ from .steppers import (
     rkmk_step,
 )
 from .symplectic import HeavyTopParams, cotangent_step, heavy_top
-
-
-@dataclass
-class RunConfig:
-    """Everything a run needs; unset fields fall back to preset/config values."""
-
-    command: str = "integrate"
-    problem: str = None
-    scheme: str = None
-    h: float = None
-    steps: int = None
-    theta: float = 0.5
-    series_order: int = 4
-    seed: int = 0
-    out: str = None
-    h_list: tuple = None
-    T: float = 2.0
-
-    def validate(self):
-        if self.problem not in PROBLEMS:
-            raise ConfigError(f"unknown problem {self.problem!r}; known: {sorted(PROBLEMS)}")
-        if self.command in ("integrate", "drift"):
-            if self.h is None or not (math.isfinite(self.h) and self.h > 0.0):
-                raise ConfigError("h must be positive and finite")
-            if self.steps is None or self.steps < 1:
-                raise ConfigError("steps must be >= 1")
-        if self.command == "order":
-            if self.h_list is None or len(self.h_list) < 3:
-                raise ConfigError("order needs at least 3 step sizes (--h-list)")
-            if not all(math.isfinite(h) and h > 0.0 for h in self.h_list):
-                raise ConfigError("step sizes in --h-list must be positive and finite")
-            # T / h > 0.5 is round(T / h) >= 1 for the largest h; round(inf) would raise
-            if self.T is None or not (math.isfinite(self.T)
-                                      and self.T / max(self.h_list) > 0.5):
-                raise ConfigError("T must be finite and give at least one step"
-                                  " of the largest step size")
-        if self.theta is None or not math.isfinite(self.theta):
-            raise ConfigError("theta must be finite")
 
 
 class ConfigError(ValueError):
@@ -219,6 +184,56 @@ PROBLEMS = {
 }
 
 
+@dataclass
+class RunConfig:
+    """Everything a run needs.  Every field but command is an option: the flag
+    --name (_ as -) and the config-file key name, typed by its annotation
+    (OPTION_TYPES); metadata gives a flag's help and limits it to one command.
+    """
+
+    command: str = "integrate"
+    problem: str = field(default=None, metadata={"help": f"one of {sorted(PROBLEMS)}"})
+    scheme: str = None
+    h: float = None
+    steps: int = None
+    theta: float = 0.5
+    series_order: int = 4
+    seed: int = 0
+    out: str = field(default=None, metadata={"help": "output path (CSV or JSON)"})
+    h_list: tuple = field(default=None, metadata={
+        "command": "order", "help": "comma-separated decreasing step sizes"})
+    T: float = field(default=2.0, metadata={"command": "order"})
+
+    def validate(self):
+        if self.problem not in PROBLEMS:
+            raise ConfigError(f"unknown problem {self.problem!r}; known: {sorted(PROBLEMS)}")
+        if self.command in ("integrate", "drift"):
+            if self.h is None or not (math.isfinite(self.h) and self.h > 0.0):
+                raise ConfigError("h must be positive and finite")
+            if self.steps is None or self.steps < 1:
+                raise ConfigError("steps must be >= 1")
+        if self.command == "order":
+            if self.h_list is None or len(self.h_list) < 3:
+                raise ConfigError("order needs at least 3 step sizes (--h-list)")
+            if not all(math.isfinite(h) and h > 0.0 for h in self.h_list):
+                raise ConfigError("step sizes in --h-list must be positive and finite")
+            if any(h2 >= h1 for h1, h2 in zip(self.h_list, self.h_list[1:])):
+                raise ConfigError("step sizes in --h-list must be strictly decreasing")
+            # T / h > 0.5 is round(T / h) >= 1 for the largest h; round(inf) would raise
+            if not (math.isfinite(self.T) and self.T / max(self.h_list) > 0.5):
+                raise ConfigError("T must be finite and give at least one step"
+                                  " of the largest step size")
+            if not math.isfinite(20.0 * self.T / self.h_list[-1]):
+                raise ConfigError("T / min(h_list) too large: the reference run of"
+                                  " 20 T / min(h_list) steps must be finite")
+        if not math.isfinite(self.theta):
+            raise ConfigError("theta must be finite")
+        if not 0 <= self.series_order <= MAX_SERIES_ORDER:
+            raise ConfigError(f"series_order must be in 0..{MAX_SERIES_ORDER}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+
+
 def _flatten_state(state):
     if isinstance(state, tuple):
         return np.concatenate([np.ravel(np.asarray(part, float)) for part in state])
@@ -280,10 +295,34 @@ def cmd_drift(config: RunConfig) -> int:
 
 def cmd_order(config: RunConfig) -> int:
     setup = PROBLEMS[config.problem](config)
+    h_list = [float(h) for h in config.h_list]  # a config file may give integers
     slope, errors = convergence_study(setup["make_step"], setup["problem"], setup["state0"],
-                                      config.T, list(config.h_list))
-    return write_json({"slope": slope, "h_list": list(config.h_list), "errors": errors},
-                      config)
+                                      config.T, h_list)
+    return write_json({"slope": slope, "h_list": h_list, "errors": errors}, config)
+
+
+COMMANDS = {"integrate": cmd_integrate, "order": cmd_order, "drift": cmd_drift}
+
+
+def _real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _float_tuple(text):
+    return tuple(float(x) for x in text.split(","))
+
+
+# Per RunConfig annotation (a string: annotations here are not evaluated): the
+# flag's argparse type, the config-file value check, and what the check wants.
+OPTION_TYPES = {
+    "str": (str, lambda value: isinstance(value, str), "a string"),
+    "float": (float, _real, "a number"),
+    "int": (int, lambda value: _real(value) and isinstance(value, numbers.Integral), "an integer"),
+    "tuple": (_float_tuple, lambda value: isinstance(value, list) and all(map(_real, value)),
+              "a list of numbers"),
+}
+
+OPTIONS = {f.name: f for f in fields(RunConfig) if f.name != "command"}
 
 
 def build_parser():
@@ -294,86 +333,54 @@ def build_parser():
         epilog="presets: " + ", ".join(sorted(PRESETS)),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("integrate", "order", "drift"):
-        p = sub.add_parser(name)
-        p.add_argument("--problem", help=f"one of {sorted(PROBLEMS)}")
-        p.add_argument("--scheme")
-        p.add_argument("--h", type=float)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--theta", type=float)
-        p.add_argument("--series-order", dest="series_order", type=int)
+    for command in COMMANDS:
+        p = sub.add_parser(command)
+        for option in OPTIONS.values():
+            if option.metadata.get("command", command) == command:
+                p.add_argument("--" + option.name.replace("_", "-"),
+                               type=OPTION_TYPES[option.type][0],
+                               help=option.metadata.get("help"))
         p.add_argument("--preset", choices=sorted(PRESETS))
         p.add_argument("--config", help="JSON file with config values")
-        p.add_argument("--out", help="output path (CSV or JSON)")
-        p.add_argument("--seed", type=int)
-        if name == "order":
-            p.add_argument("--h-list", dest="h_list",
-                           help="comma-separated decreasing step sizes")
-            p.add_argument("--T", type=float)
     return parser
 
 
-def _real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_config_file(values):
-    """Reject config-file values of the wrong type; argparse types the flags."""
+def _check_config_file(path):
+    """The config file's values, each of its option's type; argparse types the flags."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise ConfigError(f"config file {path}: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError("a config file must hold a JSON object")
-    for name in ("h", "T", "theta"):
-        if values.get(name) is not None and not _real(values[name]):
-            raise ConfigError(f"{name} must be a number, got {values[name]!r}")
-    for name in ("steps", "series_order", "seed"):
-        value = values.get(name)
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, numbers.Integral)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    for name in ("problem", "scheme", "out"):
-        if values.get(name) is not None and not isinstance(values[name], str):
-            raise ConfigError(f"{name} must be a string, got {values[name]!r}")
-    h_list = values.get("h_list")
-    if h_list is not None and not (isinstance(h_list, list) and all(map(_real, h_list))):
-        raise ConfigError(f"h_list must be a list of numbers, got {h_list!r}")
+    unknown = sorted(set(values) - set(OPTIONS))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
+    for name, value in values.items():
+        _, check, wanted = OPTION_TYPES[OPTIONS[name].type]
+        if not check(value):
+            raise ConfigError(f"{name} must be {wanted}, got {value!r}")
     return values
 
 
 def _assemble_config(args) -> RunConfig:
-    values = {}
-    if args.preset:
-        values.update(PRESETS[args.preset])
+    """The preset, then the config file, then every flag that is set; validated."""
+    values = dict(PRESETS[args.preset]) if args.preset else {}
     if args.config:
-        with open(args.config) as fh:
-            values.update(_check_config_file(json.load(fh)))
-    for name in ("problem", "scheme", "h", "steps", "theta", "series_order", "seed", "out", "T"):
-        if getattr(args, name, None) is not None:
-            values[name] = getattr(args, name)
-    if getattr(args, "h_list", None) is not None:
-        values["h_list"] = args.h_list.split(",")
-    if values.get("h_list") is not None:
-        values["h_list"] = tuple(float(x) for x in values["h_list"])
-    unknown = set(values) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        values.update(_check_config_file(args.config))
+    values.update((name, getattr(args, name)) for name in OPTIONS
+                  if getattr(args, name, None) is not None)
     config = RunConfig(command=args.command, **values)
     config.validate()
     return config
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _assemble_config(args)
-        if args.command == "integrate":
-            return cmd_integrate(config)
-        if args.command == "order":
-            return cmd_order(config)
-        return cmd_drift(config)
-    except DomainError as exc:  # a ValueError: caught before the config errors
-        print(f"numerical domain error: {exc}", file=sys.stderr)
-        return 5
-    except (ConfigError, OSError, ValueError) as exc:
+        return COMMANDS[args.command](_assemble_config(args))
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FixedPointDivergence as exc:
@@ -382,6 +389,9 @@ def main(argv=None) -> int:
     except NonFiniteState as exc:
         print(f"non-finite state: {exc}", file=sys.stderr)
         return 4
+    except DomainError as exc:
+        print(f"numerical domain error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

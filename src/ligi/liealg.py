@@ -39,13 +39,13 @@ SMALL_ANGLE = 1e-4
 # Default truncation order for commutator series on generic algebras.
 SERIES_ORDER = 12
 
-_MAX_SERIES_ORDER = 24
-# Series coefficients as Python floats, k = 0.._MAX_SERIES_ORDER: 1 / (k+1)!
+MAX_SERIES_ORDER = 24
+# Series coefficients as Python floats, k = 0..MAX_SERIES_ORDER: 1 / (k+1)!
 # for dexp, and Bernoulli numbers over factorials, B_k / k!, with the
 # B_1 = -1/2 convention, for dexpinv.
-_INV_FACT_SHIFTED = [1.0 / math.factorial(k + 1) for k in range(_MAX_SERIES_ORDER + 1)]
-_BERNOULLI_OVER_FACT = (bernoulli(_MAX_SERIES_ORDER) / np.array(
-    [math.factorial(k) for k in range(_MAX_SERIES_ORDER + 1)]
+_INV_FACT_SHIFTED = [1.0 / math.factorial(k + 1) for k in range(MAX_SERIES_ORDER + 1)]
+_BERNOULLI_OVER_FACT = (bernoulli(MAX_SERIES_ORDER) / np.array(
+    [math.factorial(k) for k in range(MAX_SERIES_ORDER + 1)]
 )).tolist()
 
 
@@ -198,9 +198,12 @@ def _dexp_coeffs(theta):
 def _dexpinv_coeffs(theta):
     """Coefficients -1/2, c with dexpinv_v = I - ad_v / 2 + c ad_v^2 on so(3).
 
-    c(t) = (1 - (t/2) cot(t/2)) / t^2, finite on [0, 2 pi).
+    c(t) = (1 - (t/2) cot(t/2)) / t^2, finite on [0, 2 pi).  An infinite
+    angle gives a NaN c, as an overflow; a finite one past 2 pi is a domain error.
     """
     if theta >= 2.0 * math.pi:
+        if theta == math.inf:
+            return -0.5, math.nan
         raise DexpinvOutOfRange(f"dexpinv closed form needs |v| < 2*pi, got {theta!r}")
     if theta < SMALL_ANGLE:
         t2 = theta * theta
@@ -433,8 +436,8 @@ def _ad_series(ad, sigma, v, coeffs, order):
 
     ad is a bracket or a coadjoint map; zero coefficients add no term.
     """
-    if order > _MAX_SERIES_ORDER:
-        raise ValueError(f"series order limited to {_MAX_SERIES_ORDER}")
+    if not 0 <= order <= MAX_SERIES_ORDER:
+        raise ValueError(f"series order must be in 0..{MAX_SERIES_ORDER}, got {order!r}")
     w = np.asarray(v, dtype=float)
     out = w
     for c in coeffs[1:order + 1]:
@@ -520,16 +523,16 @@ class GroupOps:
 
     # dexp family ----------------------------------------------------------
     def dexp(self, sigma, v, order=None):
-        return dexp_series(self, sigma, v, order or self.series_order)
+        return dexp_series(self, sigma, v, self.series_order if order is None else order)
 
     def dexpinv(self, sigma, v, order=None):
-        return dexpinv_series(self, sigma, v, order or self.series_order)
+        return dexpinv_series(self, sigma, v, self.series_order if order is None else order)
 
     def dual_dexp(self, sigma, mu, order=None):
-        return dual_dexp_series(self, sigma, mu, order or self.series_order)
+        return dual_dexp_series(self, sigma, mu, self.series_order if order is None else order)
 
     def dual_dexpinv(self, sigma, mu, order=None):
-        return dual_dexpinv_series(self, sigma, mu, order or self.series_order)
+        return dual_dexpinv_series(self, sigma, mu, self.series_order if order is None else order)
 
 
 def _check_same_shape(a, b):

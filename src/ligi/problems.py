@@ -184,25 +184,17 @@ def torus_descent(start, h, n_steps, step: Callable = lie_euler_step) -> Traject
 
 @dataclass(frozen=True)
 class StiefelFlowProblem:
-    """A flow on St(n, k) driven by a matrix A.
-
-    flavor "pca_gradient" ascends the objective trace(Q^T A Q)/2 (A must be
-    symmetric); "lyapunov" runs the orthogonal-iteration field of the
-    Lyapunov-exponent method for a possibly nonsymmetric A.
-    """
+    """The PCA gradient flow on St(n, k), ascending trace(Q^T A Q)/2 for a symmetric A."""
 
     A: np.ndarray
     k: int
-    flavor: str = "pca_gradient"
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         object.__setattr__(self, "A", A)
         if self.k < 1 or self.k > A.shape[0]:
             raise ValueError("k must satisfy 1 <= k <= n")
-        if self.flavor not in ("pca_gradient", "lyapunov"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.flavor == "pca_gradient" and np.linalg.norm(A - A.T) > 1e-12:
+        if np.linalg.norm(A - A.T) > 1e-12:
             raise ValueError("the PCA objective needs a symmetric matrix")
 
     @property
@@ -268,35 +260,28 @@ def lyapunov_exponents(a_path: Union[np.ndarray, Callable], k, h, T, q0,
     a_path is a constant matrix or a map t -> matrix (sampled at the step
     midpoints and frozen within each step).  The exponents are trapezoidal
     time averages of the diagonal of B = Q^T A Q - S, starting at t = 0.
-    With return_frame the terminal frame is returned alongside.
+    With return_frame the terminal frame is returned alongside.  Raises
+    NonFiniteState when a frame is not finite.
     """
-    constant = not callable(a_path)
-    A0 = np.asarray(a_path, float) if constant else None
-    Q = np.asarray(q0, dtype=float)
-    n = Q.shape[0]
-    n_steps = int(round(T / h))
-    action = stiefel_action(n)
-
     def sample(t):
-        return A0 if constant else np.asarray(a_path(t), float)
+        return np.asarray(a_path(t) if callable(a_path) else a_path, float)
 
-    def diag_b(A, Q):
-        _, B = lyapunov_triangular_coupling(A, Q)
-        return np.diag(B)[:k].copy()
+    action = stiefel_action(np.shape(q0)[0])
 
-    acc = np.zeros(k)
-    prev = diag_b(sample(0.0), Q)
-    for m in range(n_steps):
+    def frame_step(state, h):  # state (m, Q): the frame Q at t = m h
+        m, Q = state
         A = sample((m + 0.5) * h)
-        problem = FrozenFieldProblem(
-            action=action,
-            coefficient_map=lambda Q_, A=A: lyapunov_field(A, Q_))
-        Q = step(problem, Q, h)
-        cur = diag_b(sample((m + 1.0) * h), Q)
-        acc += 0.5 * h * (prev + cur)
-        prev = cur
-    exponents = acc / (n_steps * h)
-    return (exponents, Q) if return_frame else exponents
+        problem = FrozenFieldProblem(action=action,
+                                     coefficient_map=lambda Q_: lyapunov_field(A, Q_))
+        return m + 1, step(problem, Q, h)
+
+    n_steps = int(round(T / h))
+    traj = integrate(frame_step, (0, np.asarray(q0, dtype=float)), h, n_steps)
+    diag = np.array([np.diag(lyapunov_triangular_coupling(sample(m * h), Q)[1])[:k]
+                     for m, Q in traj.states])
+    # The trapezoid over [0, n h] divided by n h; np.trapezoid needs numpy >= 2.
+    exponents = (diag[1:] + diag[:-1]).sum(axis=0) / (2 * n_steps)
+    return (exponents, traj.final[1]) if return_frame else exponents
 
 
 # ---------------------------------------------------------------------------

@@ -220,14 +220,17 @@ def test_non_finite_state_exit_4_without_csv(tmp_path, capsys):
     ["--problem", "heavytop", "--scheme", "rkmk_theta", "--theta", "0.5", "--h", "1e308"],
     ["--problem", "frb_s3", "--scheme", "dg", "--h", "1e308"],
     ["--problem", "frb_s3", "--scheme", "dg_avf", "--h", "1e308"],
+    ["--problem", "frb_s2", "--scheme", "rkmk", "--h", "1e308"],
+    ["--problem", "frb_s3", "--scheme", "rkmk", "--h", "1e308"],
 ], ids=["torus", "frb_s2", "duffing_sl2", "heavytop_theta05", "heavytop_theta0",
-        "heavytop_rkmk_theta05", "frb_s3_dg", "frb_s3_dg_avf"])
+        "heavytop_rkmk_theta05", "frb_s3_dg", "frb_s3_dg_avf", "frb_s2_rkmk", "frb_s3_rkmk"])
 def test_overflowing_exponential_exit_4_without_csv(tmp_path, capsys, argv):
     # An infinite rotation angle, or an overflowing sl(2) exponential, gives
     # NaN entries, not a math domain error.  The symplectic theta step starts
     # its stage iteration at h f(g0, mu0), which is already infinite; the
     # implicit RKMK theta step screens h f(y0), and the dg step starts its
-    # fixed-point iteration at a Lie-Euler predictor that is already NaN.
+    # fixed-point iteration at a Lie-Euler predictor that is already NaN.  An
+    # infinite dexpinv argument (RKMK with a finite h f(y)) also gives NaN.
     out = tmp_path / "traj.csv"
     code = run(["integrate", *argv, "--steps", "3", "--out", str(out)])
     assert code == 4
@@ -321,6 +324,11 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
                                "h": 0.05, "steps": 2, "bogus": 1}))
     assert run(["integrate", "--config", str(cfg)]) == 2
     assert "bogus" in capsys.readouterr().err
+    # command is a field of RunConfig but not an option
+    cfg.write_text(json.dumps({"problem": "frb_s2", "scheme": "rkmk4",
+                               "h": 0.05, "steps": 2, "command": "order"}))
+    assert run(["integrate", "--config", str(cfg)]) == 2
+    assert "error: unknown config keys ['command']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -328,6 +336,7 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     ("h_list", ["0.1", 0.05, 0.025]), ("h_list", "0.1,0.05,0.025"),
     ("steps", 10.5), ("steps", "10"), ("series_order", 4.0), ("seed", "1"),
     ("problem", ["frb_s2"]), ("out", 1),
+    ("seed", None), ("series_order", None), ("theta", None),
 ])
 def test_config_value_type_exit_2(tmp_path, capsys, key, value):
     cfg = tmp_path / "run.json"
@@ -342,6 +351,40 @@ def test_config_not_an_object_exit_2(tmp_path, capsys):
     cfg.write_text("[0.05, 2]")
     assert run(["integrate", "--preset", "frb-s2-rkmk4", "--config", str(cfg)]) == 2
     assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["integrate", "--preset", "stiefel-pca", "--steps", "2", "--seed", "-1"], None),
+    (["integrate", "--preset", "frb-s2-rkmk4", "--series-order", "-1"], None),
+    (["integrate", "--preset", "frb-s2-rkmk4", "--series-order", "25"], None),
+    (["order", "--problem", "frb_s2", "--scheme", "rkmk4", "--h-list", "0.05,0.1,0.025"], None),
+    (["order", "--problem", "frb_s2", "--scheme", "rkmk4",
+      "--h-list", "1e-300,1e-305,1e-308", "--T", "1e10"], None),
+    (["integrate", "--preset", "frb-s2-rkmk4"], b'{"steps": 2'),
+    (["integrate", "--preset", "frb-s2-rkmk4"], b'{"scheme": "rkmk4\xff"}'),
+], ids=["negative_seed", "negative_series_order", "series_order_25", "h_list_not_decreasing",
+        "reference_run_overflows", "config_not_json", "config_not_utf8"])
+def test_bad_input_exit_2_before_the_run(tmp_path, capsys, argv, config):
+    # Rejected before any step runs; the library would fail mid-run on most of
+    # these, and rkmk4 would ignore the series order.
+    out = tmp_path / "out.csv"
+    if config is not None:
+        (tmp_path / "run.json").write_bytes(config)
+        argv = [*argv, "--config", str(tmp_path / "run.json")]
+    assert run([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_mid_run_value_error_is_not_a_configuration_error(monkeypatch):
+    # A ValueError from the library during a run is a defect: main lets it
+    # through (exit 1 with a traceback) instead of reporting exit 2.
+    def broken(*args, **kwargs):
+        raise ValueError("a defect")
+
+    monkeypatch.setattr(cli, "integrate", broken)
+    with pytest.raises(ValueError, match="a defect"):
+        run(["integrate", "--preset", "frb-s2-rkmk4", "--steps", "2"])
 
 
 def test_non_finite_jacobian_exit_3(monkeypatch, capsys):

@@ -255,6 +255,21 @@ def test_dexp_series_zero_sigma(rng):
     assert np.array_equal(dexpinv_series(SO3, np.zeros(3), v, 8), v)
 
 
+def test_series_order_zero_is_identity_and_negative_order_raises(rng):
+    # Order 0 keeps only the identity term, also through the GroupOps default;
+    # a negative order would otherwise slice the coefficients from the end.
+    s, v = rng.normal(size=(2, 2, 2))
+    s[1, 1], v[1, 1] = -s[0, 0], -v[0, 0]  # traceless
+    assert np.array_equal(SL2.dexpinv(s, v, 0), v)
+    assert np.array_equal(SL2.dexp(s, v, 0), v)
+    assert np.array_equal(SL2.dexpinv(s, v), dexpinv_series(SL2, s, v, SL2.series_order))
+    for series in (dexp_series, dexpinv_series, dual_dexp_series):
+        with pytest.raises(ValueError, match="series order must be in 0..24"):
+            series(SL2, s, v, -3)
+        with pytest.raises(ValueError, match="series order must be in 0..24"):
+            series(SL2, s, v, 25)
+
+
 def test_dexp_series_commuting_case(rng):
     v = rng.normal(size=3)
     assert np.allclose(dexp_series(SO3, v, v, 8), v, atol=1e-14)
@@ -512,7 +527,8 @@ def test_expm_2x2_overflow_is_nan(A):
     (quat_exp, [0.0, np.inf, 0.0]),
     (TorusOps().exp, [0.5, np.inf]),
     (lambda s: dexp_so3_exact(s, [1.0, 0.0, 0.0]), [0.0, 0.0, -np.inf]),
-], ids=["rotation", "rotation-overflow", "quat", "torus", "dexp"])
+    (lambda s: dexpinv_so3_exact(s, [1.0, 0.0, 0.0]), [0.0, 0.0, -np.inf]),
+], ids=["rotation", "rotation-overflow", "quat", "torus", "dexp", "dexpinv"])
 def test_closed_forms_at_an_infinite_angle_are_nan(exp, arg):
     assert np.isnan(exp(np.array(arg))).all()
 
