@@ -5,11 +5,11 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_one_tableau.json unless ``--out`` names another file (the earlier
+BENCH_so3_algebra.json unless ``--out`` names another file (the earlier
 records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
 BENCH_cotangent_family.json, BENCH_explicit_actions.json,
-BENCH_rkmk_family.json and BENCH_one_solver.json).  The cases of
-``src/`` are timed as "change"; with ``--baseline`` those of
+BENCH_rkmk_family.json, BENCH_one_solver.json and BENCH_one_tableau.json).
+The cases of ``src/`` are timed as "change"; with ``--baseline`` those of
 ``<baseline>/src`` are timed too, as "parent".
 Each tree is timed in fresh single-threaded child interpreters, alternating
 between the trees for ``ROUNDS`` rounds.  A case runs ``REPEAT`` ``timeit``
@@ -23,9 +23,10 @@ recorded too.  With a baseline, each round's two children run back to back,
 and the change over the parent is the median (with quartiles) over the rounds
 of the ratio of their per-round medians.
 
-The L0 cases are the so(3) and S^3 closed forms, the 2x2 exponential of
-``SL2`` against ``scipy.linalg.expm`` on the same matrix, and the torus
-exponential with its action.  The L1 cases are one call of each piece of the
+The L0 cases are the so(3) and S^3 closed forms (the dexp family as the
+``SO3`` and ``S3`` methods), the 2x2 exponential of ``SL2`` against
+``scipy.linalg.expm`` on the same matrix, and the torus exponential with its
+action.  The L1 cases are one call of each piece of the
 implicit inner loops (the theta and RKMK theta residuals, the semidirect
 bracket and dexpinv series, the two-form and the quaternion log), one cold
 step of each implicit scheme from the heavy-top and quaternion free rigid body
@@ -66,10 +67,14 @@ L0_KERNELS = (
     ("cross3", "S, V"),
     ("hat", "S"),
     ("rotation_from_vector", "S"),
-    ("dexp_so3_exact", "S, V"),
-    ("dexpinv_so3_exact", "S, V"),
-    ("dual_dexp_so3_exact", "S, V"),
-    ("dual_dexpinv_so3_exact", "S, V"),
+    ("SO3.dexp", "S, V"),
+    ("SO3.dexpinv", "S, V"),
+    ("SO3.dual_dexp", "S, V"),
+    ("SO3.dual_dexpinv", "S, V"),
+    ("S3.dexp", "S, V"),
+    ("S3.dexpinv", "S, V"),
+    ("S3.dual_dexp", "S, V"),
+    ("S3.dual_dexpinv", "S, V"),
     ("quat_mul", "P, Q"),
     ("quat_exp", "S"),
     ("quat_conj", "Q"),
@@ -79,8 +84,8 @@ L0_KERNELS = (
 CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERNELS) + (
     ("SL2.exp", "liealg.SL2.exp(A2)", NUMBER),
     ("scipy.linalg.expm_2x2", "scipy.linalg.expm(A2)", NUMBER),
-    ("TorusOps.exp+TorusAction.apply", "actions.TORUS.apply(actions.TORUS.exp(XI2), M22)",
-     NUMBER),
+    ("TorusOps.exp+TorusAction.apply",
+     "actions.TORUS.apply(actions.TORUS.group.exp(XI2), M22)", NUMBER),
     ("theta_residual", "THETA_RESIDUAL(THETA_Z)", 2000),
     ("rkmk_theta_residual", "RKMK_RESIDUAL(RKMK_K)", 1000),
     ("CotangentOps.bracket", "CT.bracket(A6, B6)", 5000),
@@ -233,7 +238,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_one_tableau.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_so3_algebra.json"))
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 

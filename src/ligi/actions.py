@@ -40,9 +40,6 @@ class GroupAction:
         """Tangent vector of the one-parameter orbit t -> exp(t xi) . m at 0."""
         raise NotImplementedError
 
-    def exp(self, xi):
-        return self.group.exp(xi)
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
 

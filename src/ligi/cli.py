@@ -62,6 +62,12 @@ class ConfigError(ValueError):
     pass
 
 
+# Largest step count of a run, and of an order study's reference run.  A
+# trajectory keeps every state in memory, so a longer run would not fit; far
+# past it, even the time grid cannot be allocated.
+MAX_STEPS = 10**8
+
+
 PRESETS = {
     "heavytop-theta0": dict(problem="heavytop", scheme="symplectic_theta",
                             theta=0.0, h=0.05, steps=10000),
@@ -197,7 +203,9 @@ class RunConfig:
     h: float = None
     steps: int = None
     theta: float = 0.5
-    series_order: int = 4
+    series_order: int = field(default=4, metadata={
+        "help": "order of the dexpinv series of --scheme rkmk; no effect on frb_s2 and"
+                " frb_s3, whose so(3) and S^3 closed forms are exact"})
     seed: int = 0
     out: str = field(default=None, metadata={"help": "output path (CSV or JSON)"})
     h_list: tuple = field(default=None, metadata={
@@ -210,8 +218,8 @@ class RunConfig:
         if self.command in ("integrate", "drift"):
             if self.h is None or not (math.isfinite(self.h) and self.h > 0.0):
                 raise ConfigError("h must be positive and finite")
-            if self.steps is None or self.steps < 1:
-                raise ConfigError("steps must be >= 1")
+            if self.steps is None or not 1 <= self.steps <= MAX_STEPS:
+                raise ConfigError(f"steps must be in 1..{MAX_STEPS} (MAX_STEPS)")
         if self.command == "order":
             if self.h_list is None or len(self.h_list) < 3:
                 raise ConfigError("order needs at least 3 step sizes (--h-list)")
@@ -223,9 +231,11 @@ class RunConfig:
             if not (math.isfinite(self.T) and self.T / max(self.h_list) > 0.5):
                 raise ConfigError("T must be finite and give at least one step"
                                   " of the largest step size")
-            if not math.isfinite(20.0 * self.T / self.h_list[-1]):
+            h_ref = self.h_list[-1] / 20.0  # convergence_study's reference step; may underflow
+            if not (h_ref > 0.0 and self.T / h_ref <= MAX_STEPS):
                 raise ConfigError("T / min(h_list) too large: the reference run of"
-                                  " 20 T / min(h_list) steps must be finite")
+                                  f" 20 T / min(h_list) steps must be at most {MAX_STEPS}"
+                                  " (MAX_STEPS)")
         if not math.isfinite(self.theta):
             raise ConfigError("theta must be finite")
         if not 0 <= self.series_order <= MAX_SERIES_ORDER:
@@ -308,6 +318,17 @@ def _real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _number(value):
+    """A real that float() takes: a JSON integer can be past float's range."""
+    if not _real(value):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _float_tuple(text):
     return tuple(float(x) for x in text.split(","))
 
@@ -316,10 +337,10 @@ def _float_tuple(text):
 # flag's argparse type, the config-file value check, and what the check wants.
 OPTION_TYPES = {
     "str": (str, lambda value: isinstance(value, str), "a string"),
-    "float": (float, _real, "a number"),
+    "float": (float, _number, "a number in float range"),
     "int": (int, lambda value: _real(value) and isinstance(value, numbers.Integral), "an integer"),
-    "tuple": (_float_tuple, lambda value: isinstance(value, list) and all(map(_real, value)),
-              "a list of numbers"),
+    "tuple": (_float_tuple, lambda value: isinstance(value, list) and all(map(_number, value)),
+              "a list of numbers in float range"),
 }
 
 OPTIONS = {f.name: f for f in fields(RunConfig) if f.name != "command"}

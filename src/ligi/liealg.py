@@ -231,34 +231,6 @@ def _ad_quadratic(x, y, z, v, coeffs):
     ])
 
 
-def dexp_so3_exact(sigma, v):
-    """dexp_sigma(v) on so(3) in vector coordinates, closed form."""
-    x, y, z = np.asarray(sigma, dtype=float).tolist()
-    return _ad_quadratic(x, y, z, v, _dexp_coeffs)
-
-
-def dexpinv_so3_exact(sigma, v):
-    """Inverse differential of exp on so(3), closed form.
-
-    v - cross(sigma, v)/2 + c(|sigma|) cross(sigma, cross(sigma, v)),
-    valid for |sigma| < 2 pi.
-    """
-    x, y, z = np.asarray(sigma, dtype=float).tolist()
-    return _ad_quadratic(x, y, z, v, _dexpinv_coeffs)
-
-
-def dual_dexp_so3_exact(sigma, mu):
-    """(dexp_sigma)^* mu on so(3)^*: transpose of the dexp matrix."""
-    x, y, z = np.asarray(sigma, dtype=float).tolist()
-    return _ad_quadratic(-x, -y, -z, mu, _dexp_coeffs)
-
-
-def dual_dexpinv_so3_exact(sigma, mu):
-    """(dexpinv_sigma)^* mu on so(3)^*."""
-    x, y, z = np.asarray(sigma, dtype=float).tolist()
-    return _ad_quadratic(-x, -y, -z, mu, _dexpinv_coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Unit quaternions
 # ---------------------------------------------------------------------------
@@ -480,7 +452,6 @@ class GroupOps:
     """
 
     dim = None  # algebra dimension
-    series_order = SERIES_ORDER
 
     # algebra ------------------------------------------------------------
     def bracket(self, a, b):
@@ -522,17 +493,17 @@ class GroupOps:
         raise NotImplementedError
 
     # dexp family ----------------------------------------------------------
-    def dexp(self, sigma, v, order=None):
-        return dexp_series(self, sigma, v, self.series_order if order is None else order)
+    def dexp(self, sigma, v, order=SERIES_ORDER):
+        return dexp_series(self, sigma, v, order)
 
-    def dexpinv(self, sigma, v, order=None):
-        return dexpinv_series(self, sigma, v, self.series_order if order is None else order)
+    def dexpinv(self, sigma, v, order=SERIES_ORDER):
+        return dexpinv_series(self, sigma, v, order)
 
-    def dual_dexp(self, sigma, mu, order=None):
-        return dual_dexp_series(self, sigma, mu, self.series_order if order is None else order)
+    def dual_dexp(self, sigma, mu, order=SERIES_ORDER):
+        return dual_dexp_series(self, sigma, mu, order)
 
-    def dual_dexpinv(self, sigma, mu, order=None):
-        return dual_dexpinv_series(self, sigma, mu, self.series_order if order is None else order)
+    def dual_dexpinv(self, sigma, mu, order=SERIES_ORDER):
+        return dual_dexpinv_series(self, sigma, mu, order)
 
 
 def _check_same_shape(a, b):
@@ -547,6 +518,7 @@ class So3Ops(GroupOps):
     """SO(3) with algebra elements as 3-vectors and rotations as 3x3 arrays."""
 
     dim = 3
+    _ad_scale = 1.0  # ad_sigma = hat(_ad_scale * sigma)
 
     def bracket(self, a, b):
         a, b = _check_same_shape(a, b)
@@ -577,27 +549,40 @@ class So3Ops(GroupOps):
         # mu @ g is g.T @ mu bit for bit, without the transposed view.
         return np.asarray(mu, float) @ np.asarray(g)
 
+    # dexp family: closed forms, so order is ignored ---------------------
+    def _closed_form(self, sigma, v, coeffs, sign):
+        """_ad_quadratic at sign * ad_sigma, with ad_sigma = hat(_ad_scale sigma).
+
+        sign -1 gives the dual.  Scaling by +-1 or +-2 is exact, so S^3 gets
+        the so(3) forms at 2 sigma bit for bit.
+        """
+        x, y, z = np.asarray(sigma, dtype=float).tolist()
+        s = sign * self._ad_scale
+        return _ad_quadratic(s * x, s * y, s * z, v, coeffs)
+
     def dexp(self, sigma, v, order=None):
-        return dexp_so3_exact(sigma, v)
+        return self._closed_form(sigma, v, _dexp_coeffs, 1.0)
 
     def dexpinv(self, sigma, v, order=None):
-        return dexpinv_so3_exact(sigma, v)
+        """Valid for |ad_sigma| < 2 pi; DexpinvOutOfRange past it."""
+        return self._closed_form(sigma, v, _dexpinv_coeffs, 1.0)
 
     def dual_dexp(self, sigma, mu, order=None):
-        return dual_dexp_so3_exact(sigma, mu)
+        return self._closed_form(sigma, mu, _dexp_coeffs, -1.0)
 
     def dual_dexpinv(self, sigma, mu, order=None):
-        return dual_dexpinv_so3_exact(sigma, mu)
+        return self._closed_form(sigma, mu, _dexpinv_coeffs, -1.0)
 
 
-class QuatOps(GroupOps):
+class QuatOps(So3Ops):
     """Unit quaternions S^3 with the pure-quaternion algebra as 3-vectors.
 
     The identification with R^3 is such that exp covers the double rotation,
-    so ad_w = hat(2 w) and the closed so(3) forms apply with argument 2 sigma.
+    so ad_w = hat(2 w): the group side is its own, and the closed so(3) dexp
+    family is inherited with argument 2 sigma.
     """
 
-    dim = 3
+    _ad_scale = 2.0
 
     def bracket(self, a, b):
         a, b = _check_same_shape(a, b)
@@ -626,18 +611,6 @@ class QuatOps(GroupOps):
 
     def coAd(self, g, mu):
         return euler_rodrigues(g).T @ np.asarray(mu, float)
-
-    def dexp(self, sigma, v, order=None):
-        return dexp_so3_exact(2.0 * np.asarray(sigma, float), v)
-
-    def dexpinv(self, sigma, v, order=None):
-        return dexpinv_so3_exact(2.0 * np.asarray(sigma, float), v)
-
-    def dual_dexp(self, sigma, mu, order=None):
-        return dual_dexp_so3_exact(2.0 * np.asarray(sigma, float), mu)
-
-    def dual_dexpinv(self, sigma, mu, order=None):
-        return dual_dexpinv_so3_exact(2.0 * np.asarray(sigma, float), mu)
 
 
 class MatrixOps(GroupOps):

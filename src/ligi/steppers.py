@@ -100,7 +100,7 @@ HEUN2 = ButcherTableau(a=[[0.0, 0.0], [1.0, 0.0]], b=[0.5, 0.5])
 def lie_euler_step(problem: FrozenFieldProblem, y, h):
     """Flow of the field frozen at y for time h."""
     act = problem.action
-    return act.apply(act.exp(h * problem.coefficient_map(y)), y)
+    return act.apply(act.group.exp(h * problem.coefficient_map(y)), y)
 
 
 def lie_euler_isotropy_step(problem: FrozenFieldProblem, y, h, alpha=0.0):
@@ -111,7 +111,7 @@ def lie_euler_isotropy_step(problem: FrozenFieldProblem, y, h, alpha=0.0):
     """
     act = problem.action
     xi = problem.coefficient_map(y) + alpha * np.asarray(y, float)
-    return act.apply(act.exp(h * xi), y)
+    return act.apply(act.group.exp(h * xi), y)
 
 
 def heun_step(problem: FrozenFieldProblem, y, h, variant="rkmk"):
@@ -125,15 +125,16 @@ def heun_step(problem: FrozenFieldProblem, y, h, variant="rkmk"):
     * "cg_right": exp(h/2 k2) . exp(h/2 k1) . y
     """
     act = problem.action
+    group = act.group
     f = problem.coefficient_map
     k1 = f(y)
-    k2 = f(act.apply(act.exp(h * k1), y))
+    k2 = f(act.apply(group.exp(h * k1), y))
     if variant == "rkmk":
-        return act.apply(act.exp(0.5 * h * (k1 + k2)), y)
+        return act.apply(group.exp(0.5 * h * (k1 + k2)), y)
     if variant == "cg_left":
-        return act.apply(act.exp(0.5 * h * k1), act.apply(act.exp(0.5 * h * k2), y))
+        return act.apply(group.exp(0.5 * h * k1), act.apply(group.exp(0.5 * h * k2), y))
     if variant == "cg_right":
-        return act.apply(act.exp(0.5 * h * k2), act.apply(act.exp(0.5 * h * k1), y))
+        return act.apply(group.exp(0.5 * h * k2), act.apply(group.exp(0.5 * h * k1), y))
     raise ValueError(f"unknown Heun variant {variant!r}")
 
 

@@ -337,6 +337,7 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     ("steps", 10.5), ("steps", "10"), ("series_order", 4.0), ("seed", "1"),
     ("problem", ["frb_s2"]), ("out", 1),
     ("seed", None), ("series_order", None), ("theta", None),
+    ("h", 10**400), ("T", -10**400), ("h_list", [0.1, 10**400, 0.025]),
 ])
 def test_config_value_type_exit_2(tmp_path, capsys, key, value):
     cfg = tmp_path / "run.json"
@@ -360,10 +361,16 @@ def test_config_not_an_object_exit_2(tmp_path, capsys):
     (["order", "--problem", "frb_s2", "--scheme", "rkmk4", "--h-list", "0.05,0.1,0.025"], None),
     (["order", "--problem", "frb_s2", "--scheme", "rkmk4",
       "--h-list", "1e-300,1e-305,1e-308", "--T", "1e10"], None),
+    (["integrate", "--preset", "frb-s2-rkmk4", "--steps", str(10**30)], None),
+    (["order", "--problem", "frb_s2", "--scheme", "rkmk4",
+      "--h-list", "1e-200,1e-250,1e-300", "--T", "1"], None),
+    (["order", "--problem", "frb_s2", "--scheme", "rkmk4",
+      "--h-list", "2e-323,1e-323,5e-324", "--T", "1.5e-323"], None),
     (["integrate", "--preset", "frb-s2-rkmk4"], b'{"steps": 2'),
     (["integrate", "--preset", "frb-s2-rkmk4"], b'{"scheme": "rkmk4\xff"}'),
 ], ids=["negative_seed", "negative_series_order", "series_order_25", "h_list_not_decreasing",
-        "reference_run_overflows", "config_not_json", "config_not_utf8"])
+        "reference_run_overflows", "steps_past_max", "reference_run_past_max",
+        "reference_step_underflows", "config_not_json", "config_not_utf8"])
 def test_bad_input_exit_2_before_the_run(tmp_path, capsys, argv, config):
     # Rejected before any step runs; the library would fail mid-run on most of
     # these, and rkmk4 would ignore the series order.
@@ -374,6 +381,15 @@ def test_bad_input_exit_2_before_the_run(tmp_path, capsys, argv, config):
     assert run([*argv, "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_max_steps_is_the_largest_valid_step_count():
+    # An integer field takes any size of integer; validate bounds it.
+    config = cli.RunConfig(problem="frb_s2", scheme="rkmk4", h=0.05, steps=cli.MAX_STEPS)
+    config.validate()
+    for steps in (cli.MAX_STEPS + 1, 10**400):
+        with pytest.raises(cli.ConfigError, match=f"steps must be in 1..{cli.MAX_STEPS}"):
+            dataclasses.replace(config, steps=steps).validate()
 
 
 def test_mid_run_value_error_is_not_a_configuration_error(monkeypatch):

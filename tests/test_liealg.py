@@ -22,6 +22,7 @@ from ligi.errors import (
 from ligi.liealg import (
     S3,
     SL2,
+    SERIES_ORDER,
     SMALL_ANGLE,
     SO3,
     MatrixOps,
@@ -30,11 +31,7 @@ from ligi.liealg import (
     cayley,
     dexp_series,
     dexpinv_series,
-    dexp_so3_exact,
-    dexpinv_so3_exact,
     dual_dexp_series,
-    dual_dexp_so3_exact,
-    dual_dexpinv_so3_exact,
     euler_rodrigues,
     expm_2x2,
     expm_so3,
@@ -262,7 +259,7 @@ def test_series_order_zero_is_identity_and_negative_order_raises(rng):
     s[1, 1], v[1, 1] = -s[0, 0], -v[0, 0]  # traceless
     assert np.array_equal(SL2.dexpinv(s, v, 0), v)
     assert np.array_equal(SL2.dexp(s, v, 0), v)
-    assert np.array_equal(SL2.dexpinv(s, v), dexpinv_series(SL2, s, v, SL2.series_order))
+    assert np.array_equal(SL2.dexpinv(s, v), dexpinv_series(SL2, s, v, SERIES_ORDER))
     for series in (dexp_series, dexpinv_series, dual_dexp_series):
         with pytest.raises(ValueError, match="series order must be in 0..24"):
             series(SL2, s, v, -3)
@@ -306,14 +303,14 @@ def test_dexp_dexpinv_composition_order(rng):
 
 def test_dexpinv_so3_exact_trivials(rng):
     v = rng.normal(size=3)
-    assert np.array_equal(dexpinv_so3_exact(np.zeros(3), v), v)
-    assert np.allclose(dexpinv_so3_exact(2.0 * v, v), v, atol=1e-14)
+    assert np.array_equal(SO3.dexpinv(np.zeros(3), v), v)
+    assert np.allclose(SO3.dexpinv(2.0 * v, v), v, atol=1e-14)
 
 
 def test_dexpinv_so3_exact_pole_is_a_domain_error():
     sigma = np.array([2.0 * np.pi, 0.0, 0.0])
     with pytest.raises(DexpinvOutOfRange):
-        dexpinv_so3_exact(sigma, np.ones(3))
+        SO3.dexpinv(sigma, np.ones(3))
     for error in (AngleNearPi, LogNearAntipode, SingularResolvent, CriticalPoint,
                   CoincidentPoints, DexpinvOutOfRange):
         assert issubclass(error, DomainError) and issubclass(error, ValueError)
@@ -324,7 +321,7 @@ def test_dexpinv_so3_exact_matches_series(rng):
         sigma = rng.normal(size=3)
         sigma *= rng.uniform(0.01, 1.0) / np.linalg.norm(sigma)
         v = rng.normal(size=3)
-        assert np.allclose(dexpinv_so3_exact(sigma, v),
+        assert np.allclose(SO3.dexpinv(sigma, v),
                            dexpinv_series(SO3, sigma, v, 16), atol=1e-12)
 
 
@@ -526,8 +523,8 @@ def test_expm_2x2_overflow_is_nan(A):
     (rotation_from_vector, [1e200, 1e200, 0.0]),
     (quat_exp, [0.0, np.inf, 0.0]),
     (TorusOps().exp, [0.5, np.inf]),
-    (lambda s: dexp_so3_exact(s, [1.0, 0.0, 0.0]), [0.0, 0.0, -np.inf]),
-    (lambda s: dexpinv_so3_exact(s, [1.0, 0.0, 0.0]), [0.0, 0.0, -np.inf]),
+    (lambda s: SO3.dexp(s, [1.0, 0.0, 0.0]), [0.0, 0.0, -np.inf]),
+    (lambda s: SO3.dexpinv(s, [1.0, 0.0, 0.0]), [0.0, 0.0, -np.inf]),
 ], ids=["rotation", "rotation-overflow", "quat", "torus", "dexp", "dexpinv"])
 def test_closed_forms_at_an_infinite_angle_are_nan(exp, arg):
     assert np.isnan(exp(np.array(arg))).all()
@@ -657,8 +654,7 @@ def test_dual_dexp_family_pairing(side, as_list, data, mu, v):
     sigma = data.draw(ANGLES[side])
     scale = 1e-13 * (1.0 + np.linalg.norm(mu) * np.linalg.norm(v))
     s, m, w = (_arg(x, as_list) for x in (sigma, mu, v))
-    for dual, primal in ((dual_dexp_so3_exact, dexp_so3_exact),
-                         (dual_dexpinv_so3_exact, dexpinv_so3_exact)):
+    for dual, primal in ((SO3.dual_dexp, SO3.dexp), (SO3.dual_dexpinv, SO3.dexpinv)):
         assert abs(dual(s, m) @ v - mu @ primal(s, w)) < scale
 
 
@@ -668,8 +664,21 @@ def test_dual_dexp_family_pairing(side, as_list, data, mu, v):
 @given(data=st.data(), v=vectors)
 def test_dexp_inverts_dexpinv(side, as_list, data, v):
     sigma = _arg(data.draw(ANGLES[side]), as_list)
-    w = dexpinv_so3_exact(sigma, _arg(v, as_list))
-    assert np.max(np.abs(dexp_so3_exact(sigma, w) - v)) < 1e-13 * (1.0 + np.linalg.norm(v))
+    w = SO3.dexpinv(sigma, _arg(v, as_list))
+    assert np.max(np.abs(SO3.dexp(sigma, w) - v)) < 1e-13 * (1.0 + np.linalg.norm(v))
+
+
+@as_list
+@kernel_examples
+@given(sigma=st.one_of(st.just(np.zeros(3)), *ANGLES.values()), v=vectors, mu=vectors)
+def test_s3_dexp_family_is_so3_at_twice_sigma(as_list, sigma, v, mu):
+    # S^3's ad_sigma is so(3)'s at 2 sigma and each dual is its primal at
+    # -sigma; scaling by +-1 and +-2 is exact, so the forms agree bit for bit.
+    s, w, m = (_arg(x, as_list) for x in (sigma, v, mu))
+    for name, x in (("dexp", w), ("dexpinv", w), ("dual_dexp", m), ("dual_dexpinv", m)):
+        assert np.array_equal(getattr(S3, name)(s, x), getattr(SO3, name)(2.0 * sigma, x))
+    assert np.array_equal(SO3.dual_dexp(s, m), SO3.dexp(-sigma, m))
+    assert np.array_equal(SO3.dual_dexpinv(s, m), SO3.dexpinv(-sigma, m))
 
 
 @by_side

@@ -52,11 +52,11 @@ def test_duffing_frozen_flows_match_closed_forms(t):
     a = b = 1.0
     p0 = np.array([0.75, 0.75])
     sl2 = duffing_problem(DuffingParams(a, b), "sl2")
-    moved = sl2.action.apply(sl2.action.exp(t * sl2.coefficient_map(p0)), p0)
+    moved = sl2.action.apply(sl2.action.group.exp(t * sl2.coefficient_map(p0)), p0)
     assert np.allclose(moved, duffing_sl2_frozen_flow(a, b, p0, t), atol=1e-12)
 
     se2 = duffing_problem(DuffingParams(a, b), "se2")
-    moved = se2.action.apply(se2.action.exp(t * se2.coefficient_map(p0)), p0)
+    moved = se2.action.apply(se2.action.group.exp(t * se2.coefficient_map(p0)), p0)
     assert np.allclose(moved, duffing_se2_frozen_flow(a, b, p0, t), atol=1e-12)
 
 
@@ -168,7 +168,7 @@ def test_pca_gradient_matches_directional_derivative(rng):
     xi = problem.coefficient_map(Q)
     from ligi.problems import pca_objective
     deriv = central_difference(
-        lambda t: pca_objective(flow.A, problem.action.exp(t * xi) @ Q), 0.0, 1.0)
+        lambda t: pca_objective(flow.A, problem.action.group.exp(t * xi) @ Q), 0.0, 1.0)
     grad = problem.reference_field(Q)
     assert abs(deriv - float(np.sum(grad * (xi @ Q)))) < 1e-6
     # ascent direction: derivative equals the squared gradient norm
