@@ -5,10 +5,11 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_so3_algebra.json unless ``--out`` names another file (the earlier
+BENCH_frb_kernels.json unless ``--out`` names another file (the earlier
 records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
 BENCH_cotangent_family.json, BENCH_explicit_actions.json,
-BENCH_rkmk_family.json, BENCH_one_solver.json and BENCH_one_tableau.json).
+BENCH_rkmk_family.json, BENCH_one_solver.json, BENCH_one_tableau.json and
+BENCH_so3_algebra.json).
 The cases of ``src/`` are timed as "change"; with ``--baseline`` those of
 ``<baseline>/src`` are timed too, as "parent".
 Each tree is timed in fresh single-threaded child interpreters, alternating
@@ -25,12 +26,13 @@ of the ratio of their per-round medians.
 
 The L0 cases are the so(3) and S^3 closed forms (the dexp family as the
 ``SO3`` and ``S3`` methods), the 2x2 exponential of ``SL2`` against
-``scipy.linalg.expm`` on the same matrix, and the torus exponential with its
-action.  The L1 cases are one call of each piece of the
-implicit inner loops (the theta and RKMK theta residuals, the semidirect
-bracket and dexpinv series, the two-form and the quaternion log), one cold
-step of each implicit scheme from the heavy-top and quaternion free rigid body
-start states, each with a fresh solver (the symplectic family at theta = 1/2
+``scipy.linalg.expm`` on the same matrix, the torus exponential with its
+action, and the callbacks of the quaternion free rigid body (energy, field,
+energy differential) with its body momentum.  The L1 cases are one call of
+each piece of the implicit inner loops (the theta and RKMK theta residuals,
+the semidirect bracket and dexpinv series, the two-form and the quaternion
+log), one cold step of each implicit scheme from the heavy-top and quaternion
+free rigid body start states, each with a fresh solver (the symplectic family at theta = 1/2
 and theta = 0, through theta_step and through symplectic_step, and its
 two-stage Gauss member; the RKMK theta comparator at theta = 1/2 and
 theta = 0), one explicit KUTTA4 ``rkmk_step`` on the free rigid body on S^2
@@ -86,6 +88,10 @@ CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERN
     ("scipy.linalg.expm_2x2", "scipy.linalg.expm(A2)", NUMBER),
     ("TorusOps.exp+TorusAction.apply",
      "actions.TORUS.apply(actions.TORUS.group.exp(XI2), M22)", NUMBER),
+    ("FRB.energy", "FRB.energy(P)", NUMBER),
+    ("FRB.field", "FRB.field(P)", NUMBER),
+    ("FRB.energy_differential", "FRB.energy_differential(P)", NUMBER),
+    ("body_momentum", "discrete_gradient.body_momentum(P, FRB_M0)", NUMBER),
     ("theta_residual", "THETA_RESIDUAL(THETA_Z)", 2000),
     ("rkmk_theta_residual", "RKMK_RESIDUAL(RKMK_K)", 1000),
     ("CotangentOps.bracket", "CT.bracket(A6, B6)", 5000),
@@ -137,8 +143,8 @@ symplectic.theta_step(0.5, HT, HT_STATE, 0.05, solver=cap)
 THETA_RESIDUAL, THETA_Z = cap.residual, cap.z0
 symplectic.rkmk_theta_step(0.5, HT, HT_STATE, 0.05, solver=cap)
 RKMK_RESIDUAL, RKMK_K = cap.residual, cap.z0
-FRB = discrete_gradient.free_rigid_body_quat(np.array([1.0, 5.0, 60.0]),
-                                             np.array([1.0, 0.1, -1.0 / 60.0]))
+FRB_M0 = np.array([1.0, 0.1, -1.0 / 60.0])
+FRB = discrete_gradient.free_rigid_body_quat(np.array([1.0, 5.0, 60.0]), FRB_M0)
 GAMMA = discrete_gradient.trivialized_differential(
     FRB.group, FRB.energy, P, closed_form=FRB.energy_differential)
 A2 = np.array([[0.0, 0.01], [-0.015625, 0.0]])  # h f at the duffing-sl2 start
@@ -238,7 +244,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_so3_algebra.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_frb_kernels.json"))
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 

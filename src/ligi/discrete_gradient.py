@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CoincidentPoints, CriticalPoint
-from .liealg import GroupOps, S3, cross3, euler_rodrigues
+from .liealg import GroupOps, S3, rodrigues_entries
 from .steppers import screen_start
 from .symplectic import ImplicitSolver
 
@@ -194,33 +194,58 @@ def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", midpoint_form=True,
 # Free rigid body in quaternion form
 # ---------------------------------------------------------------------------
 
+def _body_frame(q, m0):
+    """E(q) as nine row-major floats, and the body momentum E(q)^T m0 as three.
+
+    q is read with one tolist() and m0 is a sequence of three floats; E(q) is
+    euler_rodrigues(q) on Python floats, where numpy's fixed cost per call is
+    several times that of the few dozen flops.
+    """
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
+    e = rodrigues_entries(x, y, z, 2.0 * w, 2.0)
+    e00, e01, e02, e10, e11, e12, e20, e21, e22 = e
+    a0, a1, a2 = m0
+    return e, (e00 * a0 + e10 * a1 + e20 * a2,
+               e01 * a0 + e11 * a1 + e21 * a2,
+               e02 * a0 + e12 * a1 + e22 * a2)
+
+
 def free_rigid_body_quat(inertia, m0) -> InvariantSystem:
     """Attitude equations of a free rigid body on the unit quaternions.
 
     The field is q' = f(q) . q with f(q) the pure quaternion whose vector
     part is E(q) I^{-1} E(q)^T m0 / 2, and the conserved energy is the
-    kinetic energy of the body momentum m(q) = E(q)^T m0.
+    kinetic energy of the body momentum m(q) = E(q)^T m0.  The three
+    callbacks run on Python floats through _body_frame.
     """
     inertia = np.asarray(inertia, dtype=float)
     if np.any(inertia <= 0.0):
         raise ValueError("inertia entries must be positive")
-    inv_inertia = 1.0 / inertia
-    m0 = np.asarray(m0, dtype=float)
+    j0, j1, j2 = (1.0 / inertia).tolist()
+    m0 = np.asarray(m0, dtype=float).tolist()
+    n0, n1, n2 = m0
 
     def spatial_velocity(q):
-        E = euler_rodrigues(q)
-        return E @ (inv_inertia * (E.T @ m0))
+        """E(q) I^{-1} E(q)^T m0, as three floats."""
+        (e00, e01, e02, e10, e11, e12, e20, e21, e22), (p0, p1, p2) = _body_frame(q, m0)
+        u0, u1, u2 = j0 * p0, j1 * p1, j2 * p2
+        return (e00 * u0 + e01 * u1 + e02 * u2,
+                e10 * u0 + e11 * u1 + e12 * u2,
+                e20 * u0 + e21 * u1 + e22 * u2)
 
     def field(q):
-        return 0.5 * spatial_velocity(q)
+        w0, w1, w2 = spatial_velocity(q)
+        return np.array([0.5 * w0, 0.5 * w1, 0.5 * w2])
 
     def energy(q):
-        E = euler_rodrigues(q)
-        m = E.T @ m0
-        return 0.5 * float(m @ (inv_inertia * m))
+        p0, p1, p2 = _body_frame(q, m0)[1]
+        return 0.5 * (p0 * (j0 * p0) + p1 * (j1 * p1) + p2 * (j2 * p2))
 
     def energy_differential(q):
-        return 2.0 * cross3(spatial_velocity(q), m0)
+        # 2 cross(w, m0)
+        w0, w1, w2 = spatial_velocity(q)
+        return np.array([2.0 * (w1 * n2 - w2 * n1), 2.0 * (w2 * n0 - w0 * n2),
+                         2.0 * (w0 * n1 - w1 * n0)])
 
     return InvariantSystem(group=S3, energy=energy, field=field,
                            energy_differential=energy_differential)
@@ -228,4 +253,4 @@ def free_rigid_body_quat(inertia, m0) -> InvariantSystem:
 
 def body_momentum(q, m0):
     """Momentum in body coordinates, E(q)^T m0; stays on the sphere |m0|."""
-    return euler_rodrigues(q).T @ np.asarray(m0, dtype=float)
+    return np.array(_body_frame(q, np.asarray(m0, dtype=float).tolist())[1])

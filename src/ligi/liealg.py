@@ -103,16 +103,16 @@ def vee(A):
     return np.array([A[2, 1], A[0, 2], A[1, 0]])
 
 
-def _rodrigues(x, y, z, c1, c2):
-    """I + c1 hat(v) + c2 hat(v)^2 for v = (x, y, z)."""
+def rodrigues_entries(x, y, z, c1, c2):
+    """I + c1 hat(v) + c2 hat(v)^2 for v = (x, y, z), as nine row-major floats."""
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = c2 * (x * y), c2 * (x * z), c2 * (y * z)
     sx, sy, sz = c1 * x, c1 * y, c1 * z
-    return np.array([
+    return (
         1.0 - c2 * (yy + zz), xy - sz, xz + sy,
         xy + sz, 1.0 - c2 * (xx + zz), yz - sx,
         xz - sy, yz + sx, 1.0 - c2 * (xx + yy),
-    ]).reshape(3, 3)
+    )
 
 
 def _rotation_coeffs(theta2):
@@ -136,7 +136,8 @@ def _rotation_coeffs(theta2):
 def rotation_from_vector(v):
     """Rotation about axis v by angle |v| (closed form on so(3))."""
     x, y, z = np.asarray(v, dtype=float).tolist()
-    return _rodrigues(x, y, z, *_rotation_coeffs(x * x + y * y + z * z))
+    c1, c2 = _rotation_coeffs(x * x + y * y + z * z)
+    return np.array(rodrigues_entries(x, y, z, c1, c2)).reshape(3, 3)
 
 
 def expm_so3(A):
@@ -204,7 +205,7 @@ def _dexpinv_coeffs(theta):
     if theta >= 2.0 * math.pi:
         if theta == math.inf:
             return -0.5, math.nan
-        raise DexpinvOutOfRange(f"dexpinv closed form needs |v| < 2*pi, got {theta!r}")
+        raise DexpinvOutOfRange(f"dexpinv closed form needs |ad_v| < 2*pi, got {theta!r}")
     if theta < SMALL_ANGLE:
         t2 = theta * theta
         return -0.5, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
@@ -288,23 +289,21 @@ def quat_log(q):
     Raises:
         LogNearAntipode: when q0 <= -1 + 1e-9.
     """
-    q = np.asarray(q, dtype=float)
-    q0 = q[0]
+    q0, x, y, z = np.asarray(q, dtype=float).tolist()
     if q0 <= -1.0 + 1e-9:
         raise LogNearAntipode(f"quaternion too close to -identity (q0={q0!r})")
-    v = q[1:]
-    nv = math.sqrt(float(v @ v))  # np.linalg.norm(v), without its dispatch
+    nv = math.sqrt(x * x + y * y + z * z)
     if nv < 1e-9:
         # q0 ~ +1 here; the antipode was excluded above.
-        return v / q0
-    theta = math.atan2(nv, q0)
-    return (theta / nv) * v
+        return np.array([x / q0, y / q0, z / q0])
+    k = math.atan2(nv, q0) / nv
+    return np.array([k * x, k * y, k * z])
 
 
 def euler_rodrigues(q):
     """Double cover S^3 -> SO(3): I + 2 q0 hat(q) + 2 hat(q)^2."""
     q0, x, y, z = np.asarray(q, dtype=float).tolist()
-    return _rodrigues(x, y, z, 2.0 * q0, 2.0)
+    return np.array(rodrigues_entries(x, y, z, 2.0 * q0, 2.0)).reshape(3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +518,7 @@ class So3Ops(GroupOps):
 
     dim = 3
     _ad_scale = 1.0  # ad_sigma = hat(_ad_scale * sigma)
+    _dexpinv_bound = "2*pi"  # 2 pi / _ad_scale, as the domain error gives it
 
     def bracket(self, a, b):
         a, b = _check_same_shape(a, b)
@@ -558,7 +558,12 @@ class So3Ops(GroupOps):
         """
         x, y, z = np.asarray(sigma, dtype=float).tolist()
         s = sign * self._ad_scale
-        return _ad_quadratic(s * x, s * y, s * z, v, coeffs)
+        try:
+            return _ad_quadratic(s * x, s * y, s * z, v, coeffs)
+        except DexpinvOutOfRange:
+            norm = math.sqrt(x * x + y * y + z * z)
+            raise DexpinvOutOfRange(f"dexpinv closed form needs |sigma| < "
+                                    f"{self._dexpinv_bound}, got {norm!r}") from None
 
     def dexp(self, sigma, v, order=None):
         return self._closed_form(sigma, v, _dexp_coeffs, 1.0)
@@ -583,6 +588,7 @@ class QuatOps(So3Ops):
     """
 
     _ad_scale = 2.0
+    _dexpinv_bound = "pi"
 
     def bracket(self, a, b):
         a, b = _check_same_shape(a, b)

@@ -235,10 +235,14 @@ def rkmk_theta_step(theta, system: HamiltonianSystem, state, h, solver=None):
     steppers.rkmk_step with the tableau [[theta]], [1] on the system's
     cotangent_problem: the stage k = dexpinv_{h theta k}(f(exp(h theta k) . y0)),
     with the dexpinv series truncated at RKMK_THETA_SERIES_ORDER, and the
-    update exp(h k) . y0.  Not symplectic; serves as the comparator.
+    update exp(h k) . y0.  Not symplectic; serves as the comparator.  A fresh
+    ImplicitSolver is built only for an implicit tableau (theta != 0).
     """
-    return rkmk_step(system.cotangent_problem, state, h, tableau=ButcherTableau.theta(theta),
-                     series_order=RKMK_THETA_SERIES_ORDER, solver=solver or ImplicitSolver())
+    tableau = ButcherTableau.theta(theta)
+    if solver is None and not tableau.explicit:
+        solver = ImplicitSolver()
+    return rkmk_step(system.cotangent_problem, state, h, tableau=tableau,
+                     series_order=RKMK_THETA_SERIES_ORDER, solver=solver)
 
 
 def cotangent_step(system: HamiltonianSystem, scheme, theta=0.5):

@@ -7,12 +7,18 @@ second forms of the symplectic and RKMK theta steps, which take their group
 operations and Newton solver from the package so that only the form of the
 stage equations differs.  write_csv_rows is the one-row-at-a-time form of the
 CLI's CSV writer.  FixedPointSolver solves a residual by the package solver's
-fixed-point loop instead of its Newton iteration.
+fixed-point loop instead of its Newton iteration.  frb_quat_matvec_forms and
+quat_log_matvec are the numpy mat-vec forms of the quaternion rigid body's
+callbacks (on the package's euler_rodrigues) and of the quaternion log, which
+the package computes on Python floats.
 """
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from ligi.liealg import dexpinv_series
+from ligi.liealg import dexpinv_series, euler_rodrigues
 from ligi.semidirect import CotangentOps
 from ligi.symplectic import RKMK_THETA_SERIES_ORDER, ImplicitSolver
 
@@ -237,3 +243,36 @@ def write_csv_rows(traj, labels, stream):
         row = [t] + [v for part in parts for v in np.ravel(np.asarray(part, float))] \
             + [traj.invariants[name][i] for name in names]
         stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def frb_quat_matvec_forms(inertia, m0):
+    """energy, field, energy_differential and body_momentum of the quaternion free
+    rigid body as numpy mat-vecs on E = euler_rodrigues(q)."""
+    inv_inertia = 1.0 / np.asarray(inertia, dtype=float)
+    m0 = np.asarray(m0, dtype=float)
+
+    def body_momentum(q):
+        return euler_rodrigues(q).T @ m0
+
+    def spatial_velocity(q):
+        E = euler_rodrigues(q)
+        return E @ (inv_inertia * (E.T @ m0))
+
+    def energy(q):
+        m = body_momentum(q)
+        return 0.5 * float(m @ (inv_inertia * m))
+
+    return SimpleNamespace(
+        energy=energy, field=lambda q: 0.5 * spatial_velocity(q),
+        energy_differential=lambda q: 2.0 * np.cross(spatial_velocity(q), m0),
+        body_momentum=body_momentum, spatial_velocity=spatial_velocity)
+
+
+def quat_log_matvec(q):
+    """The principal quaternion log by numpy's norm, without the antipode check."""
+    q = np.asarray(q, dtype=float)
+    v = q[1:]
+    nv = np.linalg.norm(v)
+    if nv < 1e-9:
+        return v / q[0]
+    return (math.atan2(nv, q[0]) / nv) * v

@@ -238,6 +238,21 @@ def test_overflowing_exponential_exit_4_without_csv(tmp_path, capsys, argv):
     assert "non-finite state: step 1 " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme, h, code", [
+    ("dg", "1e300", 4),
+    ("heun_rkmk", "1e200", 4),
+    ("lie_euler", "1e155", 4),
+    ("dg", "10", 3),
+])
+def test_frb_s3_large_steps_exit_codes(tmp_path, scheme, h, code):
+    # The rigid-body callbacks on floats overflow to inf and NaN as numpy's
+    # mat-vecs did: a huge step is a non-finite state and h = 10 a divergence.
+    out = tmp_path / "traj.csv"
+    assert run(["integrate", "--problem", "frb_s3", "--scheme", scheme, "--h", h,
+                "--steps", "3", "--out", str(out)]) == code
+    assert not out.exists()
+
+
 def _both_writers(traj, labels):
     block, rows = io.StringIO(), io.StringIO()
     cli.write_csv(traj, labels, block)

@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ligi.discrete_gradient import (
     InvariantSystem,
@@ -17,7 +20,13 @@ from ligi.discrete_gradient import (
 from ligi.errors import CoincidentPoints, CriticalPoint, FixedPointDivergence, NonFiniteState
 from ligi.liealg import S3, SO3, TranslationOps, quat_exp, quat_mul
 from ligi.symplectic import ImplicitSolver
-from oracles import fit_slope, random_rotation, random_unit_quaternion, rk4_solve
+from oracles import (
+    fit_slope,
+    frb_quat_matvec_forms,
+    random_rotation,
+    random_unit_quaternion,
+    rk4_solve,
+)
 
 INERTIA = np.array([1.0, 5.0, 60.0])
 M0 = np.array([1.0, 0.5, -1.0]) / INERTIA  # body momentum: I * m0 = (1, 1/2, -1)
@@ -402,6 +411,77 @@ def test_momentum_stays_on_sphere(rng):
     for _ in range(50):
         q = dg_step(FRB, q, 1.0 / 64.0)
         assert abs(np.linalg.norm(body_momentum(q, M0)) - np.linalg.norm(M0)) < 1e-12
+
+
+# The callbacks of free_rigid_body_quat and body_momentum run on Python floats;
+# frb_quat_matvec_forms is their numpy mat-vec form on euler_rodrigues(q).
+
+def _unit_direction(n):
+    return st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array).filter(
+        lambda u: np.linalg.norm(u) > 1e-3).map(lambda u: u / np.linalg.norm(u))
+
+
+# Generic unit quaternions, +-identity, and points near the identity and near
+# its antipode -identity (rotations by nearly 2 pi).
+unit_quaternions = st.one_of(
+    _unit_direction(4),
+    st.sampled_from([np.array([1.0, 0.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0, 0.0])]),
+    st.builds(lambda u, t: quat_exp(t * u), _unit_direction(3), st.floats(0.0, 1e-3)),
+    st.builds(lambda u, d: quat_exp((math.pi - d) * u), _unit_direction(3),
+              st.floats(1e-12, 1e-3)),
+)
+momenta = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).map(np.array).filter(
+    lambda m: np.linalg.norm(m) > 1e-3)
+inertias = st.lists(st.floats(0.1, 100.0), min_size=3, max_size=3).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=unit_quaternions, m0=momenta, inertia=st.one_of(st.just(INERTIA), inertias))
+def test_float_callbacks_match_matvec_forms(q, m0, inertia):
+    # 1e-14 relative to each result's scale: |E^T m0| = |m0| and |E u| = |u|
+    # for the rotation E, and the differential 2 w x m0 is bounded by
+    # 2 |w| |m0| (taken as its scale because the cross product can cancel).
+    system, ref = free_rigid_body_quat(inertia, m0), frb_quat_matvec_forms(inertia, m0)
+    energy = system.energy(q)
+    assert isinstance(energy, float)
+    assert abs(energy - ref.energy(q)) <= 1e-14 * ref.energy(q)
+    w = ref.spatial_velocity(q)
+    assert np.max(np.abs(system.field(q) - ref.field(q))) <= 1e-14 * np.linalg.norm(w)
+    scale = 2.0 * np.linalg.norm(w) * np.linalg.norm(m0)
+    assert np.max(np.abs(system.energy_differential(q) - ref.energy_differential(q))) \
+        <= 1e-14 * scale
+    assert np.max(np.abs(body_momentum(q, m0) - ref.body_momentum(q))) \
+        <= 1e-14 * np.linalg.norm(m0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(q=unit_quaternions, m0=momenta)
+def test_float_callbacks_accept_lists(q, m0):
+    listed = free_rigid_body_quat(INERTIA.tolist(), m0.tolist())
+    system = free_rigid_body_quat(INERTIA, m0)
+    assert listed.energy(q.tolist()) == system.energy(q)
+    assert np.array_equal(listed.field(q.tolist()), system.field(q))
+    assert np.array_equal(listed.energy_differential(q.tolist()), system.energy_differential(q))
+    assert np.array_equal(body_momentum(q.tolist(), m0.tolist()), body_momentum(q, m0))
+
+
+def _callbacks(q):
+    return (FRB.energy(q), FRB.field(q), FRB.energy_differential(q), body_momentum(q, M0))
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_float_callbacks_propagate_nan(index):
+    q = np.array([0.9, 0.1, -0.3, 0.3])
+    q[index] = math.nan
+    for out in _callbacks(q):
+        assert np.all(np.isnan(out))
+
+
+def test_float_callbacks_overflow_to_non_finite_without_raising():
+    # x * x overflows to inf where x ** 2 would raise OverflowError.
+    q = 1e200 * np.array([0.9, 0.1, -0.3, 0.3])
+    for out in _callbacks(q):
+        assert not np.all(np.isfinite(out))
 
 
 def test_inertia_validation():

@@ -50,7 +50,7 @@ from ligi.liealg import (
 )
 from ligi.steppers import ButcherTableau, rkmk_step
 from ligi.symplectic import ImplicitSolver
-from oracles import axis_rotation, random_unit_quaternion, taylor_expm
+from oracles import axis_rotation, quat_log_matvec, random_unit_quaternion, taylor_expm
 
 vectors = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).map(np.array)
 small_vectors = st.lists(st.floats(-0.8, 0.8), min_size=3, max_size=3).map(np.array)
@@ -314,6 +314,19 @@ def test_dexpinv_so3_exact_pole_is_a_domain_error():
     for error in (AngleNearPi, LogNearAntipode, SingularResolvent, CriticalPoint,
                   CoincidentPoints, DexpinvOutOfRange):
         assert issubclass(error, DomainError) and issubclass(error, ValueError)
+
+
+@pytest.mark.parametrize("group, sigma, message", [
+    (SO3, [6.4, 0.0, 0.0], "needs |sigma| < 2*pi, got 6.4"),
+    (S3, [3.2, 0.0, 0.0], "needs |sigma| < pi, got 3.2"),
+    (S3, [0.0, -3.2, 0.0], "needs |sigma| < pi, got 3.2"),
+], ids=["SO3", "S3", "S3-negative"])
+@pytest.mark.parametrize("member", ["dexpinv", "dual_dexpinv"])
+def test_dexpinv_domain_error_names_the_callers_norm_and_bound(group, sigma, message, member):
+    # S^3's ad_sigma is hat(2 sigma): its bound is pi on the caller's |sigma|.
+    with pytest.raises(DexpinvOutOfRange) as info:
+        getattr(group, member)(sigma, [1.0, 0.0, 0.0])
+    assert str(info.value) == "dexpinv closed form " + message
 
 
 def test_dexpinv_so3_exact_matches_series(rng):
@@ -702,3 +715,31 @@ def test_euler_rodrigues_of_quat_exp_is_double_rotation(side, as_list, data):
     w = data.draw(ANGLES[side])
     E = euler_rodrigues(_arg(quat_exp(_arg(w, as_list)), as_list))
     assert np.max(np.abs(E - rotation_from_vector(_arg(2.0 * w, as_list)))) < 1e-13
+
+
+# quat_log on Python floats against its numpy form, on both sides of its
+# 1e-9 branch: a vector part below it is divided by q0 alone.
+LOG_SIDES = {"series": (0.0, 0.9e-9), "atan2": (1.1e-9, math.pi - 1e-6)}
+
+
+@pytest.mark.parametrize("side", sorted(LOG_SIDES))
+@as_list
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_quat_log_matches_matvec_form_and_inverts_exp(side, as_list, data):
+    w = data.draw(_vectors_with_norm(*LOG_SIDES[side]))
+    q = quat_exp(w)
+    out = quat_log(_arg(q, as_list))
+    ref = quat_log_matvec(q)
+    assert np.max(np.abs(out - ref)) <= 1e-15 * max(1.0, np.linalg.norm(ref))
+    # exp and log are inverse on |w| < pi.
+    assert np.max(np.abs(quat_exp(out) - q)) <= 1e-15
+    assert np.max(np.abs(out - w)) <= 1e-14
+
+
+@as_list
+@pytest.mark.parametrize("q", [[-1.0, 0.0, 0.0, 0.0], [-1.0 + 5e-10, 3e-5, 0.0, 0.0]])
+def test_quat_log_still_raises_near_antipode(as_list, q):
+    q = np.asarray(q) / np.linalg.norm(q)
+    with pytest.raises(LogNearAntipode, match=r"q0=-0\.99999999|q0=-1\.0\)"):
+        quat_log(_arg(q, as_list))

@@ -296,6 +296,24 @@ def test_asymmetric_steps_are_not_time_reversible(case, rng):
     assert max(reversal_error(case, rotation, omega) for rotation, omega in boxes) > 1e-8
 
 
+def test_rkmk_theta_builds_a_solver_only_when_implicit(monkeypatch):
+    # The explicit tableau [[0]] never calls a solver, so theta = 0 builds none.
+    reference = rkmk_theta_step(0.0, SYSTEM, BENCH.state0, 0.05, solver=ImplicitSolver())
+    built = []
+
+    class CountingSolver(ImplicitSolver):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(symplectic, "ImplicitSolver", CountingSolver)
+    explicit = rkmk_theta_step(0.0, SYSTEM, BENCH.state0, 0.05)
+    assert built == []
+    assert all(np.array_equal(a, b) for a, b in zip(explicit, reference))
+    rkmk_theta_step(0.5, SYSTEM, BENCH.state0, 0.05)
+    assert len(built) == 1
+
+
 def test_theta_coefficients_are_shared_and_read_only(monkeypatch):
     tableau = ButcherTableau.theta(0.5)
     assert ButcherTableau.theta(0.5) is tableau
