@@ -5,42 +5,49 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_frb_kernels.json unless ``--out`` names another file (the earlier
+BENCH_cotangent_kernels.json unless ``--out`` names another file (the earlier
 records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
 BENCH_cotangent_family.json, BENCH_explicit_actions.json,
-BENCH_rkmk_family.json, BENCH_one_solver.json, BENCH_one_tableau.json and
-BENCH_so3_algebra.json).
+BENCH_rkmk_family.json, BENCH_one_solver.json, BENCH_one_tableau.json,
+BENCH_so3_algebra.json and BENCH_frb_kernels.json).
 The cases of ``src/`` are timed as "change"; with ``--baseline`` those of
 ``<baseline>/src`` are timed too, as "parent".
-Each tree is timed in fresh single-threaded child interpreters, alternating
-between the trees for ``ROUNDS`` rounds.  A case runs ``REPEAT`` ``timeit``
-repeats per round, each of the case's own number of calls, and each repeat is
-followed by ``REF_WINDOW_UNITS`` units of ``bench/worker.py``'s reference loop
-(imported, not copied): the repeat's time is scaled by ``REF_UNIT_S`` over the
-loop's mean unit time, as the benchmark scales its operations, so that it reads
-as at a fixed reference speed.  A case's headline time is the median over all
-scaled repeats, given with their quartiles; the minimum and maximum are
-recorded too.  With a baseline, each round's two children run back to back,
-and the change over the parent is the median (with quartiles) over the rounds
-of the ratio of their per-round medians.
+Each round is one fresh single-threaded child interpreter that imports every
+tree's ligi side by side (the first tree loaded alternates between rounds) and
+times each case on the trees back to back, repeat by repeat, alternating their
+order.  A case runs ``REPEAT`` ``timeit`` repeats per tree and round, each of
+the case's own number of calls, and each repeat is followed by
+``REF_WINDOW_UNITS`` units of ``bench/worker.py``'s reference loop (imported,
+not copied): the repeat's time is scaled by ``REF_UNIT_S`` over the loop's
+mean unit time, as the benchmark scales its operations, so that it reads as at
+a fixed reference speed.  A case's headline time is the median over all scaled
+repeats, given with their quartiles; the minimum and maximum are recorded too.
+With a baseline, the change over the parent is the median (with quartiles)
+over the rounds of the ratio of the two trees' medians in that round's child,
+so a bias of one child acts on both sides of its ratio.
 
 The L0 cases are the so(3) and S^3 closed forms (the dexp family as the
 ``SO3`` and ``S3`` methods), the 2x2 exponential of ``SL2`` against
 ``scipy.linalg.expm`` on the same matrix, the torus exponential with its
-action, and the callbacks of the quaternion free rigid body (energy, field,
-energy differential) with its body momentum.  The L1 cases are one call of
-each piece of the implicit inner loops (the theta and RKMK theta residuals,
-the semidirect bracket and dexpinv series, the two-form and the quaternion
-log), one cold step of each implicit scheme from the heavy-top and quaternion
-free rigid body start states, each with a fresh solver (the symplectic family at theta = 1/2
-and theta = 0, through theta_step and through symplectic_step, and its
-two-stage Gauss member; the RKMK theta comparator at theta = 1/2 and
-theta = 0), one explicit KUTTA4 ``rkmk_step`` on the free rigid body on S^2
-from the frb-s2 preset's start, and ``cli.write_csv`` of the full-length
-torus-descent and heavytop-theta05 trajectories into memory.
+action, the callbacks of the quaternion free rigid body (energy, field,
+energy differential) with its body momentum, and the heavy top's force map.
+The L1 cases are one call of
+each piece of the implicit inner loops (the theta = 1/2, theta = 0 and RKMK
+theta residuals, the semidirect bracket on SO(3) and S^3 and the dexpinv
+series, the two-form and the quaternion log), one cold step of each implicit
+scheme from the heavy-top and quaternion free rigid body start states, each
+with a fresh solver (the symplectic family at theta = 1/2 and theta = 0,
+through theta_step and through symplectic_step, and its two-stage Gauss
+member; the RKMK theta comparator at theta = 1/2 and theta = 0), one warm step
+of the symplectic theta = 1/2 and theta = 0 and RKMK theta = 1/2 schemes along
+a heavy-top preset run (one solver per run of 1000 steps, as the heavytop-warm
+workload runs them), one explicit KUTTA4 ``rkmk_step`` on the free rigid body
+on S^2 from the frb-s2 preset's start, and ``cli.write_csv`` of the
+full-length torus-descent and heavytop-theta05 trajectories into memory.
 
 ``--runs LABEL=DIR`` adds the end-to-end results of ``bench/run.py``: DIR
-holds one file per run with that run's stdout.  Each workload's metrics are
+holds one file per run with that run's stdout; other files in it, such as a
+saved stderr, are skipped.  Each workload's metrics are
 summarised by median and quartiles, and when both "parent" and "change" are
 given, runs with the same workload and seed are paired and the change's wins
 counted.
@@ -61,7 +68,7 @@ import numpy
 import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ROUNDS, REPEAT, NUMBER = 10, 3, 20000
+ROUNDS, REPEAT, NUMBER = 10, 4, 20000
 
 # (case, statement, calls per repeat); sigma has the size of a heavy-top
 # Newton iterate, so every closed form takes its trigonometric branch.
@@ -92,9 +99,12 @@ CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERN
     ("FRB.field", "FRB.field(P)", NUMBER),
     ("FRB.energy_differential", "FRB.energy_differential(P)", NUMBER),
     ("body_momentum", "discrete_gradient.body_momentum(P, FRB_M0)", NUMBER),
+    ("heavy_top.force_map", "HT.force_map(*HT_STATE)", NUMBER),
     ("theta_residual", "THETA_RESIDUAL(THETA_Z)", 2000),
+    ("theta0_residual", "THETA0_RESIDUAL(THETA0_Z)", 2000),
     ("rkmk_theta_residual", "RKMK_RESIDUAL(RKMK_K)", 1000),
     ("CotangentOps.bracket", "CT.bracket(A6, B6)", 5000),
+    ("CotangentOps_S3.bracket", "CT_S3.bracket(A6, B6)", 5000),
     ("dexpinv_series_order2", "liealg.dexpinv_series(CT, A6, B6, 2)", 2000),
     ("two_form_matrix", "discrete_gradient.two_form_matrix(FRB, P, gamma=GAMMA)", 5000),
     ("theta_step_cold", "symplectic.theta_step(0.5, HT, HT_STATE, 0.05)", 100),
@@ -107,6 +117,9 @@ CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERN
      "symplectic.symplectic_step(GAUSS2, HT, HT_STATE, 0.05)", 50),
     ("rkmk_theta_step_cold", "symplectic.rkmk_theta_step(0.5, HT, HT_STATE, 0.05)", 100),
     ("rkmk_theta0_step_cold", "symplectic.rkmk_theta_step(0.0, HT, HT_STATE, 0.05)", 2000),
+    ("theta_step_warm", "WARM_THETA05()", 200),
+    ("theta0_step_warm", "WARM_THETA0()", 200),
+    ("rkmk_theta_step_warm", "WARM_RKMK_THETA05()", 200),
     ("rkmk_step_kutta4_frb_s2", "steppers.rkmk_step(FRB_S2, M3, 0.05)", 2000),
     ("dg_step_cold", "discrete_gradient.dg_step(FRB, P, 1 / 64)", 300),
     ("write_csv_torus_descent", "cli.write_csv(*TORUS_RUN, io.StringIO())", 5),
@@ -123,6 +136,7 @@ V = np.array([0.1, 0.5, -0.3])
 P = np.array([0.9, 0.1, -0.3, 0.3]) / np.linalg.norm([0.9, 0.1, -0.3, 0.3])
 Q = np.array([0.5, 0.5, -0.5, 0.5])
 CT = semidirect.CotangentOps(liealg.SO3)
+CT_S3 = semidirect.CotangentOps(liealg.S3)
 A6 = np.concatenate([S, 40.0 * V])
 B6 = np.concatenate([V, 30.0 * S])
 HT = symplectic.heavy_top(symplectic.HeavyTopParams.benchmark())
@@ -141,8 +155,22 @@ class Capture:  # a solver that keeps the residual and returns the start point
 cap = Capture()
 symplectic.theta_step(0.5, HT, HT_STATE, 0.05, solver=cap)
 THETA_RESIDUAL, THETA_Z = cap.residual, cap.z0
+symplectic.theta_step(0.0, HT, HT_STATE, 0.05, solver=cap)
+THETA0_RESIDUAL, THETA0_Z = cap.residual, cap.z0
 symplectic.rkmk_theta_step(0.5, HT, HT_STATE, 0.05, solver=cap)
 RKMK_RESIDUAL, RKMK_K = cap.residual, cap.z0
+class WarmRun:  # one step per call along a heavy-top preset run of 1000 steps
+    def __init__(self, scheme, theta):
+        self.scheme, self.theta, self.k = scheme, theta, 1000
+    def __call__(self):
+        if self.k == 1000:  # a new run: a new solver, as every preset run has
+            self.step = symplectic.cotangent_step(HT, self.scheme, self.theta)
+            self.state, self.k = HT_STATE, 0
+        self.state = self.step(self.state, 0.05)
+        self.k += 1
+WARM_THETA05 = WarmRun("symplectic_theta", 0.5)
+WARM_THETA0 = WarmRun("symplectic_theta", 0.0)
+WARM_RKMK_THETA05 = WarmRun("rkmk_theta", 0.5)
 FRB_M0 = np.array([1.0, 0.1, -1.0 / 60.0])
 FRB = discrete_gradient.free_rigid_body_quat(np.array([1.0, 5.0, 60.0]), FRB_M0)
 GAMMA = discrete_gradient.trivialized_differential(
@@ -159,30 +187,54 @@ END_TO_END = ("steps_per_s", "solve_us_p50", "solve_us_p99", "setup_s", "peak_rs
 HIGHER_IS_BETTER = {"steps_per_s"}
 
 
-def time_primitives():
-    """Per-call microseconds of every repeat at the reference speed, for the ligi on sys.path."""
-    # The worker imports ligi, so only the children, with src/ on their path, load it.
+def load_tree(src):
+    """The SETUP namespace on a fresh import of the ligi under src.
+
+    The modules of an earlier tree stay alive through its namespace, so trees
+    loaded one after another run side by side in one interpreter.
+    """
+    for name in [m for m in sys.modules if m == "ligi" or m.startswith("ligi.")]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        namespace = {}
+        exec(SETUP, namespace)
+    finally:
+        sys.path.remove(src)
+    return namespace
+
+
+def time_primitives(trees):
+    """{label: {case: per-call microseconds of every repeat at the reference speed}}.
+
+    trees maps labels to src directories, loaded in that order; every repeat
+    times the trees back to back, in an order that alternates by repeat.
+    """
+    # The worker imports ligi, so only the children, with a src/ on their path, load it.
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     from worker import REF_UNIT_S, REF_WINDOW_UNITS, reference_time
 
-    namespace = {}
-    exec(SETUP, namespace)
-    out = {}
+    namespaces = {label: load_tree(src) for label, src in trees.items()}
+    out = {label: {} for label in trees}
     for name, statement, number in CASES:
-        timer = timeit.Timer(statement, globals=namespace)
-        out[name] = []
-        for _ in range(REPEAT):
-            seconds = timer.timeit(number)
-            scale = REF_UNIT_S / reference_time(REF_WINDOW_UNITS)
-            out[name].append(seconds / number * 1e6 * scale)
+        timers = {label: timeit.Timer(statement, globals=namespace)
+                  for label, namespace in namespaces.items()}
+        for label in trees:
+            out[label][name] = []
+        for k in range(REPEAT):
+            for label in (list(trees) if k % 2 == 0 else list(reversed(trees))):
+                seconds = timers[label].timeit(number)
+                scale = REF_UNIT_S / reference_time(REF_WINDOW_UNITS)
+                out[label][name].append(seconds / number * 1e6 * scale)
     return out
 
 
-def run_child(src):
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+def run_child(trees):
+    env = dict(os.environ, PYTHONPATH=next(iter(trees.values())), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child"],
+        [sys.executable, os.path.abspath(__file__), "--child",
+         *(f"{label}={src}" for label, src in trees.items())],
         env=env, capture_output=True, text=True, check=True, timeout=600)
     return json.loads(proc.stdout)
 
@@ -198,18 +250,56 @@ def summarise_times(samples):
             "max_us": max(samples), "repeats": len(samples)}
 
 
-def read_runs(directory):
-    """{(workload, seed): metrics} from saved bench/run.py outputs."""
-    runs = {}
-    for name in sorted(os.listdir(directory)):
-        with open(os.path.join(directory, name)) as fh:
+def _json_object(line):
+    try:
+        value = json.loads(line)
+    except ValueError:
+        return None
+    return value if isinstance(value, dict) else None
+
+
+def read_run(path):
+    """((workload, seed), metrics) of one saved bench/run.py stdout; None for another file.
+
+    A run's stdout ends in two JSON lines, the details (with its
+    "environment") and the result.  A file without that details line, such as
+    a saved stderr, is no run output; one that has it but no readable result
+    after it stops the script with the file's name.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().strip().splitlines()
-        env = json.loads(lines[-2])["environment"]
-        result = json.loads(lines[-1])
-        if not result["correct"]:
-            raise SystemExit(f"{name}: run reported failures: {result}")
-        runs[(env["workload"], env["seed"])] = {
-            k: result["metrics"][k]["value"] for k in END_TO_END}
+    except (OSError, UnicodeDecodeError):
+        return None
+    details = _json_object(lines[-2]) if len(lines) >= 2 else None
+    if details is None or not isinstance(details.get("environment"), dict):
+        return None
+    result, env = _json_object(lines[-1]), details["environment"]
+    try:
+        correct = result["correct"]
+        key = env["workload"], env["seed"]
+        metrics = {k: result["metrics"][k]["value"] for k in END_TO_END}
+    except (KeyError, TypeError) as exc:
+        raise SystemExit(f"{path}: malformed bench/run.py output, no readable result ({exc!r})") from None
+    if not correct:
+        raise SystemExit(f"{path}: run reported failures: {result}")
+    return key, metrics
+
+
+def read_runs(directory):
+    """{(workload, seed): metrics} from saved bench/run.py outputs; other files are skipped."""
+    runs, skipped = {}, 0
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        run = read_run(path) if os.path.isfile(path) else None
+        if run is None:
+            skipped += 1
+            continue
+        key, metrics = run
+        runs[key] = metrics
+    if skipped:
+        print(f"{directory}: skipped {skipped} files that are not bench/run.py outputs",
+              file=sys.stderr)
     return runs
 
 
@@ -244,12 +334,13 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_frb_kernels.json"))
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_cotangent_kernels.json"))
+    parser.add_argument("--child", nargs="+", metavar="LABEL=SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.child:
-        print(json.dumps(time_primitives()))
+        trees = dict(spec.partition("=")[::2] for spec in args.child)
+        print(json.dumps(time_primitives(trees)))
         return 0
 
     trees = {"change": os.path.join(ROOT, "src")}
@@ -258,8 +349,8 @@ def main(argv=None):
     rounds = {label: {name: [] for name, *_ in CASES} for label in trees}
     for k in range(ROUNDS):
         order = list(trees) if k % 2 == 0 else list(reversed(list(trees)))
-        for label in order:
-            for name, times in run_child(trees[label]).items():
+        for label, cases in run_child({label: trees[label] for label in order}).items():
+            for name, times in cases.items():
                 rounds[label][name].append(times)
 
     primitives = {}
@@ -276,6 +367,8 @@ def main(argv=None):
                         "python": platform.python_version(),
                         "numpy": numpy.__version__, "scipy": scipy.__version__},
         "method": {"rounds": ROUNDS, "repeat": REPEAT,
+                   "pairing": "every tree timed in each round's one child, "
+                              "repeat by repeat in alternating order",
                    "scaling": "bench/worker.py reference loop after each repeat",
                    "number": {name: number for name, _, number in CASES},
                    "statements": {name: statement for name, statement, _ in CASES},

@@ -447,7 +447,9 @@ class GroupOps:
 
     Subclasses fix the element representations and provide bracket, exp and
     the (co)adjoint maps; the dexp family defaults to truncated commutator
-    series and is overridden with closed forms where those exist.
+    series, and semidirect_bracket (the bracket of g x| g* that
+    semidirect.CotangentOps takes) to a composition of bracket and coad; both
+    are overridden with closed forms where those exist.
     """
 
     dim = None  # algebra dimension
@@ -459,6 +461,16 @@ class GroupOps:
     def coad(self, xi, mu):
         """ad* map: <coad(xi, mu), eta> = <mu, bracket(xi, eta)>."""
         raise NotImplementedError
+
+    def semidirect_bracket(self, a, b):
+        """Bracket of g x| g* on stacked (xi, nu): (ad_xi1 xi2, coad(xi2, nu1) - coad(xi1, nu2))."""
+        n = self.dim
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        xi1, nu1, xi2, nu2 = a[:n], a[n:], b[:n], b[n:]
+        return np.concatenate(
+            (self.bracket(xi1, xi2), self.coad(xi2, nu1) - self.coad(xi1, nu2)),
+            dtype=float)
 
     def pair(self, mu, xi):
         """Duality pairing: dot product of coordinates."""
@@ -526,6 +538,29 @@ class So3Ops(GroupOps):
 
     def coad(self, xi, mu):
         return cross3(mu, xi)
+
+    def semidirect_bracket(self, a, b):
+        """GroupOps.semidirect_bracket on Python floats, bit for bit.
+
+        With s = _ad_scale, bracket(xi1, xi2) is s xi1 x xi2 and coad(xi, mu)
+        is s mu x xi; an argument that is not a flat 6-vector takes the
+        generic form, which raises as it always has.
+        """
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if a.shape != (6,) or b.shape != (6,):
+            return super().semidirect_bracket(a, b)
+        x1, y1, z1, p1, q1, r1 = a.tolist()
+        x2, y2, z2, p2, q2, r2 = b.tolist()
+        s = self._ad_scale
+        return np.array([
+            s * (y1 * z2 - z1 * y2),
+            s * (z1 * x2 - x1 * z2),
+            s * (x1 * y2 - y1 * x2),
+            s * (q1 * z2 - r1 * y2) - s * (q2 * z1 - r2 * y1),
+            s * (r1 * x2 - p1 * z2) - s * (r2 * x1 - p2 * z1),
+            s * (p1 * y2 - q1 * x2) - s * (p2 * y1 - q2 * x1),
+        ])
 
     def exp(self, xi):
         return rotation_from_vector(xi)

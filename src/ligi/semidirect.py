@@ -27,8 +27,8 @@ class CotangentOps(GroupOps):
         self.dim = 2 * base.dim
 
     # element packing ------------------------------------------------------
-    # bracket and exp slice their arguments inline: they sit under every
-    # RKMK theta residual, where a split call per argument is measurable.
+    # exp slices its argument inline: it sits under every RKMK theta
+    # residual, where a split call is measurable.
     def split(self, x):
         x = np.asarray(x, dtype=float)
         return x[: self.base.dim], x[self.base.dim:]
@@ -38,13 +38,8 @@ class CotangentOps(GroupOps):
 
     # algebra ----------------------------------------------------------------
     def bracket(self, a, b):
-        base, n = self.base, self.base.dim
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        xi1, nu1, xi2, nu2 = a[:n], a[n:], b[:n], b[n:]
-        return np.concatenate(
-            (base.bracket(xi1, xi2), base.coad(xi2, nu1) - base.coad(xi1, nu2)),
-            dtype=float)
+        """(ad_xi1 xi2, coad(xi2, nu1) - coad(xi1, nu2)), by the base group's kernel."""
+        return self.base.semidirect_bracket(a, b)
 
     # group ------------------------------------------------------------------
     def exp(self, x):

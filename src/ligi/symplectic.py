@@ -28,7 +28,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .actions import FrozenFieldProblem, LeftMultiplicationAction
 from .errors import FixedPointDivergence
-from .liealg import SO3, GroupOps, cross3, max_abs, max_abs_diff
+from .liealg import SO3, GroupOps, max_abs, max_abs_diff
 from .liealg import dexpinv_series  # noqa: F401  (a name the traced benchmark patches)
 from .semidirect import CotangentOps
 from .steppers import ButcherTableau, rkmk_step, screen_start, weighted_sum
@@ -185,29 +185,35 @@ def symplectic_step(tableau: ButcherTableau, system: HamiltonianSystem, state, h
     y_row = [(xi_at[j], w) for j, w in tableau.b_terms]
     plan = [([(xi_at[j], w) for j, w in row], slice(2 * d * i + d, 2 * d * (i + 1)))
             for i, row in enumerate(tableau.rows)]
-    zero = np.zeros(d)
 
     def stages(z):
-        """exp(X_j), dd(X_j) nbar_j where X_j != 0, and mu0 + sum_j b_j n_j."""
-        E, n, D = [], [], {}
+        """G_j, dd(X_j) nbar_j where X_j != 0, and mu0 + sum_j b_j n_j.
+
+        An all-zero row has X_j = 0, so G_j = g0 and n_j = nbar_j: no exp(0).
+        """
+        G, n, D = [], [], {}
         for j, (row, q) in enumerate(plan):
-            X = weighted_sum(row, z) if row else zero
             nbar = z[q]
-            E.append(group.exp(X))
-            n.append(group.coAd(E[j], nbar))
             if row:
+                X = weighted_sum(row, z)
+                E = group.exp(X)
+                G.append(group.mul(E, g0))
+                n.append(group.coAd(E, nbar))
                 D[j] = group.dual_dexp(X, nbar)
-        return E, D, weighted_sum(tableau.b_terms, n, mu0)
+            else:
+                G.append(g0)
+                n.append(nbar)
+        return G, D, weighted_sum(tableau.b_terms, n, mu0)
 
     last = {}  # the bytes of the last residual's iterate, and its momentum sum
 
     def residual(z):
-        E, D, mu = stages(z)
+        G, D, mu = stages(z)
         last["z"], last["mu"] = z.tobytes(), mu
         base = group.dual_dexp(-weighted_sum(y_row, z), mu)
         forces = []
-        for e, row in zip(E, couplings):
-            forces += f(group.mul(e, g0), weighted_sum(row, D, base))
+        for g, row in zip(G, couplings):
+            forces += f(g, weighted_sum(row, D, base))
         # z - h (f1, f2, ...) is (xi_i - h f1_i, nbar_i - h f2_i), block by block.
         return z - h * np.concatenate(forces, dtype=float)
 
@@ -297,12 +303,24 @@ def heavy_top(params: HeavyTopParams) -> HamiltonianSystem:
     """H(g, mu) = 1/2 <mu, I^{-1} mu> + gravity * e3 . (g u0) on SO(3) x so(3)*."""
     inv_inertia = 1.0 / params.inertia
     gravity, u0 = params.gravity, params.u0
-    weighted_u0 = gravity * u0  # the force scales u0 once, not every result
+    i0, i1, i2 = inv_inertia.tolist()
+    w0, w1, w2 = (gravity * u0).tolist()  # the force scales u0 once, not every result
 
     def hamiltonian(g, mu):
         return 0.5 * float(mu @ (inv_inertia * mu)) + gravity * float(E3 @ (g @ u0))
 
     def force_map(g, mu):
-        return inv_inertia * mu, cross3(E3, g @ weighted_u0)
+        """(I^-1 mu, e3 x v) with v = g (gravity u0), on Python floats.
+
+        e3 x v keeps cross3's terms, zero products included, so a NaN or an
+        infinity in v spreads as it does there.
+        """
+        m0, m1, m2 = np.asarray(mu, dtype=float).tolist()
+        (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = np.asarray(g, dtype=float).tolist()
+        v0 = g00 * w0 + g01 * w1 + g02 * w2
+        v1 = g10 * w0 + g11 * w1 + g12 * w2
+        v2 = g20 * w0 + g21 * w1 + g22 * w2
+        return (np.array([i0 * m0, i1 * m1, i2 * m2]),
+                np.array([0.0 * v2 - v1, v0 - 0.0 * v2, 0.0 * v1 - 0.0 * v0]))
 
     return HamiltonianSystem(group=SO3, hamiltonian=hamiltonian, force_map=force_map)

@@ -2,10 +2,12 @@
 
 Everything here is deliberately brute force (truncated series, classical
 Runge-Kutta at tiny steps, closed-form flows) and shares no code path with
-the package, except theta_step_reference and rkmk_theta_step_reference:
-second forms of the symplectic and RKMK theta steps, which take their group
-operations and Newton solver from the package so that only the form of the
-stage equations differs.  write_csv_rows is the one-row-at-a-time form of the
+the package, except theta_step_reference, theta_step_stage_form and
+rkmk_theta_step_reference: second forms of the symplectic and RKMK theta
+steps, which take their group operations and Newton solver from the package
+so that only the form of the stage equations differs (theta_step_stage_form
+keeps the package's form and differs only in evaluating exp(theta xi) at
+theta = 0 too).  write_csv_rows is the one-row-at-a-time form of the
 CLI's CSV writer.  FixedPointSolver solves a residual by the package solver's
 fixed-point loop instead of its Newton iteration.  frb_quat_matvec_forms and
 quat_log_matvec are the numpy mat-vec forms of the quaternion rigid body's
@@ -204,6 +206,37 @@ def theta_step_reference(theta, system, state, h):
     E = group.exp(xi)
     return (group.mul(E, g0),
             group.coAd(group.exp(-c * xi), nbar) + group.coAd(group.inv(E), mu0))
+
+
+def theta_step_stage_form(theta, system, state, h):
+    """The s = 1 symplectic step in the package's stage form, exp(theta xi) at every theta.
+
+    The same floating-point operations as symplectic_step on the tableau
+    [[theta]], [1]; at theta = 0 this form still evaluates exp(0), coAd(exp(0),
+    nbar) and exp(0) . g0, which the package's all-zero row skips.  Solved with
+    a fresh Newton solver from the explicit Euler start.
+    """
+    group = system.group
+    d = group.dim
+    g0, mu0 = state
+    f = system.force_map
+
+    def stage(z):
+        xi, nbar = z[:d], z[d:]
+        E = group.exp(theta * xi)
+        return xi, nbar, E, mu0 + group.coAd(E, nbar)
+
+    def residual(z):
+        xi, nbar, E, mu = stage(z)
+        M = group.dual_dexp(-xi, mu)
+        if theta != 0.0:
+            M = M + -theta * group.dual_dexp(theta * xi, nbar)
+        return z - h * np.concatenate(f(group.mul(E, g0), M), dtype=float)
+
+    z = ImplicitSolver().solve(residual, h * np.concatenate(f(g0, mu0), dtype=float), h=h)
+    xi, _, _, mu = stage(z)
+    E = group.exp(xi)
+    return group.mul(E, g0), group.coAd(group.inv(E), mu)
 
 
 def rkmk_theta_step_reference(theta, system, state, h):

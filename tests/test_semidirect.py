@@ -1,6 +1,11 @@
-import numpy as np
+from types import SimpleNamespace
 
-from ligi.liealg import S3, SO3
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ligi.liealg import S3, SO3, GroupOps, dexpinv_series
 from ligi.semidirect import CotangentOps
 from oracles import random_rotation, rk4_solve
 
@@ -99,3 +104,45 @@ def test_quaternion_base_group(rng):
     prod = ct.mul(a, ct.inv(a))
     assert np.allclose(prod[0], [1.0, 0, 0, 0], atol=1e-12)
     assert np.linalg.norm(prod[1]) < 1e-12
+
+
+# The float bracket of So3Ops (inherited by QuatOps) against the generic
+# composition of GroupOps.semidirect_bracket from the base's bracket and coad.
+BASES = {"SO3": SO3, "S3": S3}
+entries = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([np.nan, 1e200, -1e200, 0.0, -0.0]))
+sixes = st.lists(entries, min_size=6, max_size=6)
+
+
+def generic_bracket(base):
+    return lambda a, b: GroupOps.semidirect_bracket(base, a, b)
+
+
+@given(base=st.sampled_from(sorted(BASES)), a=sixes, b=sixes, as_list=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_float_semidirect_bracket_equals_generic_composition(base, a, b, as_list):
+    # Bit for bit, NaN or inf out where the composition gives them, never an exception.
+    base = BASES[base]
+    x, y = (a, b) if as_list else (np.array(a), np.array(b))
+    with np.errstate(all="ignore"):
+        expected = generic_bracket(base)(x, y)
+        got = CotangentOps(base).bracket(x, y)
+        assert got.shape == (6,) and got.dtype == float
+        assert np.array_equal(got, expected, equal_nan=True)
+        # dexpinv at the RKMK theta order runs its two brackets through the kernel.
+        generic_ops = SimpleNamespace(bracket=generic_bracket(base))
+        assert np.array_equal(CotangentOps(base).dexpinv(x, y, 2),
+                              dexpinv_series(generic_ops, x, y, 2), equal_nan=True)
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+@pytest.mark.parametrize("shape_a,shape_b", [((2,), (6,)), ((3,), (6,)), ((5,), (6,)),
+                                             ((7,), (6,)), ((6,), (4,)), ((6, 1), (6, 1)),
+                                             ((6, 1), (6,)), ((2, 3), (2, 3)), ((), (6,))])
+def test_mis_sized_semidirect_bracket_raises_as_generic(base, shape_a, shape_b):
+    base = BASES[base]
+    a, b = np.ones(shape_a), np.full(shape_b, 2.0)
+    with pytest.raises(Exception) as generic:
+        generic_bracket(base)(a, b)
+    with pytest.raises(Exception) as kernel:
+        CotangentOps(base).bracket(a, b)
+    assert type(kernel.value) is type(generic.value)

@@ -32,6 +32,7 @@ from oracles import (
     rkmk_theta_step_reference,
     state_distance,
     theta_step_reference,
+    theta_step_stage_form,
 )
 
 BENCH = HeavyTopParams.benchmark()
@@ -154,6 +155,33 @@ def test_force_map_matches_hamiltonian_derivative(rng):
                     lambda t: SYSTEM.hamiltonian(SO3.exp(t * e) @ g, mu),
                     0.0, 1.0, scale=H0)
                 assert abs(float(f2 @ e) + fd) < 1e-6
+
+
+finite = st.floats(-1e3, 1e3)
+
+
+@given(g=st.lists(finite, min_size=9, max_size=9), mu=st.lists(finite, min_size=3, max_size=3),
+       inertia=st.lists(st.floats(0.1, 1e4), min_size=3, max_size=3),
+       axis=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       gravity=st.floats(-10.0, 10.0).filter(lambda x: x != 1.0),
+       nan_at=st.one_of(st.none(), st.integers(0, 11)))
+@settings(max_examples=200, deadline=None)
+def test_force_map_matches_numpy_form(g, mu, inertia, axis, gravity, nan_at):
+    # The heavy top's float force map against (I^-1 mu, e3 x (g gravity u0))
+    # in numpy, with a non-default axis u0 and gravity; a NaN propagates.
+    params = HeavyTopParams(inertia=np.array(inertia), mu0=np.zeros(3),
+                            u0=np.array(axis) / np.linalg.norm(axis), gravity=gravity)
+    entries = np.array(g + mu)
+    if nan_at is not None:
+        entries[nan_at] = np.nan
+    g, mu = entries[:9].reshape(3, 3), entries[9:]
+    f1, f2 = heavy_top(params).force_map(g, mu)
+    with np.errstate(invalid="ignore"):
+        ref2 = np.cross(E3, g @ (gravity * params.u0))
+    assert np.array_equal(f1, (1.0 / params.inertia) * mu, equal_nan=True)
+    assert np.allclose(f2, ref2, rtol=1e-15, atol=1e-15 * abs(gravity) * np.nansum(np.abs(g)),
+                       equal_nan=True)
 
 
 def test_force_map_mu_derivative(rng):
@@ -388,9 +416,11 @@ def test_residual_at_an_infinite_iterate_is_not_finite():
 class _CountingSO3(So3Ops):
     def __init__(self):
         self.exps = 0
+        self.zero_exps = 0  # the calls at xi = 0
 
     def exp(self, xi):
         self.exps += 1
+        self.zero_exps += not np.any(xi)
         return super().exp(xi)
 
 
@@ -419,6 +449,37 @@ def test_update_reuses_the_momentum_of_the_last_residual():
         assert group.exps == 3
     for a, b in zip(steps[True], steps[False]):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("tableau,exps", [
+    ("theta0", 1),  # the update only: the all-zero row takes no exp(0)
+    ("theta05", 3),  # one per residual, two residuals, and the update
+    ("gauss2", 5),  # two per residual, and the update
+])
+def test_exp_calls_of_a_step(tableau, exps):
+    tableau = {"theta0": ButcherTableau.theta(0.0), "theta05": ButcherTableau.theta(0.5),
+               "gauss2": GAUSS2}[tableau]
+    group = _CountingSO3()
+    system = HamiltonianSystem(group, SYSTEM.hamiltonian, SYSTEM.force_map)
+    symplectic_step(tableau, system, BENCH.state0, 0.05, solver=_OneMove(True))
+    assert (group.exps, group.zero_exps) == (exps, 0)
+
+
+def test_theta0_newton_step_takes_no_exp_in_its_residual():
+    group = _CountingSO3()
+    system = HamiltonianSystem(group, SYSTEM.hamiltonian, SYSTEM.force_map)
+    symplectic_step(ButcherTableau.theta(0.0), system, BENCH.state0, 0.05)
+    assert (group.exps, group.zero_exps) == (1, 0)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+def test_theta_step_equals_its_stage_form(theta, rng):
+    # Equal as arrays; at theta = 0 the skipped exp(0) could only flip a zero's sign.
+    for _ in range(10):
+        state = random_state(rng, BENCH.mu0[2])
+        step = theta_step(theta, SYSTEM, state, 0.05)
+        reference = theta_step_stage_form(theta, SYSTEM, state, 0.05)
+        assert all(np.array_equal(a, b) for a, b in zip(step, reference))
 
 
 @pytest.mark.parametrize("entry", ["newton", "fixed_point"])
