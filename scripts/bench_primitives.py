@@ -68,7 +68,7 @@ import numpy
 import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ROUNDS, REPEAT, NUMBER = 10, 4, 20000
+ROUNDS, REPEAT, NUMBER = 10, 3, 20000
 
 # (case, statement, calls per repeat); sigma has the size of a heavy-top
 # Newton iterate, so every closed form takes its trigonometric branch.

@@ -543,12 +543,13 @@ class So3Ops(GroupOps):
         """GroupOps.semidirect_bracket on Python floats, bit for bit.
 
         With s = _ad_scale, bracket(xi1, xi2) is s xi1 x xi2 and coad(xi, mu)
-        is s mu x xi; an argument that is not a flat 6-vector takes the
-        generic form, which raises as it always has.
+        is s mu x xi; the stacking is semidirect.CotangentOps.split's.  An
+        argument that is not a flat 6-vector takes the generic form, which
+        raises as it always has.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        if a.shape != (6,) or b.shape != (6,):
+        if a.shape != (2 * self.dim,) or b.shape != (2 * self.dim,):
             return super().semidirect_bracket(a, b)
         x1, y1, z1, p1, q1, r1 = a.tolist()
         x2, y2, z2, p2, q2, r2 = b.tolist()

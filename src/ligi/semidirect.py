@@ -30,6 +30,8 @@ class CotangentOps(GroupOps):
     # exp slices its argument inline: it sits under every RKMK theta
     # residual, where a split call is measurable.
     def split(self, x):
+        """(xi, nu) of a stacked element.  The base groups' semidirect_bracket
+        (liealg) unpacks this same stacking; a change to it changes both."""
         x = np.asarray(x, dtype=float)
         return x[: self.base.dim], x[self.base.dim:]
 

@@ -719,9 +719,10 @@ def test_euler_rodrigues_of_quat_exp_is_double_rotation(side, as_list, data):
 
 # quat_log on Python floats against its numpy form, on both sides of its
 # 1e-9 branch: a vector part below it is divided by q0 alone.  The atan2 side
-# stops short of the antipode guard q0 <= -1 + 1e-9, which quat_exp(w) reaches
-# at |w| = pi - 4.5e-5 and where quat_log raises LogNearAntipode by design.
-LOG_SIDES = {"series": (0.0, 0.9e-9), "atan2": (1.1e-9, math.pi - 1e-4)}
+# ends just short of the antipode guard q0 <= -1 + 1e-9, which quat_exp(w)
+# reaches at |w| = acos(-1 + 1e-9) ~ pi - 4.5e-5 and beyond which quat_log
+# raises LogNearAntipode by design.
+LOG_SIDES = {"series": (0.0, 0.9e-9), "atan2": (1.1e-9, math.acos(-1.0 + 1e-9) - 1e-7)}
 
 
 @pytest.mark.parametrize("side", sorted(LOG_SIDES))

@@ -451,25 +451,20 @@ def test_update_reuses_the_momentum_of_the_last_residual():
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("tableau,exps", [
-    ("theta0", 1),  # the update only: the all-zero row takes no exp(0)
-    ("theta05", 3),  # one per residual, two residuals, and the update
-    ("gauss2", 5),  # two per residual, and the update
+@pytest.mark.parametrize("tableau,solver,exps", [
+    ("theta0", "one_move", 1),  # the update only: the all-zero row takes no exp(0)
+    ("theta0", "newton", 1),  # nor do the residuals of a full Newton solve
+    ("theta05", "one_move", 3),  # one per residual, two residuals, and the update
+    ("gauss2", "one_move", 5),  # two per residual, and the update
 ])
-def test_exp_calls_of_a_step(tableau, exps):
+def test_exp_calls_of_a_step(tableau, solver, exps):
     tableau = {"theta0": ButcherTableau.theta(0.0), "theta05": ButcherTableau.theta(0.5),
                "gauss2": GAUSS2}[tableau]
+    solver = {"one_move": _OneMove(True), "newton": None}[solver]
     group = _CountingSO3()
     system = HamiltonianSystem(group, SYSTEM.hamiltonian, SYSTEM.force_map)
-    symplectic_step(tableau, system, BENCH.state0, 0.05, solver=_OneMove(True))
+    symplectic_step(tableau, system, BENCH.state0, 0.05, solver=solver)
     assert (group.exps, group.zero_exps) == (exps, 0)
-
-
-def test_theta0_newton_step_takes_no_exp_in_its_residual():
-    group = _CountingSO3()
-    system = HamiltonianSystem(group, SYSTEM.hamiltonian, SYSTEM.force_map)
-    symplectic_step(ButcherTableau.theta(0.0), system, BENCH.state0, 0.05)
-    assert (group.exps, group.zero_exps) == (1, 0)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5])
