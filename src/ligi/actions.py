@@ -142,20 +142,6 @@ def quat_mul_tangent(w, q):
     return out
 
 
-class CoadjointAction(GroupAction):
-    """g . mu = coAd(g^{-1}, mu); orbits are the coadjoint orbits."""
-
-    def __init__(self, group: GroupOps, name="coadjoint"):
-        self.group = group
-        self.name = name
-
-    def apply(self, g, mu):
-        return self.group.coAd(self.group.inv(g), mu)
-
-    def generator(self, xi, mu):
-        return -self.group.coad(xi, mu)
-
-
 class TorusAction(GroupAction):
     """SO(2) x SO(2) acting componentwise on pairs of unit 2-vectors.
 
@@ -186,7 +172,6 @@ SL2_ON_R2 = MatrixLinearAction(SL2, "sl2_on_r2")
 SE2_ON_R2 = AffineAction(2)
 TORUS = TorusAction()
 QUAT_LEFT = LeftMultiplicationAction(S3, "s3_left")
-SO3_COADJOINT = CoadjointAction(SO3)
 
 
 def stiefel_action(n):

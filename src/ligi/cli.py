@@ -45,6 +45,7 @@ from .problems import (
 )
 from .steppers import (
     KUTTA4,
+    REFERENCE_REFINEMENT,
     Trajectory,
     cf4_step,
     convergence_study,
@@ -236,11 +237,11 @@ class RunConfig:
             if not (math.isfinite(self.T) and self.T / max(self.h_list) > 0.5):
                 raise ConfigError("T must be finite and give at least one step"
                                   " of the largest step size")
-            h_ref = self.h_list[-1] / 20.0  # convergence_study's reference step; may underflow
+            h_ref = self.h_list[-1] / REFERENCE_REFINEMENT  # the reference step; may underflow
             if not (h_ref > 0.0 and self.T / h_ref <= MAX_STEPS):
                 raise ConfigError("T / min(h_list) too large: the reference run of"
-                                  f" 20 T / min(h_list) steps must be at most {MAX_STEPS}"
-                                  " (MAX_STEPS)")
+                                  f" {REFERENCE_REFINEMENT} T / min(h_list) steps must be"
+                                  f" at most {MAX_STEPS} (MAX_STEPS)")
         if not math.isfinite(self.theta):
             raise ConfigError("theta must be finite")
         if not 0 <= self.series_order <= MAX_SERIES_ORDER:

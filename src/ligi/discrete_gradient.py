@@ -60,7 +60,7 @@ def trivialized_differential(group: GroupOps, energy: Callable, x,
     h0 = float(energy(x))
     step = (3.0 * _EPS * max(1.0, abs(h0))) ** (1.0 / 3.0)
     out = np.empty(group.dim)
-    for i, e in enumerate(group.basis()):
+    for i, e in enumerate(np.eye(group.dim)):
         plus = energy(group.mul(group.exp(step * e), x))
         minus = energy(group.mul(group.exp(-step * e), x))
         out[i] = (plus - minus) / (2.0 * step)

@@ -169,11 +169,6 @@ def logm_so3(R):
     return coeff * (R - R.T)
 
 
-def log_so3_vector(R):
-    """vee(logm_so3(R))."""
-    return vee(logm_so3(R))
-
-
 def _dexp_coeffs(theta):
     """Coefficients a, b with dexp_v = I + a ad_v + b ad_v^2 on so(3).
 
@@ -472,14 +467,6 @@ class GroupOps:
             (self.bracket(xi1, xi2), self.coad(xi2, nu1) - self.coad(xi1, nu2)),
             dtype=float)
 
-    def pair(self, mu, xi):
-        """Duality pairing: dot product of coordinates."""
-        return float(np.vdot(np.asarray(mu, float), np.asarray(xi, float)))
-
-    def basis(self):
-        """A basis of the algebra (coordinate unit vectors by default)."""
-        return [e for e in np.eye(self.dim)]
-
     # group --------------------------------------------------------------
     def exp(self, xi):
         raise NotImplementedError
@@ -567,7 +554,7 @@ class So3Ops(GroupOps):
         return rotation_from_vector(xi)
 
     def log(self, g):
-        return log_so3_vector(g)
+        return vee(logm_so3(g))
 
     def mul(self, g1, g2):
         return g1 @ g2
@@ -680,19 +667,6 @@ class MatrixOps(GroupOps):
         mu = np.asarray(mu, float)
         return xi.T @ mu - mu @ xi.T
 
-    def basis(self):
-        n = self.n
-        if self.kind == "so":
-            out = []
-            for i in range(n):
-                for j in range(i + 1, n):
-                    E = np.zeros((n, n))
-                    E[i, j] = 1.0
-                    E[j, i] = -1.0
-                    out.append(E)
-            return out
-        raise NotImplementedError("basis only provided for the skew kind")
-
     def exp(self, xi):
         if self.n == 2:
             return expm_2x2(xi)
@@ -700,11 +674,6 @@ class MatrixOps(GroupOps):
         if self.kind == "so" and self.n == 3:
             return expm_so3(xi)
         return scipy.linalg.expm(xi)
-
-    def log(self, g):
-        if self.kind == "so" and self.n == 3:
-            return logm_so3(g)
-        raise NotImplementedError("log only provided for SO(3)")
 
     def mul(self, g1, g2):
         return g1 @ g2

@@ -5,6 +5,7 @@ estimation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Union
@@ -172,10 +173,10 @@ def torus_descent_problem() -> FrozenFieldProblem:
     return FrozenFieldProblem(action=TORUS, coefficient_map=f, invariants=invariants)
 
 
-def torus_descent(start, h, n_steps, step: Callable = lie_euler_step) -> Trajectory:
-    """Integrate the descent flow from a torus point."""
+def torus_descent(start, h, n_steps) -> Trajectory:
+    """Integrate the descent flow from a torus point with Lie-Euler steps."""
     problem = torus_descent_problem()
-    return integrate(partial(step, problem), start, h, n_steps, problem.invariants)
+    return integrate(partial(lie_euler_step, problem), start, h, n_steps, problem.invariants)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +228,9 @@ def pca_gradient_problem(problem: StiefelFlowProblem) -> FrozenFieldProblem:
                               reference_field=lambda Q: A @ Q - Q @ (Q.T @ (A @ Q)))
 
 
-def stiefel_pca_flow(problem: StiefelFlowProblem, q0, h, n_steps,
-                     step: Callable = cf4_step):
-    """Integrate the PCA gradient ascent; returns (Q, objective)."""
-    traj = integrate(partial(step, pca_gradient_problem(problem)),
+def stiefel_pca_flow(problem: StiefelFlowProblem, q0, h, n_steps):
+    """Integrate the PCA gradient ascent with CF4 steps; returns (Q, objective)."""
+    traj = integrate(partial(cf4_step, pca_gradient_problem(problem)),
                      np.asarray(q0, float), h, n_steps)
     return traj.final, pca_objective(problem.A, traj.final)
 
@@ -254,15 +254,21 @@ def lyapunov_field(A, Q):
 
 
 def lyapunov_exponents(a_path: Union[np.ndarray, Callable], k, h, T, q0,
-                       step: Callable = cf4_step, return_frame=False):
-    """Leading Lyapunov exponents by integration on St(n, k).
+                       return_frame=False):
+    """Leading Lyapunov exponents by CF4 integration on St(n, k).
 
     a_path is a constant matrix or a map t -> matrix (sampled at the step
     midpoints and frozen within each step).  The exponents are trapezoidal
     time averages of the diagonal of B = Q^T A Q - S, starting at t = 0.
     With return_frame the terminal frame is returned alongside.  Raises
-    NonFiniteState when a frame is not finite.
+    ValueError unless h is positive and finite and T gives at least one
+    step, and NonFiniteState when a frame is not finite.
     """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be positive and finite (h={h!r})")
+    if not (math.isfinite(T / h) and T / h > 0.5):  # round(T / h) >= 1
+        raise ValueError(f"T must be finite and give at least one step (T={T!r}, h={h!r})")
+
     def sample(t):
         return np.asarray(a_path(t) if callable(a_path) else a_path, float)
 
@@ -273,7 +279,7 @@ def lyapunov_exponents(a_path: Union[np.ndarray, Callable], k, h, T, q0,
         A = sample((m + 0.5) * h)
         problem = FrozenFieldProblem(action=action,
                                      coefficient_map=lambda Q_: lyapunov_field(A, Q_))
-        return m + 1, step(problem, Q, h)
+        return m + 1, cf4_step(problem, Q, h)
 
     n_steps = int(round(T / h))
     traj = integrate(frame_step, (0, np.asarray(q0, dtype=float)), h, n_steps)

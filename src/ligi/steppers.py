@@ -262,9 +262,12 @@ def integrate(step: Callable, y0, h, n_steps, invariants=()) -> Trajectory:
     """Run a one-step map step(y, h) -> y, recording states and invariants.
 
     invariants is a sequence of (name, function of the state) pairs; each is
-    recorded at every time, in the order given.  Raises NonFiniteState as soon
-    as a new state or invariant value is not finite.
+    recorded at every time, in the order given.  Raises ValueError for a
+    negative n_steps, and NonFiniteState as soon as a new state or invariant
+    value is not finite.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0 (n_steps={n_steps!r})")
     times = np.arange(n_steps + 1) * float(h)
     states, y = [y0], y0
     rows = [[fn(y0) for _, fn in invariants]]
@@ -315,19 +318,22 @@ def state_distance(a, b):
     return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
 
 
-def convergence_study(make_step: Callable, problem: FrozenFieldProblem, y0, T, h_list,
-                      reference_refinement=20):
+# convergence_study's reference step is the smallest step over this.
+REFERENCE_REFINEMENT = 20
+
+
+def convergence_study(make_step: Callable, problem: FrozenFieldProblem, y0, T, h_list):
     """Empirical order of a scheme against a fine reference trajectory.
 
     make_step() gives a fresh one-step map step(y, h) for each step size, so no
     run inherits another's solver state.  The reference is rkmk4_step on problem
-    at h_min / reference_refinement.  Returns (slope, errors): the least-squares
+    at h_min / REFERENCE_REFINEMENT.  Returns (slope, errors): the least-squares
     slope of log error against log h and the terminal-state error at each h.
     """
     h_list = list(h_list)
     if any(h2 >= h1 for h1, h2 in zip(h_list, h_list[1:])):
         raise ValueError("h_list must be strictly decreasing")
-    h_ref = h_list[-1] / reference_refinement
+    h_ref = h_list[-1] / REFERENCE_REFINEMENT
     n_ref = int(round(T / h_ref))
     y_ref = integrate(partial(rkmk4_step, problem), y0, T / n_ref, n_ref).final
 

@@ -29,7 +29,6 @@ from scipy.linalg import lu_factor, lu_solve
 from .actions import FrozenFieldProblem, LeftMultiplicationAction
 from .errors import FixedPointDivergence
 from .liealg import SO3, GroupOps, max_abs, max_abs_diff
-from .liealg import dexpinv_series  # noqa: F401  (a name the traced benchmark patches)
 from .semidirect import CotangentOps
 from .steppers import ButcherTableau, rkmk_step, screen_start, weighted_sum
 

@@ -7,7 +7,6 @@ from ligi.actions import (
     QUAT_LEFT,
     SE2_ON_R2,
     SL2_ON_R2,
-    SO3_COADJOINT,
     SO3_ON_S2,
     TORUS,
     AffineAction,
@@ -35,8 +34,6 @@ def _random_point(action, rng):
     if action is TORUS:
         a, b = rng.uniform(0, 2 * np.pi, size=2)
         return np.array([[np.cos(a), np.sin(a)], [np.cos(b), np.sin(b)]])
-    if action is SO3_COADJOINT:
-        return rng.normal(size=3)
     if action is QUAT_LEFT:
         return random_unit_quaternion(rng)
     if action is STIEFEL62:
@@ -64,7 +61,7 @@ def _random_algebra(action, rng):
 
 
 ALL_ACTIONS = [SO3_ON_S2, SL2_ON_R2, SE2_ON_R2, AFFINE3, TRANSLATION3, TORUS,
-               SO3_COADJOINT, QUAT_LEFT, STIEFEL62]
+               QUAT_LEFT, STIEFEL62]
 
 
 @pytest.mark.parametrize("action", ALL_ACTIONS, ids=lambda a: a.name)
@@ -105,15 +102,6 @@ def test_sphere_norm_preservation(rng):
         m = _random_point(SO3_ON_S2, rng)
         g = random_rotation(rng)
         assert abs(np.linalg.norm(SO3_ON_S2.apply(g, m)) - 1.0) < 1e-13
-
-
-def test_coadjoint_orbits_are_spheres(rng):
-    # The coadjoint action on so(3)* preserves the momentum norm.
-    for _ in range(100):
-        mu = rng.normal(size=3)
-        g = random_rotation(rng)
-        assert abs(np.linalg.norm(SO3_COADJOINT.apply(g, mu))
-                   - np.linalg.norm(mu)) < 1e-13
 
 
 def test_stiefel_action_preserves_orthonormality(rng):

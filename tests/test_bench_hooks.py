@@ -1,8 +1,9 @@
 """The names the benchmark's traced run patches must exist in ligi.
 
 bench/ligi_api.py lists every (module, name) that the traced benchmark wraps
-to count work per layer.  The tables are read here, not patched.  The traced
-run reads iteration counts from calls of hooked names, so later tests
+to count work per layer.  The tables are read here, and patched only in a
+child interpreter that checks every span pattern finds a hooked name.  The
+traced run reads iteration counts from calls of hooked names, so later tests
 check that each such name is called once per iteration.  The traced run
 patches the names before it runs the CLI, so the last test checks that the
 CLI looks them up when it runs, not when it is imported.
@@ -10,6 +11,10 @@ CLI looks them up when it runs, not when it is imported.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +24,11 @@ import scipy.linalg
 from ligi import cli, discrete_gradient, steppers, symplectic
 from ligi.errors import FixedPointDivergence
 
-LIGI_API = Path(__file__).resolve().parent.parent / "bench" / "ligi_api.py"
+ROOT = Path(__file__).resolve().parent.parent
+LIGI_API = ROOT / "bench" / "ligi_api.py"
 
-# Hooked for an older layout; the traced run reports it as a missing hook.
-RETIRED = {"ligi.cli.integrate_cotangent"}
+# Hooked for an older layout; the traced run reports them as missing hooks.
+RETIRED = {"ligi.cli.integrate_cotangent", "ligi.symplectic.dexpinv_series"}
 
 
 def hook_tables():
@@ -49,6 +55,41 @@ def test_every_hook_target_resolves():
             unresolved.append(f"{module}.{name}")
     assert unresolved == []
     assert callable(getattr(symplectic.ImplicitSolver, "solve", None))
+
+
+def test_retired_hooks_are_gone_from_ligi_but_still_listed():
+    api = hook_tables()
+    listed = {f"{module}.{name}" for module, name in api.HOOK_FUNCTIONS}
+    assert RETIRED <= listed
+    for qualified in RETIRED:
+        module, name = qualified.rsplit(".", 1)
+        assert not hasattr(importlib.import_module(module), name), qualified
+
+
+# Installs every hook in a fresh interpreter, so this process stays unpatched.
+INSTALL_HOOKS = """
+import json, re
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+print(json.dumps({
+    "missing": tracer.missing,
+    "unmatched": [key for key, pattern in tracing.PATTERNS.items()
+                  if not any(re.match(pattern, name) for name in tracer.names)],
+}))
+"""
+
+
+def test_every_span_pattern_matches_a_hooked_name():
+    """A pattern that matches no hooked name drops its per-layer metrics from
+    the traced result, which is then rejected as malformed."""
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", INSTALL_HOOKS], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["unmatched"] == []
+    assert set(result["missing"]) == RETIRED
 
 
 def test_solver_calls_scipy_lu_by_name():

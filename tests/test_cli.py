@@ -9,7 +9,7 @@ import pytest
 from ligi import cli, symplectic
 from ligi.errors import FixedPointDivergence
 from ligi.problems import free_rigid_body_s2
-from ligi.steppers import Trajectory, integrate, rkmk4_step
+from ligi.steppers import REFERENCE_REFINEMENT, Trajectory, integrate, rkmk4_step
 from oracles import write_csv_rows
 
 
@@ -405,6 +405,16 @@ def test_max_steps_is_the_largest_valid_step_count():
     for steps in (cli.MAX_STEPS + 1, 10**400):
         with pytest.raises(cli.ConfigError, match=f"steps must be in 1..{cli.MAX_STEPS}"):
             dataclasses.replace(config, steps=steps).validate()
+
+
+def test_reference_run_of_max_steps_is_the_largest_valid_order_study():
+    # h_min = REFERENCE_REFINEMENT makes the reference step exactly 1, so T is its step count.
+    h_list = tuple(REFERENCE_REFINEMENT * k for k in (4.0, 2.0, 1.0))
+    config = cli.RunConfig(command="order", problem="frb_s2", scheme="rkmk4",
+                           h_list=h_list, T=float(cli.MAX_STEPS))
+    config.validate()
+    with pytest.raises(cli.ConfigError, match="the reference run of"):
+        dataclasses.replace(config, T=float(cli.MAX_STEPS + 1)).validate()
 
 
 def test_mid_run_value_error_is_not_a_configuration_error(monkeypatch):

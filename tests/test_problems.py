@@ -278,6 +278,26 @@ def test_lyapunov_nondiagonal_oracle(rng):
     assert np.max(np.abs(lam - [2.0, 0.5])) < 2e-2
 
 
+LYAPUNOV_A, LYAPUNOV_Q0 = np.diag([3.0, 1.0, -1.0]), np.eye(3)[:, :2]
+
+
+@pytest.mark.parametrize("run, match", [
+    (partial(lyapunov_exponents, LYAPUNOV_A, 2, 0.1, 0.01, LYAPUNOV_Q0), "at least one step"),
+    (partial(lyapunov_exponents, LYAPUNOV_A, 2, 0.1, -1.0, LYAPUNOV_Q0), "at least one step"),
+    (partial(lyapunov_exponents, LYAPUNOV_A, 2, 0.1, np.inf, LYAPUNOV_Q0), "T must be finite"),
+    (partial(lyapunov_exponents, LYAPUNOV_A, 2, np.inf, 1.0, LYAPUNOV_Q0), "h must be"),
+    (partial(lyapunov_exponents, LYAPUNOV_A, 2, 0.0, 1.0, LYAPUNOV_Q0), "h must be"),
+    (partial(lyapunov_exponents, LYAPUNOV_A, 2, np.nan, 1.0, LYAPUNOV_Q0), "h must be"),
+    (partial(integrate, lambda y, h: y, np.zeros(2), 0.1, -3), "n_steps must be"),
+], ids=["zero_steps", "negative_T", "infinite_T", "infinite_h", "zero_h", "nan_h",
+        "negative_n_steps"])
+def test_bad_run_length_raises_value_error(run, match):
+    # Unchecked, no steps average to NaN exponents and a negative n_steps
+    # gives a trajectory with fewer times than states.
+    with pytest.raises(ValueError, match=match):
+        run()
+
+
 # ---------------------------------------------------------------------------
 # Synthetic data
 # ---------------------------------------------------------------------------
