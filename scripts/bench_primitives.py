@@ -5,11 +5,12 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_cotangent_kernels.json unless ``--out`` names another file (the earlier
+BENCH_semidirect_kernels.json unless ``--out`` names another file (the earlier
 records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
 BENCH_cotangent_family.json, BENCH_explicit_actions.json,
 BENCH_rkmk_family.json, BENCH_one_solver.json, BENCH_one_tableau.json,
-BENCH_so3_algebra.json and BENCH_frb_kernels.json).
+BENCH_so3_algebra.json, BENCH_frb_kernels.json and
+BENCH_cotangent_kernels.json).
 The cases of ``src/`` are timed as "change"; with ``--baseline`` those of
 ``<baseline>/src`` are timed too, as "parent".
 Each round is one fresh single-threaded child interpreter that imports every
@@ -30,11 +31,13 @@ The L0 cases are the so(3) and S^3 closed forms (the dexp family as the
 ``SO3`` and ``S3`` methods), the 2x2 exponential of ``SL2`` against
 ``scipy.linalg.expm`` on the same matrix, the torus exponential with its
 action, the callbacks of the quaternion free rigid body (energy, field,
-energy differential) with its body momentum, and the heavy top's force map.
+energy differential) with its body momentum, the heavy top's force map, and
+the exponential, product and order-2 dexpinv of ``CotangentOps`` over SO(3)
+and S^3 (the RKMK theta comparator's semidirect operations).
 The L1 cases are one call of
 each piece of the implicit inner loops (the theta = 1/2, theta = 0 and RKMK
-theta residuals, the semidirect bracket on SO(3) and S^3 and the dexpinv
-series, the two-form and the quaternion log), one cold step of each implicit
+theta residuals, the semidirect bracket on SO(3) and S^3, the two-form and
+the quaternion log), one cold step of each implicit
 scheme from the heavy-top and quaternion free rigid body start states, each
 with a fresh solver (the symplectic family at theta = 1/2 and theta = 0,
 through theta_step and through symplectic_step, and its two-stage Gauss
@@ -100,12 +103,17 @@ CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERN
     ("FRB.energy_differential", "FRB.energy_differential(P)", NUMBER),
     ("body_momentum", "discrete_gradient.body_momentum(P, FRB_M0)", NUMBER),
     ("heavy_top.force_map", "HT.force_map(*HT_STATE)", NUMBER),
+    ("CotangentOps.exp", "CT.exp(A6)", NUMBER),
+    ("CotangentOps.mul", "CT.mul(CT_G, CT_G)", NUMBER),
+    ("CotangentOps.dexpinv_order2", "CT.dexpinv(A6, B6, 2)", NUMBER),
+    ("CotangentOps_S3.exp", "CT_S3.exp(A6)", NUMBER),
+    ("CotangentOps_S3.mul", "CT_S3.mul(CT_S3_G, CT_S3_G)", NUMBER),
+    ("CotangentOps_S3.dexpinv_order2", "CT_S3.dexpinv(A6, B6, 2)", NUMBER),
     ("theta_residual", "THETA_RESIDUAL(THETA_Z)", 2000),
     ("theta0_residual", "THETA0_RESIDUAL(THETA0_Z)", 2000),
     ("rkmk_theta_residual", "RKMK_RESIDUAL(RKMK_K)", 1000),
     ("CotangentOps.bracket", "CT.bracket(A6, B6)", 5000),
     ("CotangentOps_S3.bracket", "CT_S3.bracket(A6, B6)", 5000),
-    ("dexpinv_series_order2", "liealg.dexpinv_series(CT, A6, B6, 2)", 2000),
     ("two_form_matrix", "discrete_gradient.two_form_matrix(FRB, P, gamma=GAMMA)", 5000),
     ("theta_step_cold", "symplectic.theta_step(0.5, HT, HT_STATE, 0.05)", 100),
     ("theta0_step_cold", "symplectic.theta_step(0.0, HT, HT_STATE, 0.05)", 100),
@@ -139,6 +147,7 @@ CT = semidirect.CotangentOps(liealg.SO3)
 CT_S3 = semidirect.CotangentOps(liealg.S3)
 A6 = np.concatenate([S, 40.0 * V])
 B6 = np.concatenate([V, 30.0 * S])
+CT_G, CT_S3_G = CT.exp(B6), CT_S3.exp(B6)
 HT = symplectic.heavy_top(symplectic.HeavyTopParams.benchmark())
 HT_STATE = symplectic.HeavyTopParams.benchmark().state0
 # steppers.ButcherTableau; a tree from before it parametrised the symplectic
@@ -334,7 +343,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_cotangent_kernels.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_semidirect_kernels.json"))
     parser.add_argument("--child", nargs="+", metavar="LABEL=SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 

@@ -208,15 +208,13 @@ def _dexpinv_coeffs(theta):
     return -0.5, (1.0 - half / math.tan(half)) / (theta * theta)
 
 
-def _ad_quadratic(x, y, z, v, coeffs):
-    """v + a cross(s, v) + b cross(s, cross(s, v)) for s = (x, y, z).
+def _ad_quadratic(x, y, z, v0, v1, v2, a, b):
+    """v + a cross(s, v) + b cross(s, cross(s, v)) for s = (x, y, z), v = (v0, v1, v2).
 
-    The so(3) dexp family: each member is I + a ad_s + b ad_s^2 with
-    (a, b) = coeffs(|s|).  Its dual is the transpose, which flips the odd
-    term, so it is the same map at -s.
+    The so(3) dexp family: each member is I + a ad_s + b ad_s^2 with the
+    coefficients (a, b) of |s|.  Its dual is the transpose, which flips the
+    odd term, so it is the same map at -s.
     """
-    v0, v1, v2 = np.asarray(v, dtype=float).tolist()
-    a, b = coeffs(math.sqrt(x * x + y * y + z * z))
     w0 = y * v2 - z * v1
     w1 = z * v0 - x * v2
     w2 = x * v1 - y * v0
@@ -397,16 +395,22 @@ def homogeneous_to_affine(H):
 # Commutator series: dexp, dexpinv and their duals on a generic algebra
 # ---------------------------------------------------------------------------
 
+def _series_terms(coeffs, order):
+    """coeffs[1:order + 1], the coefficients of the terms k = 1..order."""
+    if not 0 <= order <= MAX_SERIES_ORDER:
+        raise ValueError(f"series order must be in 0..{MAX_SERIES_ORDER}, got {order!r}")
+    return coeffs[1:order + 1]
+
+
 def _ad_series(ad, sigma, v, coeffs, order):
     """sum_{k<=order} coeffs[k] ad(sigma, .)^k v, with coeffs[0] = 1.
 
     ad is a bracket or a coadjoint map; zero coefficients add no term.
     """
-    if not 0 <= order <= MAX_SERIES_ORDER:
-        raise ValueError(f"series order must be in 0..{MAX_SERIES_ORDER}, got {order!r}")
+    terms = _series_terms(coeffs, order)
     w = np.asarray(v, dtype=float)
     out = w
-    for c in coeffs[1:order + 1]:
+    for c in terms:
         w = ad(sigma, w)
         if c != 0.0:
             out = out + c * w
@@ -442,9 +446,13 @@ class GroupOps:
 
     Subclasses fix the element representations and provide bracket, exp and
     the (co)adjoint maps; the dexp family defaults to truncated commutator
-    series, and semidirect_bracket (the bracket of g x| g* that
-    semidirect.CotangentOps takes) to a composition of bracket and coad; both
-    are overridden with closed forms where those exist.
+    series.  The semidirect forms are the operations of G x| g* on which
+    semidirect.CotangentOps forwards, composed here from the base's own:
+    semidirect_bracket, semidirect_exp, semidirect_mul, and the commutator
+    series of semidirect_bracket, semidirect_dexp and semidirect_dexpinv.
+    Their algebra elements stack (xi, nu) into one flat array of length
+    2 dim; another shape raises AlgebraMismatch.  Subclasses override both
+    families with closed forms or float kernels where those exist.
     """
 
     dim = None  # algebra dimension
@@ -456,16 +464,6 @@ class GroupOps:
     def coad(self, xi, mu):
         """ad* map: <coad(xi, mu), eta> = <mu, bracket(xi, eta)>."""
         raise NotImplementedError
-
-    def semidirect_bracket(self, a, b):
-        """Bracket of g x| g* on stacked (xi, nu): (ad_xi1 xi2, coad(xi2, nu1) - coad(xi1, nu2))."""
-        n = self.dim
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        xi1, nu1, xi2, nu2 = a[:n], a[n:], b[:n], b[n:]
-        return np.concatenate(
-            (self.bracket(xi1, xi2), self.coad(xi2, nu1) - self.coad(xi1, nu2)),
-            dtype=float)
 
     # group --------------------------------------------------------------
     def exp(self, xi):
@@ -503,6 +501,68 @@ class GroupOps:
     def dual_dexpinv(self, sigma, mu, order=SERIES_ORDER):
         return dual_dexpinv_series(self, sigma, mu, order)
 
+    # semidirect forms: G x| g* on stacked (xi, nu) --------------------------
+    def _stacked(self, *elements):
+        return _flat_arrays(2 * self.dim, "stacked (xi, nu) elements", elements)
+
+    def semidirect_bracket(self, a, b):
+        """(ad_xi1 xi2, coad(xi2, nu1) - coad(xi1, nu2))."""
+        a, b = self._stacked(a, b)
+        n = self.dim
+        xi1, nu1, xi2, nu2 = a[:n], a[n:], b[:n], b[n:]
+        return np.concatenate(
+            (self.bracket(xi1, xi2), self.coad(xi2, nu1) - self.coad(xi1, nu2)),
+            dtype=float)
+
+    def semidirect_exp(self, x):
+        """(exp xi, dual_dexp(-xi, nu)), whose fibre solves mu' = nu - coad(xi, mu) to t = 1."""
+        x, = self._stacked(x)
+        xi = x[:self.dim]
+        return self.exp(xi), self.dual_dexp(-xi, x[self.dim:])
+
+    def semidirect_mul(self, a, b):
+        """(g1, mu1) (g2, mu2) = (g1 g2, mu1 + coAd(g1^{-1}, mu2))."""
+        (g1, mu1), (g2, mu2) = a, b
+        mu1, mu2 = _flat_arrays(self.dim, "momenta", (mu1, mu2))
+        return self.mul(g1, g2), mu1 + self.coAd(self.inv(g1), mu2)
+
+    def semidirect_dexp(self, sigma, v, order=SERIES_ORDER):
+        return self._semidirect_series(sigma, v, _INV_FACT_SHIFTED, order)
+
+    def semidirect_dexpinv(self, sigma, v, order=SERIES_ORDER):
+        return self._semidirect_series(sigma, v, _BERNOULLI_OVER_FACT, order)
+
+    def _semidirect_series(self, sigma, v, coeffs, order):
+        sigma, v = self._stacked(sigma, v)
+        return _ad_series(self.semidirect_bracket, sigma, v, coeffs, order)
+
+
+def _semidirect_bracket_entries(s, a, b):
+    """So3Ops.semidirect_bracket of the stacked 6-float lists a, b, as a list.
+
+    With s = _ad_scale, bracket(xi1, xi2) is s xi1 x xi2 and coad(xi, mu) is
+    s mu x xi.
+    """
+    x1, y1, z1, p1, q1, r1 = a
+    x2, y2, z2, p2, q2, r2 = b
+    return [
+        s * (y1 * z2 - z1 * y2),
+        s * (z1 * x2 - x1 * z2),
+        s * (x1 * y2 - y1 * x2),
+        s * (q1 * z2 - r1 * y2) - s * (q2 * z1 - r2 * y1),
+        s * (r1 * x2 - p1 * z2) - s * (r2 * x1 - p2 * z1),
+        s * (p1 * y2 - q1 * x2) - s * (p2 * y1 - q2 * x1),
+    ]
+
+
+def _flat_arrays(n, what, values):
+    """The values as float arrays of shape (n,); AlgebraMismatch names another shape."""
+    arrays = [np.asarray(x, dtype=float) for x in values]
+    for x in arrays:
+        if x.shape != (n,):
+            raise AlgebraMismatch(f"{what} need shape {(n,)}, got {x.shape}")
+    return arrays
+
 
 def _check_same_shape(a, b):
     a = np.asarray(a, dtype=float)
@@ -525,30 +585,6 @@ class So3Ops(GroupOps):
 
     def coad(self, xi, mu):
         return cross3(mu, xi)
-
-    def semidirect_bracket(self, a, b):
-        """GroupOps.semidirect_bracket on Python floats, bit for bit.
-
-        With s = _ad_scale, bracket(xi1, xi2) is s xi1 x xi2 and coad(xi, mu)
-        is s mu x xi; the stacking is semidirect.CotangentOps.split's.  An
-        argument that is not a flat 6-vector takes the generic form, which
-        raises as it always has.
-        """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.shape != (2 * self.dim,) or b.shape != (2 * self.dim,):
-            return super().semidirect_bracket(a, b)
-        x1, y1, z1, p1, q1, r1 = a.tolist()
-        x2, y2, z2, p2, q2, r2 = b.tolist()
-        s = self._ad_scale
-        return np.array([
-            s * (y1 * z2 - z1 * y2),
-            s * (z1 * x2 - x1 * z2),
-            s * (x1 * y2 - y1 * x2),
-            s * (q1 * z2 - r1 * y2) - s * (q2 * z1 - r2 * y1),
-            s * (r1 * x2 - p1 * z2) - s * (r2 * x1 - p2 * z1),
-            s * (p1 * y2 - q1 * x2) - s * (p2 * y1 - q2 * x1),
-        ])
 
     def exp(self, xi):
         return rotation_from_vector(xi)
@@ -581,12 +617,15 @@ class So3Ops(GroupOps):
         """
         x, y, z = np.asarray(sigma, dtype=float).tolist()
         s = sign * self._ad_scale
+        sx, sy, sz = s * x, s * y, s * z
+        v0, v1, v2 = np.asarray(v, dtype=float).tolist()
         try:
-            return _ad_quadratic(s * x, s * y, s * z, v, coeffs)
+            a, b = coeffs(math.sqrt(sx * sx + sy * sy + sz * sz))
         except DexpinvOutOfRange:
             norm = math.sqrt(x * x + y * y + z * z)
             raise DexpinvOutOfRange(f"dexpinv closed form needs |sigma| < "
                                     f"{self._dexpinv_bound}, got {norm!r}") from None
+        return _ad_quadratic(sx, sy, sz, v0, v1, v2, a, b)
 
     def dexp(self, sigma, v, order=None):
         return self._closed_form(sigma, v, _dexp_coeffs, 1.0)
@@ -601,17 +640,74 @@ class So3Ops(GroupOps):
     def dual_dexpinv(self, sigma, mu, order=None):
         return self._closed_form(sigma, mu, _dexpinv_coeffs, -1.0)
 
+    # semidirect forms: the GroupOps compositions, bit for bit ------------
+    # Each reads its flat 6-vectors with one tolist() and builds one array per
+    # result; an argument of another shape takes the generic form, which
+    # raises AlgebraMismatch.
+    def semidirect_bracket(self, a, b):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if a.shape != (6,) or b.shape != (6,):
+            return super().semidirect_bracket(a, b)
+        return np.array(_semidirect_bracket_entries(self._ad_scale, a.tolist(), b.tolist()))
+
+    def semidirect_exp(self, x):
+        """The rotation and dual_dexp(-xi, nu) from one |xi|^2.
+
+        dual_dexp at -xi is the so(3) form at xi, since both signs flip.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape != (6,):
+            return super().semidirect_exp(x)
+        x, y, z, v0, v1, v2 = x.tolist()
+        theta2 = x * x + y * y + z * z
+        c1, c2 = _rotation_coeffs(theta2)
+        a, b = _dexp_coeffs(math.sqrt(theta2))
+        return (np.array(rodrigues_entries(x, y, z, c1, c2)).reshape(3, 3),
+                _ad_quadratic(x, y, z, v0, v1, v2, a, b))
+
+    def semidirect_mul(self, a, b):
+        """numpy's g1 @ g2 and mu2 @ g1^T, without the mul, inv and coAd calls."""
+        (g1, mu1), (g2, mu2) = a, b
+        mu1 = np.asarray(mu1, dtype=float)
+        mu2 = np.asarray(mu2, dtype=float)
+        if mu1.shape != (3,) or mu2.shape != (3,):
+            return super().semidirect_mul(a, b)
+        return g1 @ g2, mu1 + mu2 @ np.asarray(g1).T
+
+    def _semidirect_series(self, sigma, v, coeffs, order):
+        """The float bracket and the out + c w updates in _ad_series' order."""
+        sigma = np.asarray(sigma, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if sigma.shape != (6,) or v.shape != (6,):
+            return super()._semidirect_series(sigma, v, coeffs, order)
+        terms = _series_terms(coeffs, order)
+        s, sigma = self._ad_scale, sigma.tolist()
+        w = v.tolist()
+        o0, o1, o2, o3, o4, o5 = w
+        for c in terms:
+            w = _semidirect_bracket_entries(s, sigma, w)
+            if c != 0.0:
+                w0, w1, w2, w3, w4, w5 = w
+                o0, o1, o2, o3, o4, o5 = (o0 + c * w0, o1 + c * w1, o2 + c * w2,
+                                          o3 + c * w3, o4 + c * w4, o5 + c * w5)
+        return np.array([o0, o1, o2, o3, o4, o5])
+
 
 class QuatOps(So3Ops):
     """Unit quaternions S^3 with the pure-quaternion algebra as 3-vectors.
 
     The identification with R^3 is such that exp covers the double rotation,
     so ad_w = hat(2 w): the group side is its own, and the closed so(3) dexp
-    family is inherited with argument 2 sigma.
+    family and the float semidirect bracket and series are inherited with
+    argument 2 sigma.  The semidirect exponential and product, which build
+    group elements, are the generic ones.
     """
 
     _ad_scale = 2.0
     _dexpinv_bound = "pi"
+    semidirect_exp = GroupOps.semidirect_exp
+    semidirect_mul = GroupOps.semidirect_mul
 
     def bracket(self, a, b):
         a, b = _check_same_shape(a, b)

@@ -6,17 +6,18 @@ of its algebra; the product is
     (g1, mu1) (g2, mu2) = (g1 g2, mu1 + coAd(g1^{-1}, mu2)).
 
 Algebra elements are stored as flat arrays concatenating the base algebra
-coordinates xi with the dual coordinates nu, so the generic commutator series
-in :mod:`ligi.liealg` apply unchanged.  The exponential's fibre component is
-the t = 1 solution of mu' = nu - coad(xi, mu), mu(0) = 0, which in closed
-form is (dexp_{-xi})^* nu.
+coordinates xi with the dual coordinates nu.  CotangentOps forwards its
+bracket, exponential, product and dexp series to the base group's semidirect
+forms (see liealg.GroupOps), where a base such as SO(3) runs them on floats.
+The exponential's fibre component is the t = 1 solution of
+mu' = nu - coad(xi, mu), mu(0) = 0, which in closed form is (dexp_{-xi})^* nu.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .liealg import GroupOps
+from .liealg import SERIES_ORDER, GroupOps
 
 
 class CotangentOps(GroupOps):
@@ -27,11 +28,9 @@ class CotangentOps(GroupOps):
         self.dim = 2 * base.dim
 
     # element packing ------------------------------------------------------
-    # exp slices its argument inline: it sits under every RKMK theta
-    # residual, where a split call is measurable.
     def split(self, x):
-        """(xi, nu) of a stacked element.  The base groups' semidirect_bracket
-        (liealg) unpacks this same stacking; a change to it changes both."""
+        """(xi, nu) of a stacked element.  The base groups' semidirect forms
+        (liealg) unpack this same stacking; a change to it changes both."""
         x = np.asarray(x, dtype=float)
         return x[: self.base.dim], x[self.base.dim:]
 
@@ -43,17 +42,18 @@ class CotangentOps(GroupOps):
         """(ad_xi1 xi2, coad(xi2, nu1) - coad(xi1, nu2)), by the base group's kernel."""
         return self.base.semidirect_bracket(a, b)
 
+    def dexp(self, sigma, v, order=SERIES_ORDER):
+        return self.base.semidirect_dexp(sigma, v, order)
+
+    def dexpinv(self, sigma, v, order=SERIES_ORDER):
+        return self.base.semidirect_dexpinv(sigma, v, order)
+
     # group ------------------------------------------------------------------
     def exp(self, x):
-        x = np.asarray(x, dtype=float)
-        n = self.base.dim
-        xi = x[:n]
-        return self.base.exp(xi), self.base.dual_dexp(-xi, x[n:])
+        return self.base.semidirect_exp(x)
 
     def mul(self, a, b):
-        g1, mu1 = a
-        g2, mu2 = b
-        return self.base.mul(g1, g2), mu1 + self.base.coAd(self.base.inv(g1), mu2)
+        return self.base.semidirect_mul(a, b)
 
     def inv(self, a):
         g, mu = a

@@ -166,7 +166,8 @@ def symplectic_step(tableau: ButcherTableau, system: HamiltonianSystem, state, h
     mu0 + sum_i b_i n_i from the last residual evaluation when the solver
     returns that iterate, as Newton does, and recomputes it otherwise.  A zero
     weight raises ValueError before anything is evaluated.  Measured orders: 1 at
-    theta = 0, 2 at theta = 1/2 and 2 for the two-stage Gauss tableau (classical 4).
+    theta = 0, 2 at theta = 1/2 and 2 for the two-stage Gauss tableau (classical 4;
+    4 on an abelian group, where the family is Gauss-Legendre).
     """
     group, f = system.group, system.force_map
     d, s = group.dim, tableau.stages

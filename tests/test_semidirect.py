@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ligi.liealg import S3, SO3, GroupOps, dexpinv_series
+from ligi.errors import AlgebraMismatch
+from ligi.liealg import S3, SO3, GroupOps, dexp_series, dexpinv_series
 from ligi.semidirect import CotangentOps
 from oracles import random_rotation, rk4_solve
 
@@ -106,9 +107,10 @@ def test_quaternion_base_group(rng):
     assert np.linalg.norm(prod[1]) < 1e-12
 
 
-# The float bracket of So3Ops (inherited by QuatOps) against the generic
-# composition of GroupOps.semidirect_bracket from the base's bracket and coad.
+# The float kernels of So3Ops (the bracket and series inherited by QuatOps)
+# against the generic compositions of GroupOps from the base's own operations.
 BASES = {"SO3": SO3, "S3": S3}
+SERIES = {"dexp": dexp_series, "dexpinv": dexpinv_series}
 entries = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([np.nan, 1e200, -1e200, 0.0, -0.0]))
 sixes = st.lists(entries, min_size=6, max_size=6)
 
@@ -117,21 +119,63 @@ def generic_bracket(base):
     return lambda a, b: GroupOps.semidirect_bracket(base, a, b)
 
 
-@given(base=st.sampled_from(sorted(BASES)), a=sixes, b=sixes, as_list=st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_float_semidirect_bracket_equals_generic_composition(base, a, b, as_list):
+def same(got, expected):
+    return np.array_equal(got, expected, equal_nan=True)
+
+
+@given(base=st.sampled_from(sorted(BASES)), a=sixes, b=sixes, as_list=st.booleans(),
+       xi_scale=st.sampled_from([1.0, 1e-5]), order=st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_float_semidirect_bracket_equals_generic_composition(base, a, b, as_list, xi_scale,
+                                                             order):
     # Bit for bit, NaN or inf out where the composition gives them, never an exception.
+    # xi_scale puts |xi| on both sides of SMALL_ANGLE, where the coefficients switch form.
     base = BASES[base]
+    ct = CotangentOps(base)
+    a = [xi_scale * v for v in a[:3]] + a[3:]
     x, y = (a, b) if as_list else (np.array(a), np.array(b))
+    generic_ops = SimpleNamespace(bracket=generic_bracket(base))
     with np.errstate(all="ignore"):
-        expected = generic_bracket(base)(x, y)
-        got = CotangentOps(base).bracket(x, y)
+        got = ct.bracket(x, y)
         assert got.shape == (6,) and got.dtype == float
-        assert np.array_equal(got, expected, equal_nan=True)
-        # dexpinv at the RKMK theta order runs its two brackets through the kernel.
+        assert same(got, generic_bracket(base)(x, y))
+        for name, series in SERIES.items():
+            assert same(getattr(ct, name)(x, y, order), series(generic_ops, x, y, order))
+        A, B = ct.exp(x), ct.exp(y)
+        for got, expected in zip((*A, *B), (*GroupOps.semidirect_exp(base, x),
+                                            *GroupOps.semidirect_exp(base, y))):
+            assert same(got, expected)
+        if as_list:
+            A, B = (A[0], A[1].tolist()), (B[0], B[1].tolist())
+        for got, expected in zip(ct.mul(A, B), GroupOps.semidirect_mul(base, A, B)):
+            assert same(got, expected)
+
+
+def semidirect_forms(base):
+    """{form: (generic composition, CotangentOps call)} on two arguments.
+
+    exp takes the first argument that is not a 6-vector, and the product takes
+    the two as the momenta of two elements at the identity.
+    """
+    ct, e = CotangentOps(base), base.identity()
+
+    def exp_arg(a, b):
+        return a if a.shape != (6,) else b
+
+    def series(name):
         generic_ops = SimpleNamespace(bracket=generic_bracket(base))
-        assert np.array_equal(CotangentOps(base).dexpinv(x, y, 2),
-                              dexpinv_series(generic_ops, x, y, 2), equal_nan=True)
+        return (lambda a, b: SERIES[name](generic_ops, a, b, 2),
+                lambda a, b: getattr(ct, name)(a, b, 2))
+
+    return {
+        "bracket": (generic_bracket(base), ct.bracket),
+        "exp": (lambda a, b: GroupOps.semidirect_exp(base, exp_arg(a, b)),
+                lambda a, b: ct.exp(exp_arg(a, b))),
+        "mul": (lambda a, b: GroupOps.semidirect_mul(base, (e, a), (e, b)),
+                lambda a, b: ct.mul((e, a), (e, b))),
+        "dexp": series("dexp"),
+        "dexpinv": series("dexpinv"),
+    }
 
 
 @pytest.mark.parametrize("base", sorted(BASES))
@@ -139,10 +183,12 @@ def test_float_semidirect_bracket_equals_generic_composition(base, a, b, as_list
                                              ((7,), (6,)), ((6,), (4,)), ((6, 1), (6, 1)),
                                              ((6, 1), (6,)), ((2, 3), (2, 3)), ((), (6,))])
 def test_mis_sized_semidirect_bracket_raises_as_generic(base, shape_a, shape_b):
-    base = BASES[base]
+    # The bracket, the exponential, the product and the series, each as its generic form.
     a, b = np.ones(shape_a), np.full(shape_b, 2.0)
-    with pytest.raises(Exception) as generic:
-        generic_bracket(base)(a, b)
-    with pytest.raises(Exception) as kernel:
-        CotangentOps(base).bracket(a, b)
-    assert type(kernel.value) is type(generic.value)
+    for form, (generic, kernel) in semidirect_forms(BASES[base]).items():
+        with pytest.raises(AlgebraMismatch) as generic_error:
+            generic(a, b)
+        with pytest.raises(AlgebraMismatch) as kernel_error:
+            kernel(a, b)
+        assert type(kernel_error.value) is type(generic_error.value), form
+        assert str(kernel_error.value) == str(generic_error.value), form

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ligi import symplectic
 from ligi.discrete_gradient import dg_step, free_rigid_body_quat
 from ligi.errors import FixedPointDivergence, NonFiniteState
-from ligi.liealg import SO3, So3Ops, hat, quat_exp
+from ligi.liealg import SO3, So3Ops, TranslationOps, hat, quat_exp
 from ligi.symplectic import (
     E3,
     HamiltonianSystem,
@@ -514,15 +514,19 @@ def test_explicit_scheme_not_symmetric(rng):
 # Orders against a brute-force reference (small scale)
 # ---------------------------------------------------------------------------
 
-def small_top_slope(make_step, T=1.0):
-    """Order of make_step()'s steps on the small top, against the flat RK4 reference."""
-    ref = flat_reference(SMALL_SYSTEM, SMALL.state0, T)
+def step_slope(make_step, state0, ref, T):
+    """Order of make_step()'s steps at h = T/10 ... T/80, against the final state ref."""
     errs, hs = [], []
     for n in (10, 20, 40, 80):
-        g, mu = integrate(make_step(), SMALL.state0, T / n, n).final
+        g, mu = integrate(make_step(), state0, T / n, n).final
         errs.append(np.linalg.norm(g - ref[0]) + np.linalg.norm(mu - ref[1]))
         hs.append(T / n)
     return fit_slope(hs, errs)
+
+
+def small_top_slope(make_step, T=1.0):
+    """Order of make_step()'s steps on the small top, against the flat RK4 reference."""
+    return step_slope(make_step, SMALL.state0, flat_reference(SMALL_SYSTEM, SMALL.state0, T), T)
 
 
 @pytest.mark.parametrize("scheme,theta,expected", [
@@ -546,6 +550,28 @@ def test_gauss2_member_is_second_order():
     slope = small_top_slope(
         lambda: partial(symplectic_step, GAUSS2, SMALL_SYSTEM, solver=ImplicitSolver()))
     assert abs(slope - 2.0) < 0.3, slope
+
+
+# The anharmonic oscillator H = mu^2 / 2 + g^2 / 2 + g^4 / 4 on the abelian group (R, +).
+QUARTIC = HamiltonianSystem(
+    group=TranslationOps(1),
+    hamiltonian=lambda g, mu: 0.5 * mu[0] ** 2 + 0.5 * g[0] ** 2 + 0.25 * g[0] ** 4,
+    force_map=lambda g, mu: (np.asarray(mu, float), -(g + g ** 3)))
+
+
+@pytest.mark.parametrize("tableau,expected", [(GAUSS2, 4.0), (ButcherTableau.theta(0.5), 2.0)],
+                         ids=["gauss2", "theta05"])
+def test_family_on_an_abelian_group_has_the_tableau_order(tableau, expected):
+    # On (R, +) the momentum coefficients b_j - b_j a_ji / b_i are the symplectic
+    # adjoint tableau, which is a itself for Gauss: the family reduces to
+    # Gauss-Legendre, order 4 (measured slope 3.996; theta = 1/2 1.984).
+    state0, T = (np.array([1.0]), np.array([0.5])), 2.0
+    y = rk4_solve(lambda y: np.array([y[1], -(y[0] + y[0] ** 3)]),
+                  np.concatenate(state0), T, 20000)
+    slope = step_slope(
+        lambda: partial(symplectic_step, tableau, QUARTIC, solver=ImplicitSolver()),
+        state0, (y[:1], y[1:]), T)
+    assert abs(slope - expected) < 0.3, slope
 
 
 # ---------------------------------------------------------------------------
