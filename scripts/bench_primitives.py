@@ -150,12 +150,9 @@ B6 = np.concatenate([V, 30.0 * S])
 CT_G, CT_S3_G = CT.exp(B6), CT_S3.exp(B6)
 HT = symplectic.heavy_top(symplectic.HeavyTopParams.benchmark())
 HT_STATE = symplectic.HeavyTopParams.benchmark().state0
-# steppers.ButcherTableau; a tree from before it parametrised the symplectic
-# family has the separate symplectic.StageCoefficients, with the same theta().
-TABLEAU = getattr(symplectic, "StageCoefficients", steppers.ButcherTableau)
-THETA05 = TABLEAU.theta(0.5)
-THETA0 = TABLEAU.theta(0.0)
-GAUSS2 = TABLEAU(  # the two-stage Gauss-Legendre coefficients
+THETA05 = steppers.ButcherTableau.theta(0.5)
+THETA0 = steppers.ButcherTableau.theta(0.0)
+GAUSS2 = steppers.ButcherTableau(  # the two-stage Gauss-Legendre coefficients
     a=[[0.25, 0.25 - 3 ** 0.5 / 6], [0.25 + 3 ** 0.5 / 6, 0.25]], b=[0.5, 0.5])
 class Capture:  # a solver that keeps the residual and returns the start point
     def solve(self, residual, z0, h=None):

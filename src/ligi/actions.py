@@ -19,7 +19,7 @@ from .liealg import (
     S3,
     SL2,
     SO3,
-    AffineOps,
+    MatrixOps,
     TorusOps,
     TranslationOps,
     cross3,
@@ -75,10 +75,11 @@ class MatrixLinearAction(GroupAction):
 
 
 class AffineAction(GroupAction):
-    """The affine group of R^n acting by x -> A x + b (homogeneous form)."""
+    """The affine group of R^n acting by x -> A x + b: the homogeneous matrices
+    [[A, b], [0, 1]] of GL(n+1), MatrixOps(n + 1); apply and generator read n rows."""
 
     def __init__(self, n):
-        self.group = AffineOps(n)
+        self.group = MatrixOps(n + 1)
         self.n = n
         self.name = f"affine_on_r{n}"
 
@@ -125,11 +126,13 @@ class LeftMultiplicationAction(GroupAction):
         return self.group.mul(g, m)
 
     def generator(self, xi, m):
-        # Derivative of left translation along the one-parameter subgroup;
-        # for matrix-like representations this is plain multiplication.
+        # Derivative of left translation along the one-parameter subgroup: the
+        # quaternion product on S^3, xi @ m on a matrix group, none on G x| g*.
         if self.group is S3:
-            w = np.asarray(xi, float)
-            return quat_mul_tangent(w, m)
+            return quat_mul_tangent(np.asarray(xi, float), m)
+        if not isinstance(self.group, MatrixOps):
+            raise ActionMismatch(f"left multiplication on {type(self.group).__name__} has no"
+                                 " generator: only S^3 and matrix groups have one")
         return np.asarray(xi, float) @ np.asarray(m, float)
 
 

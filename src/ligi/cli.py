@@ -12,8 +12,9 @@ the scheme against RKMK4 on the same problem at a finer step.
 Exit codes: 2 configuration error (ConfigError, raised before the run starts)
 or an unreadable or unwritable file, 3 solver divergence, 4 non-finite state or
 invariant, 5 numerical-domain error (errors.DomainError: a closed form that is
-undefined at the values the run reached; a smaller h usually avoids it).  Any
-other exception, exit 1 with a traceback, is a defect, not a bad input.
+undefined at the values the run reached, which a smaller h usually avoids, or
+a drift fit over times whose squares underflow).  Any other exception, exit 1
+with a traceback, is a defect, not a bad input.
 """
 
 from __future__ import annotations

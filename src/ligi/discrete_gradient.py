@@ -145,16 +145,16 @@ def two_form_matrix(system: InvariantSystem, x, gamma=None):
                      for xj, gj in zip(xs, gs)]).reshape(len(xs), len(xs))
 
 
-def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", midpoint_form=True,
-            quad_nodes=4, solver=None):
+def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", solver=None):
     """One energy-preserving step x' = exp(h W dbar_H(x, x')) . x.
 
-    The implicit relation is iterated by solver.fixed_point (a fresh
-    ImplicitSolver by default) from a Lie-Euler predictor.  With the Gonzalez
-    differential the energy is conserved to solver tolerance; with the
-    averaged one, to quadrature accuracy.  midpoint_form evaluates W at the
-    geodesic midpoint, which makes the step symmetric.  A predictor left NaN by
-    an exponent h f(x) whose squared norm overflows raises NonFiniteState.
+    W and the Gonzalez base share one differential at the geodesic midpoint
+    exp(eta/2) . x, eta = log(x' x^{-1}), which makes the step symmetric;
+    tdd="avf" takes dbar from tdd_avf at its 4 nodes.  solver.fixed_point (a
+    fresh ImplicitSolver by default) iterates from a Lie-Euler predictor.  The
+    energy is conserved to solver tolerance with the Gonzalez differential and
+    to quadrature accuracy with the averaged one.  A predictor left NaN by an
+    exponent h f(x) whose squared norm overflows raises NonFiniteState.
     """
     if tdd not in ("gonzalez", "avf"):
         raise ValueError(f"unknown discrete differential {tdd!r}")
@@ -167,19 +167,14 @@ def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", midpoint_form=True,
         eta2 = float(eta @ eta)
         coincident = eta2 < 1e-10 ** 2
         mid = x if coincident else group.mul(group.exp(0.5 * eta), x)
-        w_point = mid if midpoint_form else x
-        # One midpoint differential serves both the Gonzalez closure and,
-        # in midpoint form, the gradient slot of the two-form.
-        base = _differential(system, mid) if (tdd == "gonzalez" or midpoint_form) \
-            else None
+        base = _differential(system, mid)
         if tdd == "avf":
-            dbar = tdd_avf(system, x, x1, quad_nodes)
+            dbar = tdd_avf(system, x, x1)
         elif coincident:
             dbar = base
         else:
             dbar = _gonzalez_correct(system, energy_x, x1, eta, eta2, base)
-        gamma = base if midpoint_form else None
-        W = two_form_matrix(system, w_point, gamma=gamma)
+        W = two_form_matrix(system, mid, gamma=base)
         return group.mul(group.exp(h * (W @ dbar)), x)
 
     v = h * np.asarray(system.field(x), float)

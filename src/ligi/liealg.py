@@ -10,8 +10,8 @@ Conventions used throughout the package:
   these coordinates is ``2 cross(w1, w2)``.
 * Dual (momentum) values carry the same coordinates as the algebra and pair
   with it by the Euclidean dot product (Frobenius for matrix algebras).
-* Affine transformations of R^n are stored as (n+1)x(n+1) homogeneous
-  matrices, both on the group and on the algebra side.
+* The affine group of R^n is the subgroup of GL(n+1) of homogeneous
+  matrices, MatrixOps(n + 1) (see actions.AffineAction).
 
 Everything here is a pure function of immutable arrays; nothing mutates its
 arguments.
@@ -370,25 +370,6 @@ def affine_exp(t, L, b):
     b = np.atleast_1d(np.asarray(b, dtype=float))
     A, c = _exp_with_phi(t * L, (t * b)[:, None])
     return A, c[:, 0]
-
-
-def affine_to_homogeneous(A, b):
-    """Pack (A, b) into the (n+1)x(n+1) homogeneous representation."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    n = A.shape[0]
-    H = np.zeros((n + 1, n + 1))
-    H[:n, :n] = A
-    H[:n, n] = b
-    H[n, n] = 1.0
-    return H
-
-
-def homogeneous_to_affine(H):
-    """Unpack the homogeneous representation into the pair (A, b)."""
-    H = np.asarray(H, dtype=float)
-    n = H.shape[0] - 1
-    return H[:n, :n].copy(), H[:n, n].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -866,44 +847,6 @@ class TorusOps(GroupOps):
 
     def coAd(self, g, mu):
         return np.asarray(mu, float)
-
-
-class AffineOps(GroupOps):
-    """Affine group GL(n) x R^n in homogeneous (n+1)x(n+1) form.
-
-    Algebra elements are homogeneous matrices with zero last row, so the
-    bracket is the plain matrix commutator; the exponential uses the closed
-    (expm, phi) formula.
-    """
-
-    def __init__(self, n):
-        self.n = n
-        self.dim = n * n + n
-
-    def bracket(self, a, b):
-        a, b = _check_same_shape(a, b)
-        return a @ b - b @ a
-
-    def exp(self, xi):
-        xi = np.asarray(xi, float)
-        L = xi[: self.n, : self.n]
-        c = xi[: self.n, self.n]
-        A, b = affine_exp(1.0, L, c)
-        return affine_to_homogeneous(A, b)
-
-    def mul(self, g1, g2):
-        return g1 @ g2
-
-    def inv(self, g):
-        A, b = homogeneous_to_affine(g)
-        Ainv = np.linalg.inv(A)
-        return affine_to_homogeneous(Ainv, -Ainv @ b)
-
-    def identity(self):
-        return np.eye(self.n + 1)
-
-    def Ad(self, g, xi):
-        return g @ np.asarray(xi, float) @ self.inv(g)
 
 
 SO3 = So3Ops()

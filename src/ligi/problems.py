@@ -40,26 +40,6 @@ class DuffingParams:
             raise ValueError("Duffing coefficients must be nonnegative")
 
 
-def duffing_reference_field(params: DuffingParams):
-    a, b = params.a, params.b
-
-    def field(m):
-        x, y = m
-        return np.array([y, -a * x - b * x ** 3])
-
-    return field
-
-
-def duffing_energy(params: DuffingParams):
-    a, b = params.a, params.b
-
-    def energy(m):
-        x, y = m
-        return 0.5 * y * y + 0.5 * a * x * x + 0.25 * b * x ** 4
-
-    return energy
-
-
 def duffing_problem(params: DuffingParams, frame="sl2") -> FrozenFieldProblem:
     """The Duffing system under one of three frames.
 
@@ -69,8 +49,16 @@ def duffing_problem(params: DuffingParams, frame="sl2") -> FrozenFieldProblem:
       (oscillation, vertical-shift) generators, in homogeneous 3x3 form.
     """
     a, b = params.a, params.b
-    reference = duffing_reference_field(params)
-    invariants = (("energy", duffing_energy(params)),)
+
+    def reference(m):
+        x, y = m
+        return np.array([y, -a * x - b * x ** 3])
+
+    def energy(m):
+        x, y = m
+        return 0.5 * y * y + 0.5 * a * x * x + 0.25 * b * x ** 4
+
+    invariants = (("energy", energy),)
 
     if frame == "r2":
         return FrozenFieldProblem(

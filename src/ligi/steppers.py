@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .actions import FrozenFieldProblem
-from .errors import NonFiniteState
+from .errors import DomainError, NonFiniteState
 from .liealg import affine_exp
 
 
@@ -292,10 +292,13 @@ def drift_report(traj: Trajectory):
     """Per-invariant deviation statistics and a drift classification.
 
     An invariant drifts when |slope| * T / |value_0| exceeds 1e-3, with the
-    slope from a least-squares linear fit over the whole run.
+    slope from a least-squares linear fit over the whole run.  Raises
+    DomainError when every t^2 underflows to 0, where np.polyfit divides by 0.
     """
     report = {}
     T = float(traj.times[-1])
+    if not float(traj.times @ traj.times) > 0.0:
+        raise DomainError(f"the drift fit is undefined: every t^2 underflows to 0 (T={T!r})")
     for name, values in traj.invariants.items():
         v0 = float(values[0])
         scale = max(abs(v0), np.finfo(float).tiny)

@@ -34,6 +34,9 @@ from .steppers import ButcherTableau, rkmk_step, screen_start, weighted_sum
 
 E3 = np.array([0.0, 0.0, 1.0])
 
+# The max-norm residual (Newton) or move (fixed point) at which ImplicitSolver stops.
+SOLVER_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
@@ -67,15 +70,14 @@ class HamiltonianSystem:
 
 class ImplicitSolver:
     """Newton iteration with a reusable finite-difference Jacobian, and a plain
-    fixed-point iteration, both to the tolerance tol within max_iter moves.
+    fixed-point iteration, both to SOLVER_TOL within max_iter moves.
 
     solve (Newton) keeps the factorised Jacobian and the last solution between
     calls, so successive steps of a trajectory converge in a couple of
     iterations.  fixed_point iterates an update map with no warm start.
     """
 
-    def __init__(self, tol=1e-12, max_iter=200):
-        self.tol = tol
+    def __init__(self, max_iter=200):
         self.max_iter = max_iter
         self._lu = None
         self._z = None
@@ -112,7 +114,7 @@ class ImplicitSolver:
                 r = residual(z)
                 norm = max_abs(r.tolist())
                 self._lu = None
-            if norm < self.tol:
+            if norm < SOLVER_TOL:
                 self._z = z
                 return z
             if self._lu is None or (norm > 0.25 * norm_prev and rebuilds < 3):
@@ -128,7 +130,7 @@ class ImplicitSolver:
 
     # dg steps iterate here, not in solve, whose calls feed the traced per-solve counts.
     def fixed_point(self, update, z0, h, what):
-        """Iterate z <- update(z) until one move is below tol in the max norm.
+        """Iterate z <- update(z) until one move is below SOLVER_TOL in the max norm.
 
         Returns the last iterate.  Otherwise, after max_iter moves, raises
         FixedPointDivergence with the message what, the step size h and the
@@ -140,7 +142,7 @@ class ImplicitSolver:
             new = update(z)
             delta = max_abs_diff(new, z)
             z = new
-            if delta < self.tol:
+            if delta < SOLVER_TOL:
                 return z
         raise FixedPointDivergence(what, h=h, residual=delta)
 
@@ -289,10 +291,10 @@ class HeavyTopParams:
             raise ValueError("u0 must be a unit vector")
 
     @classmethod
-    def benchmark(cls, gravity=1.0):
+    def benchmark(cls):
         """The standard configuration: inertia 1e3*diag(1,5,6), mu0 = 10*I*(1,1,1)."""
         inertia = 1e3 * np.array([1.0, 5.0, 6.0])
-        return cls(inertia=inertia, mu0=10.0 * inertia * np.ones(3), gravity=gravity)
+        return cls(inertia=inertia, mu0=10.0 * inertia * np.ones(3))
 
     @property
     def state0(self):

@@ -10,12 +10,14 @@ from ligi.actions import (
     SO3_ON_S2,
     TORUS,
     AffineAction,
+    LeftMultiplicationAction,
     TranslationAction,
     stiefel_action,
 )
 from ligi.errors import ActionMismatch
-from ligi.liealg import hat
+from ligi.liealg import SL2, SO3, hat
 from ligi.problems import duffing_problem, DuffingParams, free_rigid_body_s2
+from ligi.symplectic import HeavyTopParams, heavy_top
 from oracles import duffing_se2_frozen_flow, random_rotation, random_unit_quaternion
 
 AFFINE3 = AffineAction(3)
@@ -49,7 +51,7 @@ def _random_algebra(action, rng):
         A[1, 1] = -A[0, 0]
         return A
     if action in (SE2_ON_R2, AFFINE3):
-        n = g.n
+        n = action.n
         xi = np.zeros((n + 1, n + 1))
         xi[:n, :n] = rng.normal(size=(n, n))
         xi[:n, n] = rng.normal(size=n)
@@ -138,6 +140,18 @@ def test_action_mismatch_errors():
         SO3_ON_S2.apply(np.eye(3), np.zeros(4))
     with pytest.raises(ActionMismatch):
         TORUS.apply(TORUS.group.identity(), np.zeros(3))
+
+
+def test_left_multiplication_generator_only_on_s3_and_matrix_groups(rng):
+    # xi @ m is the generator on a matrix group; on G x| g*, whose elements
+    # are (g, mu) pairs, it raised numpy's inhomogeneous-shape ValueError.
+    params = HeavyTopParams.benchmark()
+    with pytest.raises(ActionMismatch, match="CotangentOps"):
+        heavy_top(params).cotangent_problem.field(params.state0)
+    with pytest.raises(ActionMismatch, match="So3Ops"):
+        LeftMultiplicationAction(SO3, "so3_left").generator(np.ones(3), np.eye(3))
+    xi, g = rng.normal(size=(2, 2, 2))
+    assert np.array_equal(LeftMultiplicationAction(SL2, "sl2_left").generator(xi, g), xi @ g)
 
 
 def _planar_rotation(alpha):

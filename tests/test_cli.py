@@ -471,6 +471,18 @@ def test_dexpinv_domain_error_exit_5(tmp_path, capsys):
     assert "numerical domain error: dexpinv closed form" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h, code", [("1e-300", 5), ("1e-163", 5), ("1e-160", 0)])
+def test_drift_over_underflowing_times_exit_5(tmp_path, capsys, h, code):
+    # Below h ~ 1e-162 every t^2 underflows to 0, where np.polyfit's column
+    # scaling divided by zero and raised numpy's LinAlgError (exit 1).
+    out = tmp_path / "drift.json"
+    assert run(["drift", "--problem", "frb_s2", "--scheme", "lie_euler", "--h", h,
+                "--steps", "3", "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "numerical domain error: the drift fit is undefined" in capsys.readouterr().err
+
+
 def test_presets_all_valid():
     for name, values in cli.PRESETS.items():
         config = cli.RunConfig(command="integrate", **values)

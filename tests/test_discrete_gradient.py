@@ -279,18 +279,14 @@ def test_dg_step_preserves_energy_on_so3(rng, h):
         assert np.linalg.norm(R.T @ R - np.eye(3)) < 1e-12
 
 
-def test_dg_step_avf_energy_error_decays_with_nodes():
-    errors = []
-    for nodes in (1, 2, 3):
-        q = np.array([1.0, 0.0, 0.0, 0.0])
-        H0 = FRB.energy(q)
-        worst = 0.0
-        for _ in range(100):
-            q = dg_step(FRB, q, 0.25, tdd="avf", quad_nodes=nodes)
-            worst = max(worst, abs(FRB.energy(q) - H0))
-        errors.append(worst)
-    assert errors[1] < 0.25 * errors[0]
-    assert errors[2] < 0.25 * errors[1]
+def test_dg_step_avf_conserves_energy_to_quadrature_accuracy():
+    # At tdd_avf's 4 Gauss nodes the energy error stays at roundoff level
+    # (4.5e-13 measured) over 100 steps of h = 0.25.
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    H0 = FRB.energy(q)
+    for _ in range(100):
+        q = dg_step(FRB, q, 0.25, tdd="avf")
+        assert abs(FRB.energy(q) - H0) < 1e-11
 
 
 def test_dg_step_symmetric(rng):
@@ -299,21 +295,6 @@ def test_dg_step_symmetric(rng):
     forward = dg_step(FRB, q, h)
     back = dg_step(FRB, forward, -h)
     assert np.max(np.abs(back - q)) < 1e-10
-
-
-def test_dg_step_without_midpoint_form_conserves_but_not_symmetric(rng):
-    # Freezing the two-form at x instead of the midpoint keeps the exact
-    # energy conservation (W stays skew) but loses time symmetry.
-    q = random_unit_quaternion(rng)
-    H0 = FRB.energy(q)
-    h = 1.0 / 16.0
-    x = q
-    for _ in range(50):
-        x = dg_step(FRB, x, h, midpoint_form=False)
-        assert abs(FRB.energy(x) - H0) / abs(H0) < 1e-11
-    forward = dg_step(FRB, q, h, midpoint_form=False)
-    back = dg_step(FRB, forward, -h, midpoint_form=False)
-    assert np.max(np.abs(back - q)) > 1e-8
 
 
 class _LastCoordinateLost(TranslationOps):

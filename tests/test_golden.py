@@ -1,8 +1,9 @@
 """Byte-for-byte comparison of CLI outputs against committed references.
 
-The references in tests/golden/ are short prefixes of every preset plus three
-order reports and one drift report (see scripts/golden.py, which writes them and
-checks the full-length presets against their digests).
+The references in tests/golden/ are short prefixes of every preset and of RKMK4
+on the SE(2) Duffing frame, plus three order reports and one drift report (see
+scripts/golden.py, which writes them and checks the full-length presets against
+their digests).
 """
 
 import json

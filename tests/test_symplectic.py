@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 from fractions import Fraction
 from functools import partial
@@ -296,8 +297,6 @@ REVERSAL_CASES = {
     "dg_step-midpoint": (partial(dg_step, FRB_S3), 1 / 64, quaternion_state, max_abs_distance),
     "theta_step-0.0": (partial(theta_step, 0.0, SYSTEM), 0.05, heavy_top_state,
                        state_distance),
-    "dg_step-not-midpoint": (partial(dg_step, FRB_S3, midpoint_form=False), 1 / 64,
-                             quaternion_state, max_abs_distance),
 }
 
 
@@ -316,7 +315,7 @@ def test_symmetric_steps_are_time_reversible(case, rotation, omega):
     assert reversal_error(case, rotation, omega) < 1e-10
 
 
-@pytest.mark.parametrize("case", ["theta_step-0.0", "dg_step-not-midpoint"])
+@pytest.mark.parametrize("case", ["theta_step-0.0"])
 def test_asymmetric_steps_are_not_time_reversible(case, rng):
     # Controls for the property above: these steps do not come back, so the
     # worst of a few random states lies far above its 1e-10.
@@ -366,8 +365,8 @@ def test_newton_and_fixed_point_agree(rng):
 
 
 def test_solver_divergence_error():
-    # The moves shrink tenfold each time: 1e-3 after four, far above tol.
-    solver = ImplicitSolver(tol=1e-12, max_iter=4)
+    # The moves shrink tenfold each time: 1e-3 after four, far above SOLVER_TOL.
+    solver = ImplicitSolver(max_iter=4)
     with pytest.raises(FixedPointDivergence):
         solver.fixed_point(lambda z: z - (0.9 * z + 1.0), np.zeros(2), 0.1, "no convergence")
 
@@ -383,7 +382,8 @@ def test_implicit_steps_take_only_a_solver():
         parameters = inspect.signature(step).parameters
         assert "solver" in parameters, step.__name__
         assert not {"tol", "max_iter", "method"} & set(parameters), step.__name__
-    assert list(inspect.signature(ImplicitSolver).parameters) == ["tol", "max_iter"]
+    assert list(inspect.signature(ImplicitSolver).parameters) == ["max_iter"]
+    assert list(inspect.signature(dg_step).parameters) == ["system", "x", "h", "tdd", "solver"]
 
 
 def test_non_finite_jacobian_is_divergence():
@@ -633,7 +633,7 @@ def test_rkmk_theta_comparator_is_not_symplectic():
 def test_free_top_theta0_energy_bounded():
     # Free top (no potential), theta = 0: both the energy error and the
     # momentum norm stay bounded over the full desk-scale run.
-    params = HeavyTopParams.benchmark(gravity=0.0)
+    params = dataclasses.replace(HeavyTopParams.benchmark(), gravity=0.0)
     system = heavy_top(params)
     traj = integrate(cotangent_step(system, "symplectic_theta", theta=0.0),
                      params.state0, 0.05, 10000, system.invariants)
