@@ -5,14 +5,16 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_semidirect_kernels.json unless ``--out`` names another file (the earlier
+BENCH_theta_stage.json unless ``--out`` names another file (the earlier
 records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
 BENCH_cotangent_family.json, BENCH_explicit_actions.json,
 BENCH_rkmk_family.json, BENCH_one_solver.json, BENCH_one_tableau.json,
-BENCH_so3_algebra.json, BENCH_frb_kernels.json and
-BENCH_cotangent_kernels.json).
+BENCH_so3_algebra.json, BENCH_frb_kernels.json,
+BENCH_cotangent_kernels.json and BENCH_semidirect_kernels.json).
 The cases of ``src/`` are timed as "change"; with ``--baseline`` those of
-``<baseline>/src`` are timed too, as "parent".
+``<baseline>/src`` are timed too, as "parent".  A case whose statement
+raises AttributeError on a tree, one that names an operation the tree does
+not have, is left out for that tree.
 Each round is one fresh single-threaded child interpreter that imports every
 tree's ligi side by side (the first tree loaded alternates between rounds) and
 times each case on the trees back to back, repeat by repeat, alternating their
@@ -33,7 +35,10 @@ The L0 cases are the so(3) and S^3 closed forms (the dexp family as the
 action, the callbacks of the quaternion free rigid body (energy, field,
 energy differential) with its body momentum, the heavy top's force map, and
 the exponential, product and order-2 dexpinv of ``CotangentOps`` over SO(3)
-and S^3 (the RKMK theta comparator's semidirect operations).
+and S^3 (the RKMK theta comparator's semidirect operations), and the
+symplectic theta = 1/2 stage ``SO3.theta_stage`` at the heavy-top start's
+explicit Euler iterate, as the float kernel and as the ``GroupOps``
+composition it replaces.
 The L1 cases are one call of
 each piece of the implicit inner loops (the theta = 1/2, theta = 0 and RKMK
 theta residuals, the semidirect bracket on SO(3) and S^3, the two-form and
@@ -109,6 +114,9 @@ CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERN
     ("CotangentOps_S3.exp", "CT_S3.exp(A6)", NUMBER),
     ("CotangentOps_S3.mul", "CT_S3.mul(CT_S3_G, CT_S3_G)", NUMBER),
     ("CotangentOps_S3.dexpinv_order2", "CT_S3.dexpinv(A6, B6, 2)", NUMBER),
+    ("SO3.theta_stage", "liealg.SO3.theta_stage(0.5, THETA_Z, *HT_STATE)", NUMBER),
+    ("GroupOps.theta_stage_SO3",
+     "liealg.GroupOps.theta_stage(liealg.SO3, 0.5, THETA_Z, *HT_STATE)", NUMBER),
     ("theta_residual", "THETA_RESIDUAL(THETA_Z)", 2000),
     ("theta0_residual", "THETA0_RESIDUAL(THETA0_Z)", 2000),
     ("rkmk_theta_residual", "RKMK_RESIDUAL(RKMK_K)", 1000),
@@ -224,15 +232,24 @@ def time_primitives(trees):
     out = {label: {} for label in trees}
     for name, statement, number in CASES:
         timers = {label: timeit.Timer(statement, globals=namespace)
-                  for label, namespace in namespaces.items()}
-        for label in trees:
+                  for label, namespace in namespaces.items() if runs_on(statement, namespace)}
+        for label in timers:
             out[label][name] = []
         for k in range(REPEAT):
-            for label in (list(trees) if k % 2 == 0 else list(reversed(trees))):
+            for label in (list(timers) if k % 2 == 0 else list(reversed(timers))):
                 seconds = timers[label].timeit(number)
                 scale = REF_UNIT_S / reference_time(REF_WINDOW_UNITS)
                 out[label][name].append(seconds / number * 1e6 * scale)
     return out
+
+
+def runs_on(statement, namespace):
+    """False when the statement names an attribute the tree lacks."""
+    try:
+        exec(statement, namespace)
+    except AttributeError:
+        return False
+    return True
 
 
 def run_child(trees):
@@ -340,7 +357,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_semidirect_kernels.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_theta_stage.json"))
     parser.add_argument("--child", nargs="+", metavar="LABEL=SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
@@ -362,8 +379,8 @@ def main(argv=None):
     primitives = {}
     for name, *_ in CASES:
         entry = {label: summarise_times([t for times in rounds[label][name] for t in times])
-                 for label in trees}
-        if "parent" in entry:
+                 for label in trees if rounds[label][name]}
+        if {"parent", "change"} <= set(entry):
             q1, q2, q3 = quartiles([statistics.median(c) / statistics.median(p) for c, p
                                     in zip(rounds["change"][name], rounds["parent"][name])])
             entry["change_over_parent"] = {"median": q2, "q1": q1, "q3": q3}
@@ -394,7 +411,7 @@ def main(argv=None):
     for name, entry in primitives.items():
         line = "  ".join(f"{label} {entry[label]['median_us']:8.2f} us"
                          f" [{entry[label]['q1_us']:.2f}, {entry[label]['q3_us']:.2f}]"
-                         for label in trees)
+                         for label in trees if label in entry)
         if "change_over_parent" in entry:
             ratio = entry["change_over_parent"]
             line += f"  ratio {ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]"

@@ -213,16 +213,15 @@ def _ad_quadratic(x, y, z, v0, v1, v2, a, b):
 
     The so(3) dexp family: each member is I + a ad_s + b ad_s^2 with the
     coefficients (a, b) of |s|.  Its dual is the transpose, which flips the
-    odd term, so it is the same map at -s.
+    odd term, so it is the same map at -s.  Returns three floats, from which
+    each caller builds its array.
     """
     w0 = y * v2 - z * v1
     w1 = z * v0 - x * v2
     w2 = x * v1 - y * v0
-    return np.array([
-        v0 + a * w0 + b * (y * w2 - z * w1),
-        v1 + a * w1 + b * (z * w0 - x * w2),
-        v2 + a * w2 + b * (x * w1 - y * w0),
-    ])
+    return (v0 + a * w0 + b * (y * w2 - z * w1),
+            v1 + a * w1 + b * (z * w0 - x * w2),
+            v2 + a * w2 + b * (x * w1 - y * w0))
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +431,10 @@ class GroupOps:
     semidirect_bracket, semidirect_exp, semidirect_mul, and the commutator
     series of semidirect_bracket, semidirect_dexp and semidirect_dexpinv.
     Their algebra elements stack (xi, nu) into one flat array of length
-    2 dim; another shape raises AlgebraMismatch.  Subclasses override both
-    families with closed forms or float kernels where those exist.
+    2 dim; another shape raises AlgebraMismatch.  theta_stage, on the same
+    stacked elements, is the stage of symplectic.symplectic_step's one-stage
+    member, composed from exp, mul, coAd and dual_dexp.  Subclasses override
+    these with closed forms or float kernels where those exist.
     """
 
     dim = None  # algebra dimension
@@ -516,6 +517,30 @@ class GroupOps:
     def _semidirect_series(self, sigma, v, coeffs, order):
         sigma, v = self._stacked(sigma, v)
         return _ad_series(self.semidirect_bracket, sigma, v, coeffs, order)
+
+    # the one-stage symplectic stage ------------------------------------------
+    def theta_stage(self, theta, z, g0, mu0):
+        """(G, M, mu) of the symplectic theta method's stage at z = (xi, nbar) from (g0, mu0):
+
+            G = exp(theta xi) g0,    mu = mu0 + coAd(exp(theta xi), nbar),
+            M = dd(-xi) mu - theta dd(theta xi) nbar,
+
+        with dd the dual dexp.  At theta = 0, G = g0 and mu = mu0 + nbar, with
+        no exp(0).  z stacks (xi, nbar) into one flat array of length 2 dim and
+        mu0 has shape (dim,); other shapes raise AlgebraMismatch.
+        """
+        z, = self._stacked(z)
+        mu0, = _flat_arrays(self.dim, "momenta", (mu0,))
+        xi, nbar = z[:self.dim], z[self.dim:]
+        if theta == 0.0:
+            mu = mu0 + nbar
+            return g0, self.dual_dexp(-xi, mu), mu
+        X = theta * xi
+        E = self.exp(X)
+        G = self.mul(E, g0)
+        mu = mu0 + self.coAd(E, nbar)
+        D = self.dual_dexp(X, nbar)
+        return G, self.dual_dexp(-xi, mu) - theta * D, mu
 
 
 def _semidirect_bracket_entries(s, a, b):
@@ -606,7 +631,7 @@ class So3Ops(GroupOps):
             norm = math.sqrt(x * x + y * y + z * z)
             raise DexpinvOutOfRange(f"dexpinv closed form needs |sigma| < "
                                     f"{self._dexpinv_bound}, got {norm!r}") from None
-        return _ad_quadratic(sx, sy, sz, v0, v1, v2, a, b)
+        return np.array(_ad_quadratic(sx, sy, sz, v0, v1, v2, a, b))
 
     def dexp(self, sigma, v, order=None):
         return self._closed_form(sigma, v, _dexp_coeffs, 1.0)
@@ -645,7 +670,7 @@ class So3Ops(GroupOps):
         c1, c2 = _rotation_coeffs(theta2)
         a, b = _dexp_coeffs(math.sqrt(theta2))
         return (np.array(rodrigues_entries(x, y, z, c1, c2)).reshape(3, 3),
-                _ad_quadratic(x, y, z, v0, v1, v2, a, b))
+                np.array(_ad_quadratic(x, y, z, v0, v1, v2, a, b)))
 
     def semidirect_mul(self, a, b):
         """numpy's g1 @ g2 and mu2 @ g1^T, without the mul, inv and coAd calls."""
@@ -674,6 +699,37 @@ class So3Ops(GroupOps):
                                           o3 + c * w3, o4 + c * w4, o5 + c * w5)
         return np.array([o0, o1, o2, o3, o4, o5])
 
+    def theta_stage(self, theta, z, g0, mu0):
+        """The GroupOps composition on floats, with one |theta xi|^2 for exp and dd(theta xi).
+
+        G = E g0 and coAd(E, nbar) = nbar E stay numpy products, whose
+        rounding (fused multiply-adds) Python floats need not reproduce.
+        """
+        z = np.asarray(z, dtype=float)
+        mu0 = np.asarray(mu0, dtype=float)
+        if z.shape != (6,) or mu0.shape != (3,):
+            return super().theta_stage(theta, z, g0, mu0)
+        x, y, w, n0, n1, n2 = z.tolist()
+        p0, p1, p2 = mu0.tolist()
+        theta = float(theta)
+        if theta == 0.0:
+            G, m0, m1, m2 = g0, p0 + n0, p1 + n1, p2 + n2
+        else:
+            tx, ty, tw = theta * x, theta * y, theta * w
+            t2 = tx * tx + ty * ty + tw * tw
+            c1, c2 = _rotation_coeffs(t2)
+            E = np.array(rodrigues_entries(tx, ty, tw, c1, c2)).reshape(3, 3)
+            G = E @ g0
+            q0, q1, q2 = (z[3:] @ E).tolist()
+            m0, m1, m2 = p0 + q0, p1 + q1, p2 + q2
+            a, b = _dexp_coeffs(math.sqrt(t2))
+            d0, d1, d2 = _ad_quadratic(-tx, -ty, -tw, n0, n1, n2, a, b)
+        a, b = _dexp_coeffs(math.sqrt(x * x + y * y + w * w))
+        e0, e1, e2 = _ad_quadratic(x, y, w, m0, m1, m2, a, b)
+        if theta != 0.0:
+            e0, e1, e2 = e0 - theta * d0, e1 - theta * d1, e2 - theta * d2
+        return G, np.array([e0, e1, e2]), np.array([m0, m1, m2])
+
 
 class QuatOps(So3Ops):
     """Unit quaternions S^3 with the pure-quaternion algebra as 3-vectors.
@@ -681,14 +737,15 @@ class QuatOps(So3Ops):
     The identification with R^3 is such that exp covers the double rotation,
     so ad_w = hat(2 w): the group side is its own, and the closed so(3) dexp
     family and the float semidirect bracket and series are inherited with
-    argument 2 sigma.  The semidirect exponential and product, which build
-    group elements, are the generic ones.
+    argument 2 sigma.  The semidirect exponential and product and the theta
+    stage, which build group elements, are the generic ones.
     """
 
     _ad_scale = 2.0
     _dexpinv_bound = "pi"
     semidirect_exp = GroupOps.semidirect_exp
     semidirect_mul = GroupOps.semidirect_mul
+    theta_stage = GroupOps.theta_stage
 
     def bracket(self, a, b):
         a, b = _check_same_shape(a, b)

@@ -5,7 +5,8 @@ map f = (dH/dmu, -R_g^* dH/dg).  symplectic_step is the one implementation of
 the s-stage symplectic family, for any steppers.ButcherTableau (a, b) with
 every b_i != 0: exponentials of the stage variables and dual dexp transports
 of the momentum, symplectic by its variational derivation.  theta_step names
-its s = 1 member, the tableau ButcherTableau.theta(theta) = [[theta]], [1].
+its s = 1 member, the tableau ButcherTableau.theta(theta) = [[theta]], [1],
+whose stage is one call of the group's theta_stage (a float kernel on SO(3)).
 Its comparator, the Runge-Kutta-Munthe-Kaas theta method, is
 steppers.rkmk_step with that same tableau on G x| g* acting on itself; this
 module only builds that problem.  Also here: the heavy-top Hamiltonian,
@@ -167,7 +168,10 @@ def symplectic_step(tableau: ButcherTableau, system: HamiltonianSystem, state, h
     (exp Y, coAd(exp(-Y), sum_i b_i n_i)) . (g0, mu0).  The update takes
     mu0 + sum_i b_i n_i from the last residual evaluation when the solver
     returns that iterate, as Newton does, and recomputes it otherwise.  A zero
-    weight raises ValueError before anything is evaluated.  Measured orders: 1 at
+    weight raises ValueError before anything is evaluated.  The one-stage
+    member, a = [[theta]] with b = [1], takes its stage (G, M and the momentum
+    sum) from one group.theta_stage call, the same operations as the s-stage
+    form; at theta = 0 neither takes an exp(0).  Measured orders: 1 at
     theta = 0, 2 at theta = 1/2 and 2 for the two-stage Gauss tableau (classical 4;
     4 on an abelian group, where the family is Gauss-Legendre).
     """
@@ -176,53 +180,63 @@ def symplectic_step(tableau: ButcherTableau, system: HamiltonianSystem, state, h
     b = tableau.b.tolist()
     if 0.0 in b:
         raise ValueError(f"the symplectic family needs every stage weight nonzero, got b = {b}")
-    # The momentum couplings -b_j a_ji / b_i, one for each nonzero a_ji.
-    couplings = [[] for _ in range(s)]
-    for j, row in enumerate(tableau.rows):
-        for i, w in row:
-            couplings[i].append((j, -b[j] * w / b[i]))
     g0, mu0 = state
     # z stacks (xi_1, nbar_1, ..., xi_s, nbar_s); the rows of weights slice it.
     xi_at = [slice(2 * d * i, 2 * d * i + d) for i in range(s)]
     y_row = [(xi_at[j], w) for j, w in tableau.b_terms]
-    plan = [([(xi_at[j], w) for j, w in row], slice(2 * d * i + d, 2 * d * (i + 1)))
-            for i, row in enumerate(tableau.rows)]
 
-    def stages(z):
-        """G_j, dd(X_j) nbar_j where X_j != 0, and mu0 + sum_j b_j n_j.
+    if b == [1.0]:  # the one-stage member: X = theta xi, Y = xi and coupling -theta
+        theta = tableau.a.item()
 
-        An all-zero row has X_j = 0, so G_j = g0 and n_j = nbar_j: no exp(0).
-        """
-        G, n, D = [], [], {}
-        for j, (row, q) in enumerate(plan):
-            nbar = z[q]
-            if row:
-                X = weighted_sum(row, z)
-                E = group.exp(X)
-                G.append(group.mul(E, g0))
-                n.append(group.coAd(E, nbar))
-                D[j] = group.dual_dexp(X, nbar)
-            else:
-                G.append(g0)
-                n.append(nbar)
-        return G, D, weighted_sum(tableau.b_terms, n, mu0)
+        def stages(z):
+            """((G, M),) and mu0 + n from the group's one-stage kernel."""
+            G, M, mu = group.theta_stage(theta, z, g0, mu0)
+            return ((G, M),), mu
+    else:
+        # The momentum couplings -b_j a_ji / b_i, one for each nonzero a_ji.
+        couplings = [[] for _ in range(s)]
+        for j, row in enumerate(tableau.rows):
+            for i, w in row:
+                couplings[i].append((j, -b[j] * w / b[i]))
+        plan = [([(xi_at[j], w) for j, w in row], slice(2 * d * i + d, 2 * d * (i + 1)))
+                for i, row in enumerate(tableau.rows)]
+
+        def stages(z):
+            """(G_i, M_i) for each stage, and mu0 + sum_j b_j n_j.
+
+            An all-zero row has X_j = 0, so G_j = g0 and n_j = nbar_j: no exp(0).
+            """
+            G, n, D = [], [], {}
+            for j, (row, q) in enumerate(plan):
+                nbar = z[q]
+                if row:
+                    X = weighted_sum(row, z)
+                    E = group.exp(X)
+                    G.append(group.mul(E, g0))
+                    n.append(group.coAd(E, nbar))
+                    D[j] = group.dual_dexp(X, nbar)
+                else:
+                    G.append(g0)
+                    n.append(nbar)
+            mu = weighted_sum(tableau.b_terms, n, mu0)
+            base = group.dual_dexp(-weighted_sum(y_row, z), mu)
+            return [(g, weighted_sum(row, D, base)) for g, row in zip(G, couplings)], mu
 
     last = {}  # the bytes of the last residual's iterate, and its momentum sum
 
     def residual(z):
-        G, D, mu = stages(z)
+        pairs, mu = stages(z)
         last["z"], last["mu"] = z.tobytes(), mu
-        base = group.dual_dexp(-weighted_sum(y_row, z), mu)
         forces = []
-        for g, row in zip(G, couplings):
-            forces += f(g, weighted_sum(row, D, base))
+        for G, M in pairs:
+            forces += f(G, M)
         # z - h (f1, f2, ...) is (xi_i - h f1_i, nbar_i - h f2_i), block by block.
         return z - h * np.concatenate(forces, dtype=float)
 
     z0 = h * np.concatenate([*f(g0, mu0)] * s, dtype=float)
     solver = solver or ImplicitSolver()
     z = solver.solve(residual, z0, h=h)
-    mu = last["mu"] if last.get("z") == z.tobytes() else stages(z)[2]
+    mu = last["mu"] if last.get("z") == z.tobytes() else stages(z)[1]
     # (exp Y, coAd(exp(-Y), sum_i b_i n_i)) . (g0, mu0), with the coAd taken once.
     E = group.exp(weighted_sum(y_row, z))
     return group.mul(E, g0), group.coAd(group.inv(E), mu)
@@ -283,12 +297,18 @@ class HeavyTopParams:
     gravity: float = 1.0
 
     def __post_init__(self):
-        for name in ("inertia", "mu0", "u0", "g0"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if np.any(self.inertia <= 0.0):
+        for name, shape in (("inertia", (3,)), ("mu0", (3,)), ("u0", (3,)), ("g0", (3, 3))):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+            object.__setattr__(self, name, value)
+        # Each test is written to fail on a NaN.
+        if not np.all(self.inertia > 0.0):
             raise ValueError("inertia entries must be positive")
-        if abs(np.linalg.norm(self.u0) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(self.u0) - 1.0) <= 1e-12:
             raise ValueError("u0 must be a unit vector")
+        if not np.isfinite(self.g0).all():
+            raise ValueError("g0 must be finite")
 
     @classmethod
     def benchmark(cls):

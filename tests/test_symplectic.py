@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ligi import symplectic
+from ligi import liealg, symplectic
 from ligi.discrete_gradient import dg_step, free_rigid_body_quat
-from ligi.errors import FixedPointDivergence, NonFiniteState
-from ligi.liealg import SO3, So3Ops, TranslationOps, hat, quat_exp
+from ligi.errors import AlgebraMismatch, FixedPointDivergence, NonFiniteState
+from ligi.liealg import S3, SO3, GroupOps, So3Ops, TranslationOps, hat, quat_exp
 from ligi.symplectic import (
     E3,
     HamiltonianSystem,
@@ -142,6 +143,24 @@ def test_heavy_top_params_validation():
     with pytest.raises(ValueError):
         HeavyTopParams(inertia=np.ones(3), mu0=np.zeros(3),
                        u0=np.array([0.0, 0.0, 2.0]))
+
+
+@pytest.mark.parametrize("changes,match", [
+    ({"inertia": [np.nan, 1.0, 1.0]}, "inertia entries must be positive"),
+    ({"u0": [np.nan, 0.0, 0.0]}, "u0 must be a unit vector"),
+    ({"g0": np.full((3, 3), np.nan)}, "g0 must be finite"),
+    ({"g0": np.where(np.eye(3) > 0, np.inf, 0.0)}, "g0 must be finite"),
+    ({"inertia": [1.0, 2.0]}, r"inertia must have shape \(3,\), got \(2,\)"),
+    ({"mu0": np.zeros(4)}, r"mu0 must have shape \(3,\)"),
+    ({"u0": [[0.0, 0.0, 1.0]]}, r"u0 must have shape \(3,\)"),
+    ({"g0": np.eye(4)}, r"g0 must have shape \(3, 3\)"),
+], ids=["nan-inertia", "nan-u0", "nan-g0", "inf-g0", "2-inertia", "4-mu0", "1x3-u0", "4x4-g0"])
+def test_heavy_top_params_rejects_nan_and_mis_shaped_inputs(changes, match):
+    # NaN passes a test written as "reject if x <= 0"; a 2-entry inertia once
+    # failed only inside the force map.
+    fields = {"inertia": np.ones(3), "mu0": np.zeros(3), **changes}
+    with pytest.raises(ValueError, match=match):
+        HeavyTopParams(**fields)
 
 
 def test_force_map_matches_hamiltonian_derivative(rng):
@@ -414,14 +433,36 @@ def test_residual_at_an_infinite_iterate_is_not_finite():
 
 
 class _CountingSO3(So3Ops):
+    """SO(3) counting its theta_stage passes and every exponential it takes.
+
+    The counting_so3 fixture counts the exponentials where every SO(3)
+    rotation reads its coefficients, liealg._rotation_coeffs, so the
+    exponentials inside the float theta_stage kernel count too; zero_exps
+    counts those at angle zero.
+    """
+
     def __init__(self):
         self.exps = 0
-        self.zero_exps = 0  # the calls at xi = 0
+        self.zero_exps = 0
+        self.stages = 0
 
-    def exp(self, xi):
-        self.exps += 1
-        self.zero_exps += not np.any(xi)
-        return super().exp(xi)
+    def theta_stage(self, theta, z, g0, mu0):
+        self.stages += 1
+        return super().theta_stage(theta, z, g0, mu0)
+
+
+@pytest.fixture
+def counting_so3(monkeypatch):
+    group = _CountingSO3()
+    rotation_coeffs = liealg._rotation_coeffs
+
+    def counted(theta2):
+        group.exps += 1
+        group.zero_exps += theta2 == 0.0
+        return rotation_coeffs(theta2)
+
+    monkeypatch.setattr(liealg, "_rotation_coeffs", counted)
+    return group
 
 
 class _OneMove:
@@ -437,34 +478,54 @@ class _OneMove:
         return z
 
 
-def test_update_reuses_the_momentum_of_the_last_residual():
+class _CountingResiduals:
+    """A solver that counts the residual evaluations of the solver it wraps."""
+
+    def __init__(self, solver):
+        self.solver = solver
+        self.residuals = 0
+
+    def solve(self, residual, z0, h=None):
+        def counted(z):
+            self.residuals += 1
+            return residual(z)
+
+        return self.solver.solve(counted, z0, h=h)
+
+
+def test_update_reuses_the_momentum_of_the_last_residual(counting_so3):
     steps = {}
     for evaluate_result in (True, False):
-        group = _CountingSO3()
+        group = counting_so3
+        group.stages = group.exps = 0
+        solver = _CountingResiduals(_OneMove(evaluate_result))
         system = HamiltonianSystem(group, SYSTEM.hamiltonian, SYSTEM.force_map)
-        steps[evaluate_result] = theta_step(0.5, system, BENCH.state0, 0.05,
-                                            solver=_OneMove(evaluate_result))
-        # one exp per residual and one for the update; the stage pass is rerun
-        # (one more exp) only when the residual last saw another iterate
-        assert group.exps == 3
+        steps[evaluate_result] = theta_step(0.5, system, BENCH.state0, 0.05, solver=solver)
+        # one stage pass per residual; the update reruns it only when the
+        # residual last saw another iterate, so two passes either way, and
+        # one exponential per pass and one for the update
+        assert solver.residuals == (2 if evaluate_result else 1)
+        assert (group.stages, group.exps) == (2, 3)
     for a, b in zip(steps[True], steps[False]):
         assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("tableau,solver,exps", [
-    ("theta0", "one_move", 1),  # the update only: the all-zero row takes no exp(0)
+    ("theta0", "one_move", 1),  # the update only: the theta = 0 stage takes no exp(0)
     ("theta0", "newton", 1),  # nor do the residuals of a full Newton solve
     ("theta05", "one_move", 3),  # one per residual, two residuals, and the update
     ("gauss2", "one_move", 5),  # two per residual, and the update
 ])
-def test_exp_calls_of_a_step(tableau, solver, exps):
+def test_exp_calls_of_a_step(tableau, solver, exps, counting_so3):
     tableau = {"theta0": ButcherTableau.theta(0.0), "theta05": ButcherTableau.theta(0.5),
                "gauss2": GAUSS2}[tableau]
-    solver = {"one_move": _OneMove(True), "newton": None}[solver]
-    group = _CountingSO3()
+    solver = _CountingResiduals({"one_move": _OneMove(True), "newton": ImplicitSolver()}[solver])
+    group = counting_so3
     system = HamiltonianSystem(group, SYSTEM.hamiltonian, SYSTEM.force_map)
     symplectic_step(tableau, system, BENCH.state0, 0.05, solver=solver)
     assert (group.exps, group.zero_exps) == (exps, 0)
+    # One theta_stage pass per residual of a one-stage tableau, none for Gauss-2.
+    assert group.stages == (solver.residuals if tableau.stages == 1 else 0)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5])
@@ -474,6 +535,89 @@ def test_theta_step_equals_its_stage_form(theta, rng):
         state = random_state(rng, BENCH.mu0[2])
         step = theta_step(theta, SYSTEM, state, 0.05)
         reference = theta_step_stage_form(theta, SYSTEM, state, 0.05)
+        assert all(np.array_equal(a, b) for a, b in zip(step, reference))
+
+
+# The one-stage kernel So3Ops.theta_stage against the GroupOps composition, and
+# theta_step, which runs on it, against the stage form of the oracles.
+thetas = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]), st.floats(-2.0, 2.0))
+entries = st.one_of(st.floats(-10.0, 10.0),
+                    st.sampled_from([np.nan, np.inf, -np.inf, 1e200, -1e200, 0.0, -0.0]))
+
+
+def same(got, expected):
+    return np.array_equal(got, expected, equal_nan=True)
+
+
+@given(theta=thetas, z=st.lists(entries, min_size=6, max_size=6),
+       mu0=st.lists(entries, min_size=3, max_size=3),
+       g0=st.lists(entries, min_size=9, max_size=9),
+       xi_scale=st.sampled_from([1.0, 1e-5, 1e-6]), as_list=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_float_theta_stage_equals_generic_composition(theta, z, mu0, g0, xi_scale, as_list):
+    # Bit for bit, NaN or inf out where an entry is not finite, never an exception.
+    # xi_scale puts |theta xi| and |xi| on both sides of SMALL_ANGLE.
+    z = [xi_scale * v for v in z[:3]] + z[3:]
+    g0 = np.array(g0).reshape(3, 3)
+    if as_list:
+        g0 = g0.tolist()
+    else:
+        z, mu0 = np.array(z), np.array(mu0)
+    with np.errstate(all="ignore"):
+        got = SO3.theta_stage(theta, z, g0, mu0)
+        expected = GroupOps.theta_stage(SO3, theta, z, g0, mu0)
+    assert [np.shape(x) for x in got] == [(3, 3), (3,), (3,)]
+    assert all(same(a, b) for a, b in zip(got, expected))
+    if theta == 0.0:
+        assert got[0] is g0  # no exp(0) . g0
+    if not all(np.isfinite(x).all() for x in (z, mu0, g0)):
+        assert not all(np.isfinite(x).all() for x in got)
+
+
+@pytest.mark.parametrize("z_shape,mu0_shape", [((5,), (3,)), ((7,), (3,)), ((6, 1), (3,)),
+                                               ((2, 3), (3,)), ((), (3,)), ((6,), (2,)),
+                                               ((6,), (3, 1))])
+def test_mis_sized_theta_stage_raises_as_generic(z_shape, mu0_shape):
+    z, mu0 = np.full(z_shape, 0.5), np.ones(mu0_shape)
+    with pytest.raises(AlgebraMismatch) as generic_error:
+        GroupOps.theta_stage(SO3, 0.5, z, np.eye(3), mu0)
+    with pytest.raises(AlgebraMismatch, match=re.escape(str(generic_error.value))):
+        SO3.theta_stage(0.5, z, np.eye(3), mu0)
+
+
+@given(theta=thetas, z=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+@settings(max_examples=50, deadline=None)
+def test_theta_stage_off_so3_is_the_generic_composition(theta, z):
+    # S^3 builds quaternions, and (R, +) has 2-vector stages: both compose.
+    assert S3.theta_stage.__func__ is GroupOps.theta_stage
+    q0 = quat_exp(np.array([0.3, -0.1, 0.2]))
+    got = S3.theta_stage(theta, z, q0, np.ones(3))
+    if theta != 0.0:
+        assert same(got[0], S3.mul(S3.exp(theta * np.array(z[:3])), q0))
+    line = TranslationOps(1)
+    G, M, mu = line.theta_stage(theta, z[:2], np.array([0.4]), np.array([0.5]))
+    assert same(G, [0.4 + theta * z[0]])
+    # dd is the identity on an abelian group: M = mu - theta nbar.
+    assert same(mu, np.array([0.5 + z[1]])) and same(M, mu - theta * z[1])
+
+
+@given(theta=thetas, seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1.0, float(BENCH.mu0[2])]))
+@settings(max_examples=60, deadline=None)
+def test_theta_step_equals_its_stage_form_at_any_theta(theta, seed, scale):
+    # The same floating-point operations, so the same Newton iterates: equal
+    # steps, or the same failure where Newton does not converge.
+    state = random_state(np.random.default_rng(seed), scale)
+    outcomes = []
+    for step in (theta_step, theta_step_stage_form):
+        try:
+            outcomes.append(step(theta, SYSTEM, state, 0.05))
+        except FixedPointDivergence as exc:
+            outcomes.append(type(exc))
+    step, reference = outcomes
+    if isinstance(step, type):
+        assert step is reference
+    else:
         assert all(np.array_equal(a, b) for a, b in zip(step, reference))
 
 
