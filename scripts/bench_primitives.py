@@ -5,12 +5,13 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_theta_stage.json unless ``--out`` names another file (the earlier
+BENCH_one_stage_system.json unless ``--out`` names another file (the earlier
 records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
 BENCH_cotangent_family.json, BENCH_explicit_actions.json,
 BENCH_rkmk_family.json, BENCH_one_solver.json, BENCH_one_tableau.json,
 BENCH_so3_algebra.json, BENCH_frb_kernels.json,
-BENCH_cotangent_kernels.json and BENCH_semidirect_kernels.json).
+BENCH_cotangent_kernels.json, BENCH_semidirect_kernels.json and
+BENCH_theta_stage.json).
 The cases of ``src/`` are timed as "change"; with ``--baseline`` those of
 ``<baseline>/src`` are timed too, as "parent".  A case whose statement
 raises AttributeError on a tree, one that names an operation the tree does
@@ -36,9 +37,9 @@ action, the callbacks of the quaternion free rigid body (energy, field,
 energy differential) with its body momentum, the heavy top's force map, and
 the exponential, product and order-2 dexpinv of ``CotangentOps`` over SO(3)
 and S^3 (the RKMK theta comparator's semidirect operations), and the
-symplectic theta = 1/2 stage ``SO3.theta_stage`` at the heavy-top start's
-explicit Euler iterate, as the float kernel and as the ``GroupOps``
-composition it replaces.
+symplectic family's theta = 1/2 stages ``SO3.symplectic_stages`` at the
+heavy-top start's explicit Euler iterate, as the float kernel and as the
+``GroupOps`` composition that every other tableau and group runs.
 The L1 cases are one call of
 each piece of the implicit inner loops (the theta = 1/2, theta = 0 and RKMK
 theta residuals, the semidirect bracket on SO(3) and S^3, the two-form and
@@ -114,9 +115,10 @@ CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERN
     ("CotangentOps_S3.exp", "CT_S3.exp(A6)", NUMBER),
     ("CotangentOps_S3.mul", "CT_S3.mul(CT_S3_G, CT_S3_G)", NUMBER),
     ("CotangentOps_S3.dexpinv_order2", "CT_S3.dexpinv(A6, B6, 2)", NUMBER),
-    ("SO3.theta_stage", "liealg.SO3.theta_stage(0.5, THETA_Z, *HT_STATE)", NUMBER),
-    ("GroupOps.theta_stage_SO3",
-     "liealg.GroupOps.theta_stage(liealg.SO3, 0.5, THETA_Z, *HT_STATE)", NUMBER),
+    ("SO3.symplectic_stages", "liealg.SO3.symplectic_stages(THETA05, THETA_Z, *HT_STATE)",
+     NUMBER),
+    ("GroupOps.symplectic_stages_SO3",
+     "liealg.GroupOps.symplectic_stages(liealg.SO3, THETA05, THETA_Z, *HT_STATE)", NUMBER),
     ("theta_residual", "THETA_RESIDUAL(THETA_Z)", 2000),
     ("theta0_residual", "THETA0_RESIDUAL(THETA0_Z)", 2000),
     ("rkmk_theta_residual", "RKMK_RESIDUAL(RKMK_K)", 1000),
@@ -357,7 +359,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_theta_stage.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_one_stage_system.json"))
     parser.add_argument("--child", nargs="+", metavar="LABEL=SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 

@@ -213,11 +213,14 @@ def free_rigid_body_quat(inertia, m0) -> InvariantSystem:
     kinetic energy of the body momentum m(q) = E(q)^T m0.  The three
     callbacks run on Python floats through _body_frame.
     """
-    inertia = np.asarray(inertia, dtype=float)
-    if np.any(inertia <= 0.0):
-        raise ValueError("inertia entries must be positive")
+    inertia, m0 = np.asarray(inertia, dtype=float), np.asarray(m0, dtype=float)
+    # Each test is written to fail on a NaN.
+    if inertia.shape != (3,) or not np.all(inertia > 0.0):
+        raise ValueError(f"inertia must be 3 positive entries, got {inertia.tolist()}")
+    if m0.shape != (3,) or not np.isfinite(m0).all():
+        raise ValueError(f"m0 must be 3 finite entries, got {m0.tolist()}")
     j0, j1, j2 = (1.0 / inertia).tolist()
-    m0 = np.asarray(m0, dtype=float).tolist()
+    m0 = m0.tolist()
     n0, n1, n2 = m0
 
     def spatial_velocity(q):

@@ -13,8 +13,10 @@ Conventions used throughout the package:
 * The affine group of R^n is the subgroup of GL(n+1) of homogeneous
   matrices, MatrixOps(n + 1) (see actions.AffineAction).
 
-Everything here is a pure function of immutable arrays; nothing mutates its
-arguments.
+The GroupOps bundles also carry the operations of G x| g* and the stage
+system of the symplectic family, composed from each group's own operations,
+with float kernels on SO(3).  Everything here is a pure function of immutable
+arrays; nothing mutates its arguments.
 """
 
 from __future__ import annotations
@@ -70,6 +72,14 @@ def max_abs_diff(a, b):
     a = np.asarray(a, float).ravel().tolist()
     b = np.asarray(b, float).ravel().tolist()
     return max_abs([p - q for p, q in zip(a, b)])
+
+
+def weighted_sum(terms, vectors, out=None):
+    """out + sum of w vectors[j] over the (j, w) in terms; a unit weight adds vectors[j]."""
+    for j, w in terms:
+        v = vectors[j] if w == 1.0 else w * vectors[j]
+        out = v if out is None else out + v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +441,10 @@ class GroupOps:
     semidirect_bracket, semidirect_exp, semidirect_mul, and the commutator
     series of semidirect_bracket, semidirect_dexp and semidirect_dexpinv.
     Their algebra elements stack (xi, nu) into one flat array of length
-    2 dim; another shape raises AlgebraMismatch.  theta_stage, on the same
-    stacked elements, is the stage of symplectic.symplectic_step's one-stage
-    member, composed from exp, mul, coAd and dual_dexp.  Subclasses override
-    these with closed forms or float kernels where those exist.
+    2 dim; another shape raises AlgebraMismatch.  symplectic_stages is the
+    stage system of symplectic.symplectic_step for any tableau, composed from
+    exp, mul, coAd and dual_dexp.  Subclasses override these with closed
+    forms or float kernels where those exist.
     """
 
     dim = None  # algebra dimension
@@ -518,36 +528,50 @@ class GroupOps:
         sigma, v = self._stacked(sigma, v)
         return _ad_series(self.semidirect_bracket, sigma, v, coeffs, order)
 
-    # the one-stage symplectic stage ------------------------------------------
-    def theta_stage(self, theta, z, g0, mu0):
-        """(G, M, mu) of the symplectic theta method's stage at z = (xi, nbar) from (g0, mu0):
+    # the stage system of the symplectic family ------------------------------
+    def symplectic_stages(self, tableau, z, g0, mu0):
+        """The stages [(G_1, M_1), ...] and mu0 + sum_j b_j n_j of a tableau (a, b) at z.
 
-            G = exp(theta xi) g0,    mu = mu0 + coAd(exp(theta xi), nbar),
-            M = dd(-xi) mu - theta dd(theta xi) nbar,
+        z stacks (xi_1, nbar_1, ..., xi_s, nbar_s) into one flat array of
+        length 2 s dim, and mu0 has shape (dim,); other shapes raise
+        AlgebraMismatch.  With dd the dual dexp,
 
-        with dd the dual dexp.  At theta = 0, G = g0 and mu = mu0 + nbar, with
-        no exp(0).  z stacks (xi, nbar) into one flat array of length 2 dim and
-        mu0 has shape (dim,); other shapes raise AlgebraMismatch.
+            X_i = sum_j a_ij xi_j,      G_i = exp(X_i) g0,
+            n_i = coAd(exp(X_i), nbar_i),       Y = sum_i b_i xi_i,
+            M_i = dd(-Y)(mu0 + sum_j b_j n_j) - sum_j (b_j a_ji / b_i) dd(X_j) nbar_j,
+
+        (dd(X_j) nbar_j is dd(-X_j) n_j, since dd(-X) coAd(exp X) = dd(X)).
+        An all-zero row has X_j = 0, so G_j = g0 and n_j = nbar_j: no exp(0).
         """
-        z, = self._stacked(z)
-        mu0, = _flat_arrays(self.dim, "momenta", (mu0,))
-        xi, nbar = z[:self.dim], z[self.dim:]
-        if theta == 0.0:
-            mu = mu0 + nbar
-            return g0, self.dual_dexp(-xi, mu), mu
-        X = theta * xi
-        E = self.exp(X)
-        G = self.mul(E, g0)
-        mu = mu0 + self.coAd(E, nbar)
-        D = self.dual_dexp(X, nbar)
-        return G, self.dual_dexp(-xi, mu) - theta * D, mu
+        d, s, b = self.dim, tableau.stages, tableau.b.tolist()
+        z, = _flat_arrays(2 * s * d, "stacked (xi_i, nbar_i) stage variables", (z,))
+        mu0, = _flat_arrays(d, "momenta", (mu0,))
+        xi_at = [slice(2 * d * i, 2 * d * i + d) for i in range(s)]
+        G, n, D = [], [], {}
+        couplings = [[] for _ in range(s)]  # -b_j a_ji / b_i for each nonzero a_ji
+        for j, row in enumerate(tableau.rows):
+            for i, w in row:
+                couplings[i].append((j, -b[j] * w / b[i]))
+            nbar = z[2 * d * j + d:2 * d * (j + 1)]
+            if row:
+                X = weighted_sum([(xi_at[k], w) for k, w in row], z)
+                E = self.exp(X)
+                G.append(self.mul(E, g0))
+                n.append(self.coAd(E, nbar))
+                D[j] = self.dual_dexp(X, nbar)
+            else:
+                G.append(g0)
+                n.append(nbar)
+        mu = weighted_sum(tableau.b_terms, n, mu0)
+        base = self.dual_dexp(-weighted_sum([(xi_at[j], w) for j, w in tableau.b_terms], z), mu)
+        return [(g, weighted_sum(row, D, base)) for g, row in zip(G, couplings)], mu
 
 
 def _semidirect_bracket_entries(s, a, b):
-    """So3Ops.semidirect_bracket of the stacked 6-float lists a, b, as a list.
+    """The semidirect bracket on SO(3) or S^3 of the stacked 6-float lists a, b, as a list.
 
     With s = _ad_scale, bracket(xi1, xi2) is s xi1 x xi2 and coad(xi, mu) is
-    s mu x xi.
+    s mu x xi: the GroupOps composition, bit for bit, for the series kernels.
     """
     x1, y1, z1, p1, q1, r1 = a
     x2, y2, z2, p2, q2, r2 = b
@@ -646,17 +670,10 @@ class So3Ops(GroupOps):
     def dual_dexpinv(self, sigma, mu, order=None):
         return self._closed_form(sigma, mu, _dexpinv_coeffs, -1.0)
 
-    # semidirect forms: the GroupOps compositions, bit for bit ------------
-    # Each reads its flat 6-vectors with one tolist() and builds one array per
-    # result; an argument of another shape takes the generic form, which
+    # semidirect forms and the theta stage: the GroupOps compositions, bit for
+    # bit.  Each reads its flat vectors with one tolist() and builds one array
+    # per result; an argument of another shape takes the generic form, which
     # raises AlgebraMismatch.
-    def semidirect_bracket(self, a, b):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.shape != (6,) or b.shape != (6,):
-            return super().semidirect_bracket(a, b)
-        return np.array(_semidirect_bracket_entries(self._ad_scale, a.tolist(), b.tolist()))
-
     def semidirect_exp(self, x):
         """The rotation and dual_dexp(-xi, nu) from one |xi|^2.
 
@@ -699,19 +716,21 @@ class So3Ops(GroupOps):
                                           o3 + c * w3, o4 + c * w4, o5 + c * w5)
         return np.array([o0, o1, o2, o3, o4, o5])
 
-    def theta_stage(self, theta, z, g0, mu0):
-        """The GroupOps composition on floats, with one |theta xi|^2 for exp and dd(theta xi).
+    def symplectic_stages(self, tableau, z, g0, mu0):
+        """The composition for b = [1], a = [[theta]], z in R^6 and mu0 in R^3, on floats.
 
-        G = E g0 and coAd(E, nbar) = nbar E stay numpy products, whose
-        rounding (fused multiply-adds) Python floats need not reproduce.
+        G = exp(theta xi) g0, mu = mu0 + coAd(exp(theta xi), nbar) and
+        M = dd(-xi) mu - theta dd(theta xi) nbar, bit for bit, with one
+        |theta xi|^2 for exp and dd(theta xi).  G = E g0 and coAd(E, nbar) =
+        nbar E stay numpy products, whose rounding (fused multiply-adds)
+        Python floats need not reproduce.  Other input takes the generic form.
         """
-        z = np.asarray(z, dtype=float)
-        mu0 = np.asarray(mu0, dtype=float)
-        if z.shape != (6,) or mu0.shape != (3,):
-            return super().theta_stage(theta, z, g0, mu0)
+        z, mu0 = np.asarray(z, dtype=float), np.asarray(mu0, dtype=float)
+        if tableau.b.tolist() != [1.0] or z.shape != (6,) or mu0.shape != (3,):
+            return super().symplectic_stages(tableau, z, g0, mu0)
+        theta = tableau.rows[0][0][1] if tableau.rows[0] else 0.0  # an empty row is theta = 0
         x, y, w, n0, n1, n2 = z.tolist()
         p0, p1, p2 = mu0.tolist()
-        theta = float(theta)
         if theta == 0.0:
             G, m0, m1, m2 = g0, p0 + n0, p1 + n1, p2 + n2
         else:
@@ -728,7 +747,7 @@ class So3Ops(GroupOps):
         e0, e1, e2 = _ad_quadratic(x, y, w, m0, m1, m2, a, b)
         if theta != 0.0:
             e0, e1, e2 = e0 - theta * d0, e1 - theta * d1, e2 - theta * d2
-        return G, np.array([e0, e1, e2]), np.array([m0, m1, m2])
+        return [(G, np.array([e0, e1, e2]))], np.array([m0, m1, m2])
 
 
 class QuatOps(So3Ops):
@@ -736,16 +755,16 @@ class QuatOps(So3Ops):
 
     The identification with R^3 is such that exp covers the double rotation,
     so ad_w = hat(2 w): the group side is its own, and the closed so(3) dexp
-    family and the float semidirect bracket and series are inherited with
-    argument 2 sigma.  The semidirect exponential and product and the theta
-    stage, which build group elements, are the generic ones.
+    family and the float semidirect series are inherited with argument
+    2 sigma.  The semidirect exponential and product and the symplectic
+    stages, which build group elements, are the generic ones.
     """
 
     _ad_scale = 2.0
     _dexpinv_bound = "pi"
     semidirect_exp = GroupOps.semidirect_exp
     semidirect_mul = GroupOps.semidirect_mul
-    theta_stage = GroupOps.theta_stage
+    symplectic_stages = GroupOps.symplectic_stages
 
     def bracket(self, a, b):
         a, b = _check_same_shape(a, b)

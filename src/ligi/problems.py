@@ -36,8 +36,10 @@ class DuffingParams:
     b: float
 
     def __post_init__(self):
-        if self.a < 0.0 or self.b < 0.0:
-            raise ValueError("Duffing coefficients must be nonnegative")
+        for name in ("a", "b"):
+            if not getattr(self, name) >= 0.0:  # a NaN fails too
+                raise ValueError(f"Duffing coefficient {name} must be nonnegative,"
+                                 f" got {getattr(self, name)!r}")
 
 
 def duffing_problem(params: DuffingParams, frame="sl2") -> FrozenFieldProblem:
@@ -98,8 +100,8 @@ def free_rigid_body_s2(i1, i2, i3) -> FrozenFieldProblem:
     linear system whose flow advances the momentum by a rotation.
     """
     inertia = np.array([i1, i2, i3], dtype=float)
-    if np.any(inertia <= 0.0):
-        raise ValueError("moments of inertia must be positive")
+    if inertia.shape != (3,) or not np.all(inertia > 0.0):  # a NaN fails too
+        raise ValueError(f"moments of inertia must be 3 positive numbers, got {inertia.tolist()}")
 
     def f(m):
         return -np.asarray(m, float) / inertia
@@ -181,8 +183,10 @@ class StiefelFlowProblem:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         object.__setattr__(self, "A", A)
-        if self.k < 1 or self.k > A.shape[0]:
-            raise ValueError("k must satisfy 1 <= k <= n")
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.isfinite(A).all():
+            raise ValueError(f"A must be a finite square matrix, got shape {A.shape}")
+        if not (isinstance(self.k, (int, np.integer)) and 1 <= self.k <= A.shape[0]):
+            raise ValueError(f"k must be an integer in 1..{A.shape[0]}, got {self.k!r}")
         if np.linalg.norm(A - A.T) > 1e-12:
             raise ValueError("the PCA objective needs a symmetric matrix")
 

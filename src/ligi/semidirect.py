@@ -8,7 +8,7 @@ of its algebra; the product is
 Algebra elements are stored as flat arrays concatenating the base algebra
 coordinates xi with the dual coordinates nu.  CotangentOps forwards its
 bracket, exponential, product and dexp series to the base group's semidirect
-forms (see liealg.GroupOps), where a base such as SO(3) runs them on floats.
+forms (see liealg.GroupOps); SO(3) runs all but the bracket on floats.
 The exponential's fibre component is the t = 1 solution of
 mu' = nu - coad(xi, mu), mu(0) = 0, which in closed form is (dexp_{-xi})^* nu.
 """
@@ -39,7 +39,7 @@ class CotangentOps(GroupOps):
 
     # algebra ----------------------------------------------------------------
     def bracket(self, a, b):
-        """(ad_xi1 xi2, coad(xi2, nu1) - coad(xi1, nu2)), by the base group's kernel."""
+        """(ad_xi1 xi2, coad(xi2, nu1) - coad(xi1, nu2)), by the base group's composition."""
         return self.base.semidirect_bracket(a, b)
 
     def dexp(self, sigma, v, order=SERIES_ORDER):

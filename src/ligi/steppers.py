@@ -23,20 +23,12 @@ import numpy as np
 
 from .actions import FrozenFieldProblem
 from .errors import DomainError, NonFiniteState
-from .liealg import affine_exp
+from .liealg import affine_exp, weighted_sum
 
 
 def nonzero_terms(row):
     """The (j, w) pairs of the nonzero weights w = row[j]."""
     return tuple((j, w) for j, w in enumerate(row) if w != 0.0)
-
-
-def weighted_sum(terms, vectors, out=None):
-    """out + sum of w vectors[j] over the (j, w) in terms; a unit weight adds vectors[j]."""
-    for j, w in terms:
-        v = vectors[j] if w == 1.0 else w * vectors[j]
-        out = v if out is None else out + v
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,17 +4,18 @@ States are pairs (g, mu).  A Hamiltonian H(g, mu) induces the coefficient
 map f = (dH/dmu, -R_g^* dH/dg).  symplectic_step is the one implementation of
 the s-stage symplectic family, for any steppers.ButcherTableau (a, b) with
 every b_i != 0: exponentials of the stage variables and dual dexp transports
-of the momentum, symplectic by its variational derivation.  theta_step names
-its s = 1 member, the tableau ButcherTableau.theta(theta) = [[theta]], [1],
-whose stage is one call of the group's theta_stage (a float kernel on SO(3)).
-Its comparator, the Runge-Kutta-Munthe-Kaas theta method, is
-steppers.rkmk_step with that same tableau on G x| g* acting on itself; this
-module only builds that problem.  Also here: the heavy-top Hamiltonian,
-and cotangent_step, the one-step map of either theta scheme for
-steppers.integrate.  Each step solves its stage equations with the
-ImplicitSolver passed as solver, a fresh one by default: the package's one
-implicit solver, whose Newton solve also serves rkmk_step's implicit
-tableaus and whose fixed_point serves discrete_gradient.dg_step.
+of the momentum, symplectic by its variational derivation.  Each residual
+takes its stages from one group.symplectic_stages call (a float kernel on
+SO(3) for s = 1).  theta_step names the s = 1 member, the tableau
+ButcherTableau.theta(theta) = [[theta]], [1].  Its comparator, the
+Runge-Kutta-Munthe-Kaas theta method, is steppers.rkmk_step with that same
+tableau on G x| g* acting on itself; this module only builds that problem.
+Also here: the heavy-top Hamiltonian, and cotangent_step, the one-step map
+of either theta scheme for steppers.integrate.  Each step solves its stage
+equations with the ImplicitSolver passed as solver, a fresh one by default:
+the package's one implicit solver, whose Newton solve also serves
+rkmk_step's implicit tableaus and whose fixed_point serves
+discrete_gradient.dg_step.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .actions import FrozenFieldProblem, LeftMultiplicationAction
 from .errors import FixedPointDivergence
-from .liealg import SO3, GroupOps, max_abs, max_abs_diff
+from .liealg import SO3, GroupOps, max_abs, max_abs_diff, weighted_sum
 from .semidirect import CotangentOps
-from .steppers import ButcherTableau, rkmk_step, screen_start, weighted_sum
+from .steppers import ButcherTableau, rkmk_step, screen_start
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -156,24 +157,18 @@ def symplectic_step(tableau: ButcherTableau, system: HamiltonianSystem, state, h
                     solver=None):
     """One step of the s-stage symplectic family of a tableau (a, b) with every b_i != 0.
 
-    Solves the coupled stage system
+    Solves the stage system of group.symplectic_stages,
 
-        (xi_i, nbar_i) = h f(G_i, M_i),      n_i = coAd(exp(X_i), nbar_i),
-        X_i = sum_j a_ij xi_j,               Y = sum_i b_i xi_i,
-        G_i = exp(X_i) . g0,
-        M_i = dd(-Y)(mu0 + sum_j b_j n_j) - sum_j (b_j a_ji / b_i) dd(X_j) nbar_j,
+        (xi_i, nbar_i) = h f(G_i, M_i),     i = 1..s,
 
-    with dd(s) the dual dexp transport (dd(X_j) nbar_j is dd(-X_j) n_j, since
-    dd(-X) coAd(exp X) = dd(X)), then updates by
-    (exp Y, coAd(exp(-Y), sum_i b_i n_i)) . (g0, mu0).  The update takes
-    mu0 + sum_i b_i n_i from the last residual evaluation when the solver
-    returns that iterate, as Newton does, and recomputes it otherwise.  A zero
-    weight raises ValueError before anything is evaluated.  The one-stage
-    member, a = [[theta]] with b = [1], takes its stage (G, M and the momentum
-    sum) from one group.theta_stage call, the same operations as the s-stage
-    form; at theta = 0 neither takes an exp(0).  Measured orders: 1 at
-    theta = 0, 2 at theta = 1/2 and 2 for the two-stage Gauss tableau (classical 4;
-    4 on an abelian group, where the family is Gauss-Legendre).
+    for z = (xi_1, nbar_1, ..., xi_s, nbar_s), then updates by
+    (exp Y, coAd(exp(-Y), mu0 + sum_i b_i n_i)) . (g0, mu0) with
+    Y = sum_i b_i xi_i.  The update takes the momentum sum from the last
+    residual evaluation when the solver returns that iterate, as Newton does,
+    and recomputes it otherwise.  A zero weight raises ValueError before
+    anything is evaluated.  Measured orders: 1 at theta = 0, 2 at
+    theta = 1/2 and 2 for the two-stage Gauss tableau (classical 4; 4 on an
+    abelian group, where the family is Gauss-Legendre).
     """
     group, f = system.group, system.force_map
     d, s = group.dim, tableau.stages
@@ -181,51 +176,10 @@ def symplectic_step(tableau: ButcherTableau, system: HamiltonianSystem, state, h
     if 0.0 in b:
         raise ValueError(f"the symplectic family needs every stage weight nonzero, got b = {b}")
     g0, mu0 = state
-    # z stacks (xi_1, nbar_1, ..., xi_s, nbar_s); the rows of weights slice it.
-    xi_at = [slice(2 * d * i, 2 * d * i + d) for i in range(s)]
-    y_row = [(xi_at[j], w) for j, w in tableau.b_terms]
-
-    if b == [1.0]:  # the one-stage member: X = theta xi, Y = xi and coupling -theta
-        theta = tableau.a.item()
-
-        def stages(z):
-            """((G, M),) and mu0 + n from the group's one-stage kernel."""
-            G, M, mu = group.theta_stage(theta, z, g0, mu0)
-            return ((G, M),), mu
-    else:
-        # The momentum couplings -b_j a_ji / b_i, one for each nonzero a_ji.
-        couplings = [[] for _ in range(s)]
-        for j, row in enumerate(tableau.rows):
-            for i, w in row:
-                couplings[i].append((j, -b[j] * w / b[i]))
-        plan = [([(xi_at[j], w) for j, w in row], slice(2 * d * i + d, 2 * d * (i + 1)))
-                for i, row in enumerate(tableau.rows)]
-
-        def stages(z):
-            """(G_i, M_i) for each stage, and mu0 + sum_j b_j n_j.
-
-            An all-zero row has X_j = 0, so G_j = g0 and n_j = nbar_j: no exp(0).
-            """
-            G, n, D = [], [], {}
-            for j, (row, q) in enumerate(plan):
-                nbar = z[q]
-                if row:
-                    X = weighted_sum(row, z)
-                    E = group.exp(X)
-                    G.append(group.mul(E, g0))
-                    n.append(group.coAd(E, nbar))
-                    D[j] = group.dual_dexp(X, nbar)
-                else:
-                    G.append(g0)
-                    n.append(nbar)
-            mu = weighted_sum(tableau.b_terms, n, mu0)
-            base = group.dual_dexp(-weighted_sum(y_row, z), mu)
-            return [(g, weighted_sum(row, D, base)) for g, row in zip(G, couplings)], mu
-
     last = {}  # the bytes of the last residual's iterate, and its momentum sum
 
     def residual(z):
-        pairs, mu = stages(z)
+        pairs, mu = group.symplectic_stages(tableau, z, g0, mu0)
         last["z"], last["mu"] = z.tobytes(), mu
         forces = []
         for G, M in pairs:
@@ -236,10 +190,12 @@ def symplectic_step(tableau: ButcherTableau, system: HamiltonianSystem, state, h
     z0 = h * np.concatenate([*f(g0, mu0)] * s, dtype=float)
     solver = solver or ImplicitSolver()
     z = solver.solve(residual, z0, h=h)
-    mu = last["mu"] if last.get("z") == z.tobytes() else stages(z)[1]
+    if last.get("z") != z.tobytes():
+        last["mu"] = group.symplectic_stages(tableau, z, g0, mu0)[1]
     # (exp Y, coAd(exp(-Y), sum_i b_i n_i)) . (g0, mu0), with the coAd taken once.
-    E = group.exp(weighted_sum(y_row, z))
-    return group.mul(E, g0), group.coAd(group.inv(E), mu)
+    E = group.exp(weighted_sum([(slice(2 * d * j, 2 * d * j + d), w)
+                                for j, w in tableau.b_terms], z))
+    return group.mul(E, g0), group.coAd(group.inv(E), last["mu"])
 
 
 def theta_step(theta, system: HamiltonianSystem, state, h, solver=None):

@@ -468,3 +468,18 @@ def test_float_callbacks_overflow_to_non_finite_without_raising():
 def test_inertia_validation():
     with pytest.raises(ValueError):
         free_rigid_body_quat(np.array([1.0, 0.0, 2.0]), np.ones(3))
+
+
+@pytest.mark.parametrize("inertia,m0,match", [
+    ([np.nan, 1.0, 1.0], np.ones(3), "inertia"),
+    (np.ones((3, 1)), np.ones(3), "inertia"),
+    ([1.0, 2.0], np.ones(3), "inertia"),
+    (np.ones(3), [np.nan, 0.0, 0.0], "m0"),
+    (np.ones(3), [np.inf, 0.0, 0.0], "m0"),
+    (np.ones(3), [1.0, 2.0], "m0"),
+], ids=["nan-inertia", "3x1-inertia", "2-inertia", "nan-m0", "inf-m0", "2-m0"])
+def test_free_rigid_body_quat_rejects_nan_and_mis_shaped_inputs(inertia, m0, match):
+    # A NaN inertia once passed "reject if I <= 0" and gave a NaN energy; a
+    # 2-entry one failed inside the unpacking, and a (3, 1) one unpacked into lists.
+    with pytest.raises(ValueError, match=match):
+        free_rigid_body_quat(inertia, m0)

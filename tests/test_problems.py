@@ -37,6 +37,14 @@ def test_duffing_params_validation():
         DuffingParams(-1.0, 0.0)
 
 
+@pytest.mark.parametrize("a,b,match", [(np.nan, 1.0, "coefficient a"),
+                                       (1.0, np.nan, "coefficient b"),
+                                       (1.0, -1.0, "coefficient b")])
+def test_duffing_params_reject_nan_and_negative_coefficients(a, b, match):
+    with pytest.raises(ValueError, match=match):
+        DuffingParams(a, b)
+
+
 def test_duffing_frames_define_same_field(rng):
     params = DuffingParams(1.0, 1.0)
     problems = [duffing_problem(params, fr) for fr in ("r2", "sl2", "se2")]
@@ -72,6 +80,14 @@ def test_duffing_energy_invariant_under_fine_integration():
 # ---------------------------------------------------------------------------
 # Free rigid body on S^2
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("inertia", [(np.nan, 1.0, 1.0), (1.0, 1.0, np.nan), (0.0, 1.0, 1.0)],
+                         ids=["nan-i1", "nan-i3", "zero-i1"])
+def test_free_rigid_body_s2_rejects_nan_and_nonpositive_inertia(inertia):
+    # A NaN moment once passed "reject if I <= 0" and gave a NaN coefficient map.
+    with pytest.raises(ValueError, match="moments of inertia"):
+        free_rigid_body_s2(*inertia)
+
 
 def test_frb_frozen_matrix_entries():
     problem = free_rigid_body_s2(1.0, 5.0, 60.0)
@@ -158,6 +174,20 @@ def test_stiefel_flow_validation():
         StiefelFlowProblem(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
     with pytest.raises(ValueError):
         StiefelFlowProblem(np.eye(3), 4)
+
+
+@pytest.mark.parametrize("A,k,match", [
+    (np.full((3, 3), np.nan), 1, "finite square"),
+    (np.where(np.eye(3) > 0, np.inf, 0.0), 1, "finite square"),
+    (np.ones(3), 1, "finite square"),
+    (np.ones((3, 2)), 1, "finite square"),
+    (np.eye(3), 1.5, "integer"),
+    (np.eye(3), 0, "integer"),
+], ids=["nan-A", "inf-A", "1d-A", "3x2-A", "k-1.5", "k-0"])
+def test_stiefel_flow_rejects_nan_and_mis_shaped_inputs(A, k, match):
+    # A NaN A once passed the symmetry test (nan > 1e-12 is False).
+    with pytest.raises(ValueError, match=match):
+        StiefelFlowProblem(A, k)
 
 
 def test_pca_gradient_matches_directional_derivative(rng):

@@ -107,8 +107,9 @@ def test_quaternion_base_group(rng):
     assert np.linalg.norm(prod[1]) < 1e-12
 
 
-# The float kernels of So3Ops (the bracket and series inherited by QuatOps)
-# against the generic compositions of GroupOps from the base's own operations.
+# The float kernels of So3Ops (the series inherited by QuatOps) against the
+# generic compositions of GroupOps from the base's own operations.  The bracket
+# has no kernel: its check pins CotangentOps.bracket to the composition.
 BASES = {"SO3": SO3, "S3": S3}
 SERIES = {"dexp": dexp_series, "dexpinv": dexpinv_series}
 entries = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([np.nan, 1e200, -1e200, 0.0, -0.0]))

@@ -433,11 +433,11 @@ def test_residual_at_an_infinite_iterate_is_not_finite():
 
 
 class _CountingSO3(So3Ops):
-    """SO(3) counting its theta_stage passes and every exponential it takes.
+    """SO(3) counting its symplectic_stages passes and every exponential it takes.
 
     The counting_so3 fixture counts the exponentials where every SO(3)
     rotation reads its coefficients, liealg._rotation_coeffs, so the
-    exponentials inside the float theta_stage kernel count too; zero_exps
+    exponentials inside the float one-stage kernel count too; zero_exps
     counts those at angle zero.
     """
 
@@ -446,9 +446,9 @@ class _CountingSO3(So3Ops):
         self.zero_exps = 0
         self.stages = 0
 
-    def theta_stage(self, theta, z, g0, mu0):
+    def symplectic_stages(self, tableau, z, g0, mu0):
         self.stages += 1
-        return super().theta_stage(theta, z, g0, mu0)
+        return super().symplectic_stages(tableau, z, g0, mu0)
 
 
 @pytest.fixture
@@ -524,8 +524,8 @@ def test_exp_calls_of_a_step(tableau, solver, exps, counting_so3):
     system = HamiltonianSystem(group, SYSTEM.hamiltonian, SYSTEM.force_map)
     symplectic_step(tableau, system, BENCH.state0, 0.05, solver=solver)
     assert (group.exps, group.zero_exps) == (exps, 0)
-    # One theta_stage pass per residual of a one-stage tableau, none for Gauss-2.
-    assert group.stages == (solver.residuals if tableau.stages == 1 else 0)
+    # One symplectic_stages pass per residual, for every tableau.
+    assert group.stages == solver.residuals
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5])
@@ -538,8 +538,8 @@ def test_theta_step_equals_its_stage_form(theta, rng):
         assert all(np.array_equal(a, b) for a, b in zip(step, reference))
 
 
-# The one-stage kernel So3Ops.theta_stage against the GroupOps composition, and
-# theta_step, which runs on it, against the stage form of the oracles.
+# The one-stage kernel So3Ops.symplectic_stages against the GroupOps composition,
+# and theta_step, which runs on it, against the stage form of the oracles.
 thetas = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]), st.floats(-2.0, 2.0))
 entries = st.one_of(st.floats(-10.0, 10.0),
                     st.sampled_from([np.nan, np.inf, -np.inf, 1e200, -1e200, 0.0, -0.0]))
@@ -563,39 +563,49 @@ def test_float_theta_stage_equals_generic_composition(theta, z, mu0, g0, xi_scal
         g0 = g0.tolist()
     else:
         z, mu0 = np.array(z), np.array(mu0)
+    tableau = ButcherTableau.theta(theta)
     with np.errstate(all="ignore"):
-        got = SO3.theta_stage(theta, z, g0, mu0)
-        expected = GroupOps.theta_stage(SO3, theta, z, g0, mu0)
-    assert [np.shape(x) for x in got] == [(3, 3), (3,), (3,)]
-    assert all(same(a, b) for a, b in zip(got, expected))
+        [(G, M)], mu = SO3.symplectic_stages(tableau, z, g0, mu0)
+        [(G_ref, M_ref)], mu_ref = GroupOps.symplectic_stages(SO3, tableau, z, g0, mu0)
+    assert [np.shape(x) for x in (G, M, mu)] == [(3, 3), (3,), (3,)]
+    assert same(G, G_ref) and same(M, M_ref) and same(mu, mu_ref)
     if theta == 0.0:
-        assert got[0] is g0  # no exp(0) . g0
+        assert G is g0  # no exp(0) . g0
     if not all(np.isfinite(x).all() for x in (z, mu0, g0)):
-        assert not all(np.isfinite(x).all() for x in got)
+        assert not all(np.isfinite(x).all() for x in (G, M, mu))
 
 
 @pytest.mark.parametrize("z_shape,mu0_shape", [((5,), (3,)), ((7,), (3,)), ((6, 1), (3,)),
                                                ((2, 3), (3,)), ((), (3,)), ((6,), (2,)),
                                                ((6,), (3, 1))])
 def test_mis_sized_theta_stage_raises_as_generic(z_shape, mu0_shape):
-    z, mu0 = np.full(z_shape, 0.5), np.ones(mu0_shape)
+    z, mu0, tableau = np.full(z_shape, 0.5), np.ones(mu0_shape), ButcherTableau.theta(0.5)
     with pytest.raises(AlgebraMismatch) as generic_error:
-        GroupOps.theta_stage(SO3, 0.5, z, np.eye(3), mu0)
+        GroupOps.symplectic_stages(SO3, tableau, z, np.eye(3), mu0)
     with pytest.raises(AlgebraMismatch, match=re.escape(str(generic_error.value))):
-        SO3.theta_stage(0.5, z, np.eye(3), mu0)
+        SO3.symplectic_stages(tableau, z, np.eye(3), mu0)
+
+
+@pytest.mark.parametrize("z_len", [6, 13])
+def test_mis_sized_gauss2_stages_raise(z_len):
+    # Gauss-2 stacks two stages, 12 entries on SO(3): neither a one-stage z nor 13 fits.
+    with pytest.raises(AlgebraMismatch, match=re.escape(f"(12,), got ({z_len},)")):
+        SO3.symplectic_stages(GAUSS2, np.full(z_len, 0.5), np.eye(3), np.ones(3))
 
 
 @given(theta=thetas, z=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_theta_stage_off_so3_is_the_generic_composition(theta, z):
     # S^3 builds quaternions, and (R, +) has 2-vector stages: both compose.
-    assert S3.theta_stage.__func__ is GroupOps.theta_stage
+    assert S3.symplectic_stages.__func__ is GroupOps.symplectic_stages
+    assert TranslationOps.symplectic_stages is GroupOps.symplectic_stages
+    tableau = ButcherTableau.theta(theta)
     q0 = quat_exp(np.array([0.3, -0.1, 0.2]))
-    got = S3.theta_stage(theta, z, q0, np.ones(3))
+    [(G, _)], _ = S3.symplectic_stages(tableau, z, q0, np.ones(3))
     if theta != 0.0:
-        assert same(got[0], S3.mul(S3.exp(theta * np.array(z[:3])), q0))
+        assert same(G, S3.mul(S3.exp(theta * np.array(z[:3])), q0))
     line = TranslationOps(1)
-    G, M, mu = line.theta_stage(theta, z[:2], np.array([0.4]), np.array([0.5]))
+    [(G, M)], mu = line.symplectic_stages(tableau, z[:2], np.array([0.4]), np.array([0.5]))
     assert same(G, [0.4 + theta * z[0]])
     # dd is the identity on an abelian group: M = mu - theta nbar.
     assert same(mu, np.array([0.5 + z[1]])) and same(M, mu - theta * z[1])
