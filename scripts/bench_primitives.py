@@ -88,11 +88,9 @@ L0_KERNELS = (
     ("SO3.dexp", "S, V"),
     ("SO3.dexpinv", "S, V"),
     ("SO3.dual_dexp", "S, V"),
-    ("SO3.dual_dexpinv", "S, V"),
     ("S3.dexp", "S, V"),
     ("S3.dexpinv", "S, V"),
     ("S3.dual_dexp", "S, V"),
-    ("S3.dual_dexpinv", "S, V"),
     ("quat_mul", "P, Q"),
     ("quat_exp", "S"),
     ("quat_conj", "Q"),

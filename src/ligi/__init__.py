@@ -3,7 +3,7 @@
 The package provides:
 
 * Lie algebra/group primitives: Rodrigues and quaternion exponentials,
-  the dexp/dexpinv commutator series and their duals (:mod:`ligi.liealg`),
+  the dexp/dexpinv commutator series and the dual of dexp (:mod:`ligi.liealg`),
   and the semidirect product on trivialised cotangent bundles
   (:mod:`ligi.semidirect`).
 * Transitive group actions and the frozen-coefficient ODE abstraction

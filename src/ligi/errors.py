@@ -21,10 +21,6 @@ class LogNearAntipode(DomainError):
     """Quaternion too close to the antipode of the identity; log is ill-conditioned."""
 
 
-class SingularResolvent(DomainError):
-    """I - xi/2 is singular, so the Cayley transform is undefined."""
-
-
 class CriticalPoint(DomainError):
     """Gradient vanishes; the two-form construction is undefined there."""
 

@@ -1,5 +1,10 @@
 """Lie algebra and Lie group primitives.
 
+The module holds the closed exponentials of SO(3), S^3, 2x2 matrices and
+the torus, and the logarithms of SO(3) and S^3; the commutator series of
+dexp, dexpinv and the dual of dexp on a generic algebra; and the GroupOps
+bundles that package them.
+
 Conventions used throughout the package:
 
 * so(3) algebra elements are coordinate 3-vectors ``v``; ``hat(v)`` is the
@@ -27,13 +32,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import bernoulli
 
-from .errors import (
-    AlgebraMismatch,
-    AngleNearPi,
-    DexpinvOutOfRange,
-    LogNearAntipode,
-    SingularResolvent,
-)
+from .errors import AlgebraMismatch, AngleNearPi, DexpinvOutOfRange, LogNearAntipode
 
 # Norm below which closed forms switch to truncated Taylor series.
 SMALL_ANGLE = 1e-4
@@ -342,47 +341,7 @@ def expm_2x2(A):
 
 
 # ---------------------------------------------------------------------------
-# Cayley transform, phi function, affine exponential
-# ---------------------------------------------------------------------------
-
-def cayley(xi):
-    """(I - xi/2)^{-1} (I + xi/2); maps so(n) into the orthogonal group."""
-    xi = np.asarray(xi, dtype=float)
-    n = xi.shape[0]
-    try:
-        return np.linalg.solve(np.eye(n) - 0.5 * xi, np.eye(n) + 0.5 * xi)
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolvent(f"I - xi/2 is singular: {exc}") from exc
-
-
-def _exp_with_phi(Z, B):
-    """expm(Z) and phi(Z) B, read off expm([[Z, B], [0, 0]]) = [[expm(Z), phi(Z) B], [0, I]]."""
-    n, m = B.shape
-    block = np.zeros((n + m, n + m))
-    block[:n, :n], block[:n, n:] = Z, B
-    E = scipy.linalg.expm(block)
-    return E[:n, :n], E[:n, n:]
-
-
-def phi1(Z):
-    """The entire function phi(z) = (exp(z) - 1)/z evaluated at a matrix."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    return _exp_with_phi(Z, np.eye(len(Z)))[1]
-
-
-def affine_exp(t, L, b):
-    """One-parameter subgroup of the affine group.
-
-    exp(t (L, b)) = (expm(t L), phi(t L) t b), from one exponential; returns the pair (A, c).
-    """
-    L = np.atleast_2d(np.asarray(L, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    A, c = _exp_with_phi(t * L, (t * b)[:, None])
-    return A, c[:, 0]
-
-
-# ---------------------------------------------------------------------------
-# Commutator series: dexp, dexpinv and their duals on a generic algebra
+# Commutator series: dexp, dexpinv and the dual of dexp on a generic algebra
 # ---------------------------------------------------------------------------
 
 def _series_terms(coeffs, order):
@@ -422,11 +381,6 @@ def dual_dexp_series(ops, sigma, mu, order):
     return _ad_series(ops.coad, sigma, mu, _INV_FACT_SHIFTED, order)
 
 
-def dual_dexpinv_series(ops, sigma, mu, order):
-    """(dexpinv_sigma)^* mu via the transposed Bernoulli series."""
-    return _ad_series(ops.coad, sigma, mu, _BERNOULLI_OVER_FACT, order)
-
-
 # ---------------------------------------------------------------------------
 # Group operation bundles
 # ---------------------------------------------------------------------------
@@ -435,11 +389,12 @@ class GroupOps:
     """Operations of a Lie group and its algebra on plain array elements.
 
     Subclasses fix the element representations and provide bracket, exp and
-    the (co)adjoint maps; the dexp family defaults to truncated commutator
-    series.  The semidirect forms are the operations of G x| g* on which
-    semidirect.CotangentOps forwards, composed here from the base's own:
-    semidirect_bracket, semidirect_exp, semidirect_mul, and the commutator
-    series of semidirect_bracket, semidirect_dexp and semidirect_dexpinv.
+    the coadjoint maps coad and coAd; the dexp family defaults to truncated
+    commutator series.  The semidirect forms are the operations of G x| g*
+    on which semidirect.CotangentOps forwards, composed here from the base's
+    own: semidirect_bracket, semidirect_exp, semidirect_mul, and the
+    commutator series of semidirect_bracket, semidirect_dexp and
+    semidirect_dexpinv.
     Their algebra elements stack (xi, nu) into one flat array of length
     2 dim; another shape raises AlgebraMismatch.  symplectic_stages is the
     stage system of symplectic.symplectic_step for any tableau, composed from
@@ -473,11 +428,8 @@ class GroupOps:
     def identity(self):
         raise NotImplementedError
 
-    def Ad(self, g, xi):
-        raise NotImplementedError
-
     def coAd(self, g, mu):
-        """Ad* map: <coAd(g, mu), xi> = <mu, Ad(g, xi)>."""
+        """Ad* map: <coAd(g, mu), xi> = <mu, g xi g^{-1}>, with xi as the algebra's matrix."""
         raise NotImplementedError
 
     # dexp family ----------------------------------------------------------
@@ -489,9 +441,6 @@ class GroupOps:
 
     def dual_dexp(self, sigma, mu, order=SERIES_ORDER):
         return dual_dexp_series(self, sigma, mu, order)
-
-    def dual_dexpinv(self, sigma, mu, order=SERIES_ORDER):
-        return dual_dexpinv_series(self, sigma, mu, order)
 
     # semidirect forms: G x| g* on stacked (xi, nu) --------------------------
     def _stacked(self, *elements):
@@ -631,9 +580,6 @@ class So3Ops(GroupOps):
     def identity(self):
         return np.eye(3)
 
-    def Ad(self, g, xi):
-        return g @ np.asarray(xi, float)
-
     def coAd(self, g, mu):
         # mu @ g is g.T @ mu bit for bit, without the transposed view.
         return np.asarray(mu, float) @ np.asarray(g)
@@ -666,9 +612,6 @@ class So3Ops(GroupOps):
 
     def dual_dexp(self, sigma, mu, order=None):
         return self._closed_form(sigma, mu, _dexp_coeffs, -1.0)
-
-    def dual_dexpinv(self, sigma, mu, order=None):
-        return self._closed_form(sigma, mu, _dexpinv_coeffs, -1.0)
 
     # semidirect forms and the theta stage: the GroupOps compositions, bit for
     # bit.  Each reads its flat vectors with one tolist() and builds one array
@@ -788,9 +731,6 @@ class QuatOps(So3Ops):
     def identity(self):
         return QUAT_IDENTITY.copy()
 
-    def Ad(self, g, xi):
-        return euler_rodrigues(g) @ np.asarray(xi, float)
-
     def coAd(self, g, mu):
         return euler_rodrigues(g).T @ np.asarray(mu, float)
 
@@ -840,9 +780,6 @@ class MatrixOps(GroupOps):
     def identity(self):
         return np.eye(self.n)
 
-    def Ad(self, g, xi):
-        return g @ np.asarray(xi, float) @ self.inv(g)
-
     def coAd(self, g, mu):
         g = np.asarray(g, float)
         return g.T @ np.asarray(mu, float) @ self.inv(g).T
@@ -876,9 +813,6 @@ class TranslationOps(GroupOps):
 
     def identity(self):
         return np.zeros(self.n)
-
-    def Ad(self, g, xi):
-        return np.asarray(xi, float)
 
     def coAd(self, g, mu):
         return np.asarray(mu, float)
@@ -917,9 +851,6 @@ class TorusOps(GroupOps):
 
     def identity(self):
         return np.stack([np.eye(2), np.eye(2)])
-
-    def Ad(self, g, xi):
-        return np.asarray(xi, float)
 
     def coAd(self, g, mu):
         return np.asarray(mu, float)

@@ -61,13 +61,3 @@ class CotangentOps(GroupOps):
 
     def identity(self):
         return self.base.identity(), np.zeros(self.base.dim)
-
-    def Ad(self, a, x):
-        g, mu = a
-        xi, nu = self.split(x)
-        lifted = nu + self.base.coad(xi, self.base.coAd(g, mu))
-        return self.join(
-            self.base.Ad(g, xi),
-            self.base.coAd(self.base.inv(g), lifted),
-        )
-

@@ -23,7 +23,7 @@ import numpy as np
 
 from .actions import FrozenFieldProblem
 from .errors import DomainError, NonFiniteState
-from .liealg import affine_exp, weighted_sum
+from .liealg import weighted_sum
 
 
 def nonzero_terms(row):
@@ -33,7 +33,7 @@ def nonzero_terms(row):
 
 @dataclass(frozen=True, eq=False)
 class ButcherTableau:
-    """Runge-Kutta coefficients (a, b): an s x s stage matrix and s weights summing to 1.
+    """Runge-Kutta coefficients (a, b): a finite s x s stage matrix and s weights summing to 1.
 
     One type parametrises rkmk_step and the symplectic family of
     symplectic.symplectic_step, which also needs every b_i != 0 and checks
@@ -55,6 +55,8 @@ class ButcherTableau:
         if a.shape != (len(b), len(b)):
             raise ValueError(f"stage matrix a must have shape {(len(b), len(b))}"
                              f" for {len(b)} stage weights, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"stage matrix a must be finite, got {a.tolist()!r}")
         if not abs(b.sum() - 1.0) <= 1e-14:  # a NaN weight fails too
             raise ValueError(f"tableau weights must sum to 1, got {b.sum()!r}")
         object.__setattr__(self, "rows", tuple(map(nonzero_terms, a.tolist())))
@@ -93,17 +95,6 @@ def lie_euler_step(problem: FrozenFieldProblem, y, h):
     """Flow of the field frozen at y for time h."""
     act = problem.action
     return act.apply(act.group.exp(h * problem.coefficient_map(y)), y)
-
-
-def lie_euler_isotropy_step(problem: FrozenFieldProblem, y, h, alpha=0.0):
-    """Lie-Euler on S^2 with the coefficient shifted along the isotropy.
-
-    Replacing f(y) by f(y) + alpha*y leaves the field at y unchanged but
-    changes the numerical update; alpha tunes that freedom.
-    """
-    act = problem.action
-    xi = problem.coefficient_map(y) + alpha * np.asarray(y, float)
-    return act.apply(act.group.exp(h * xi), y)
 
 
 def heun_step(problem: FrozenFieldProblem, y, h, variant="rkmk"):
@@ -203,12 +194,6 @@ def cf4_step(problem: FrozenFieldProblem, y, h):
     k4 = h * np.asarray(f(act.apply(group.exp(k3 - 0.5 * k1), y2)), float)
     y_half = act.apply(group.exp((3.0 * k1 + 2.0 * k2 + 2.0 * k3 - k4) / 12.0), y)
     return act.apply(group.exp((-k1 + 2.0 * k2 + 2.0 * k3 + 3.0 * k4) / 12.0), y_half)
-
-
-def exponential_euler_step(L, N, u, h):
-    """One step of exp(hL) u + h phi(hL) N(u), built via the affine exponential."""
-    A, b = affine_exp(h, L, N(u))
-    return A @ np.asarray(u, float) + b
 
 
 # ---------------------------------------------------------------------------

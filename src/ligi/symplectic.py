@@ -263,8 +263,11 @@ class HeavyTopParams:
             raise ValueError("inertia entries must be positive")
         if not abs(np.linalg.norm(self.u0) - 1.0) <= 1e-12:
             raise ValueError("u0 must be a unit vector")
-        if not np.isfinite(self.g0).all():
-            raise ValueError("g0 must be finite")
+        for name in ("mu0", "g0"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.gravity):  # 0 is the free top
+            raise ValueError(f"gravity must be finite, got {self.gravity!r}")
 
     @classmethod
     def benchmark(cls):

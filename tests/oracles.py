@@ -12,7 +12,9 @@ CLI's CSV writer.  FixedPointSolver solves a residual by the package solver's
 fixed-point loop instead of its Newton iteration.  frb_quat_matvec_forms and
 quat_log_matvec are the numpy mat-vec forms of the quaternion rigid body's
 callbacks (on the package's euler_rodrigues) and of the quaternion log, which
-the package computes on Python floats.
+the package computes on Python floats.  Ad is group conjugation on the
+package's group bundles, and semidirect_Ad its lift to G x| g*, composed from
+the base group's coad, coAd and inv.
 """
 
 import math
@@ -20,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ligi.liealg import dexpinv_series, euler_rodrigues
+from ligi.liealg import MatrixOps, QuatOps, So3Ops, dexpinv_series, euler_rodrigues
 from ligi.semidirect import CotangentOps
 from ligi.symplectic import RKMK_THETA_SERIES_ORDER, ImplicitSolver
 
@@ -309,3 +311,31 @@ def quat_log_matvec(q):
     if nv < 1e-9:
         return v / q[0]
     return (math.atan2(nv, q[0]) / nv) * v
+
+
+def Ad(ops, g, xi):
+    """Conjugation g xi g^{-1} on a liealg group bundle, in its algebra coordinates.
+
+    SO(3) rotates the 3-vector, S^3 rotates it by euler_rodrigues(g), a matrix
+    group conjugates by numpy's inverse, and the abelian groups fix xi.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if isinstance(ops, QuatOps):
+        return euler_rodrigues(g) @ xi
+    if isinstance(ops, So3Ops):
+        return np.asarray(g) @ xi
+    if isinstance(ops, MatrixOps):
+        return g @ xi @ np.linalg.inv(g)
+    return xi
+
+
+def semidirect_Ad(ct, a, x):
+    """Conjugation a x a^{-1} on G x| g* (a semidirect.CotangentOps ct) at a = (g, mu).
+
+    (Ad_g xi, coAd(g^{-1}, nu + coad(xi, coAd(g, mu)))) for x = (xi, nu).
+    """
+    g, mu = a
+    base = ct.base
+    xi, nu = ct.split(x)
+    lifted = nu + base.coad(xi, base.coAd(g, mu))
+    return ct.join(Ad(base, g, xi), base.coAd(base.inv(g), lifted))

@@ -154,10 +154,19 @@ def test_heavy_top_params_validation():
     ({"mu0": np.zeros(4)}, r"mu0 must have shape \(3,\)"),
     ({"u0": [[0.0, 0.0, 1.0]]}, r"u0 must have shape \(3,\)"),
     ({"g0": np.eye(4)}, r"g0 must have shape \(3, 3\)"),
-], ids=["nan-inertia", "nan-u0", "nan-g0", "inf-g0", "2-inertia", "4-mu0", "1x3-u0", "4x4-g0"])
+    ({"mu0": [np.nan, 0.0, 0.0]}, "mu0 must be finite"),
+    ({"mu0": [0.0, np.inf, 0.0]}, "mu0 must be finite"),
+    ({"mu0": [0.0, 0.0, -np.inf]}, "mu0 must be finite"),
+    ({"gravity": np.nan}, "gravity must be finite, got nan"),
+    ({"gravity": np.inf}, "gravity must be finite, got inf"),
+    ({"gravity": -np.inf}, "gravity must be finite, got -inf"),
+], ids=["nan-inertia", "nan-u0", "nan-g0", "inf-g0", "2-inertia", "4-mu0", "1x3-u0", "4x4-g0",
+        "nan-mu0", "inf-mu0", "minus-inf-mu0", "nan-gravity", "inf-gravity",
+        "minus-inf-gravity"])
 def test_heavy_top_params_rejects_nan_and_mis_shaped_inputs(changes, match):
     # NaN passes a test written as "reject if x <= 0"; a 2-entry inertia once
-    # failed only inside the force map.
+    # failed only inside the force map, and a NaN mu0 or gravity made every
+    # energy NaN.
     fields = {"inertia": np.ones(3), "mu0": np.zeros(3), **changes}
     with pytest.raises(ValueError, match=match):
         HeavyTopParams(**fields)
