@@ -5,13 +5,13 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_one_stage_system.json unless ``--out`` names another file (the earlier
+BENCH_dg_kernel.json unless ``--out`` names another file (the earlier
 records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
 BENCH_cotangent_family.json, BENCH_explicit_actions.json,
 BENCH_rkmk_family.json, BENCH_one_solver.json, BENCH_one_tableau.json,
 BENCH_so3_algebra.json, BENCH_frb_kernels.json,
-BENCH_cotangent_kernels.json, BENCH_semidirect_kernels.json and
-BENCH_theta_stage.json).
+BENCH_cotangent_kernels.json, BENCH_semidirect_kernels.json,
+BENCH_theta_stage.json and BENCH_one_stage_system.json).
 The cases of ``src/`` are timed as "change"; with ``--baseline`` those of
 ``<baseline>/src`` are timed too, as "parent".  A case whose statement
 raises AttributeError on a tree, one that names an operation the tree does
@@ -31,7 +31,9 @@ over the rounds of the ratio of the two trees' medians in that round's child,
 so a bias of one child acts on both sides of its ratio.
 
 The L0 cases are the so(3) and S^3 closed forms (the dexp family as the
-``SO3`` and ``S3`` methods), the 2x2 exponential of ``SL2`` against
+``SO3`` and ``S3`` methods; ``quat_mul``, ``quat_exp`` and ``quat_log`` also
+as their private bodies on tuples, so that the two rows of each show what its
+array wrapper costs), the 2x2 exponential of ``SL2`` against
 ``scipy.linalg.expm`` on the same matrix, the torus exponential with its
 action, the callbacks of the quaternion free rigid body (energy, field,
 energy differential) with its body momentum, the heavy top's force map, and
@@ -50,7 +52,8 @@ through theta_step and through symplectic_step, and its two-stage Gauss
 member; the RKMK theta comparator at theta = 1/2 and theta = 0), one warm step
 of the symplectic theta = 1/2 and theta = 0 and RKMK theta = 1/2 schemes along
 a heavy-top preset run (one solver per run of 1000 steps, as the heavytop-warm
-workload runs them), one explicit KUTTA4 ``rkmk_step`` on the free rigid body
+workload runs them) and of the Gonzalez ``dg_step`` along the frb-s3-dg
+preset run, one explicit KUTTA4 ``rkmk_step`` on the free rigid body
 on S^2 from the frb-s2 preset's start, and ``cli.write_csv`` of the
 full-length torus-descent and heavytop-theta05 trajectories into memory.
 
@@ -96,6 +99,9 @@ L0_KERNELS = (
     ("quat_conj", "Q"),
     ("euler_rodrigues", "Q"),
     ("quat_log", "P"),
+    ("_quat_mul", "PT, QT"),
+    ("_quat_exp", "ST"),
+    ("_quat_log", "PT"),
 )
 CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERNELS) + (
     ("SL2.exp", "liealg.SL2.exp(A2)", NUMBER),
@@ -136,6 +142,7 @@ CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERN
     ("theta_step_warm", "WARM_THETA05()", 200),
     ("theta0_step_warm", "WARM_THETA0()", 200),
     ("rkmk_theta_step_warm", "WARM_RKMK_THETA05()", 200),
+    ("dg_step_warm_frb_s3", "WARM_DG()", 300),
     ("rkmk_step_kutta4_frb_s2", "steppers.rkmk_step(FRB_S2, M3, 0.05)", 2000),
     ("dg_step_cold", "discrete_gradient.dg_step(FRB, P, 1 / 64)", 300),
     ("write_csv_torus_descent", "cli.write_csv(*TORUS_RUN, io.StringIO())", 5),
@@ -143,6 +150,7 @@ CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERN
 )
 SETUP = """
 import io
+from functools import partial
 import numpy as np
 import scipy.linalg
 from ligi import actions, cli, discrete_gradient, liealg, problems, semidirect, steppers
@@ -151,6 +159,7 @@ S = np.array([0.31, -0.22, 0.38])
 V = np.array([0.1, 0.5, -0.3])
 P = np.array([0.9, 0.1, -0.3, 0.3]) / np.linalg.norm([0.9, 0.1, -0.3, 0.3])
 Q = np.array([0.5, 0.5, -0.5, 0.5])
+ST, PT, QT = tuple(S.tolist()), tuple(P.tolist()), tuple(Q.tolist())
 CT = semidirect.CotangentOps(liealg.SO3)
 CT_S3 = semidirect.CotangentOps(liealg.S3)
 A6 = np.concatenate([S, 40.0 * V])
@@ -173,20 +182,24 @@ symplectic.theta_step(0.0, HT, HT_STATE, 0.05, solver=cap)
 THETA0_RESIDUAL, THETA0_Z = cap.residual, cap.z0
 symplectic.rkmk_theta_step(0.5, HT, HT_STATE, 0.05, solver=cap)
 RKMK_RESIDUAL, RKMK_K = cap.residual, cap.z0
-class WarmRun:  # one step per call along a heavy-top preset run of 1000 steps
-    def __init__(self, scheme, theta):
-        self.scheme, self.theta, self.k = scheme, theta, 1000
+class WarmRun:  # one step per call along a preset run of 1000 steps
+    def __init__(self, make_step, state0, h):
+        self.make_step, self.state0, self.h, self.k = make_step, state0, h, 1000
     def __call__(self):
-        if self.k == 1000:  # a new run: a new solver, as every preset run has
-            self.step = symplectic.cotangent_step(HT, self.scheme, self.theta)
-            self.state, self.k = HT_STATE, 0
-        self.state = self.step(self.state, 0.05)
+        if self.k == 1000:  # a new run: a new step map, as every preset run has
+            self.step, self.state, self.k = self.make_step(), self.state0, 0
+        self.state = self.step(self.state, self.h)
         self.k += 1
-WARM_THETA05 = WarmRun("symplectic_theta", 0.5)
-WARM_THETA0 = WarmRun("symplectic_theta", 0.0)
-WARM_RKMK_THETA05 = WarmRun("rkmk_theta", 0.5)
-FRB_M0 = np.array([1.0, 0.1, -1.0 / 60.0])
+WARM_THETA05 = WarmRun(lambda: symplectic.cotangent_step(HT, "symplectic_theta", 0.5),
+                       HT_STATE, 0.05)
+WARM_THETA0 = WarmRun(lambda: symplectic.cotangent_step(HT, "symplectic_theta", 0.0),
+                      HT_STATE, 0.05)
+WARM_RKMK_THETA05 = WarmRun(lambda: symplectic.cotangent_step(HT, "rkmk_theta", 0.5),
+                            HT_STATE, 0.05)
+FRB_M0 = np.array([1.0, 0.1, -1.0 / 60.0])  # the frb-s3 presets' (1, 1/2, -1) / I
 FRB = discrete_gradient.free_rigid_body_quat(np.array([1.0, 5.0, 60.0]), FRB_M0)
+WARM_DG = WarmRun(lambda: partial(discrete_gradient.dg_step, FRB),
+                  np.array([1.0, 0.0, 0.0, 0.0]), 1 / 64)
 GAMMA = discrete_gradient.trivialized_differential(
     FRB.group, FRB.energy, P, closed_form=FRB.energy_differential)
 A2 = np.array([[0.0, 0.01], [-0.015625, 0.0]])  # h f at the duffing-sl2 start
@@ -357,7 +370,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_one_stage_system.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_dg_kernel.json"))
     parser.add_argument("--child", nargs="+", metavar="LABEL=SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CoincidentPoints, CriticalPoint
-from .liealg import GroupOps, S3, rodrigues_entries
+from .liealg import GroupOps, QuatOps, S3, _quat_exp, _quat_log, _quat_mul, rodrigues_entries
 from .steppers import screen_start
 from .symplectic import ImplicitSolver
 
@@ -40,6 +40,9 @@ class InvariantSystem:
         field: right-trivialised field, x' = R_x* field(x).
         energy_differential: optional closed form of the trivialised
             differential R_x* dH_x; finite differences are used otherwise.
+
+    The callbacks take a point as an array, or as a 4-tuple of floats in the
+    Gonzalez dg_step on S^3.
     """
 
     group: GroupOps
@@ -136,13 +139,13 @@ def two_form_matrix(system: InvariantSystem, x, gamma=None):
     xi = np.asarray(system.field(x), dtype=float)
     if gamma is None:
         gamma = _differential(system, x)
-    g2 = float(gamma @ gamma)
+    g2 = float(gamma.dot(gamma))
     if g2 < 1e-12 ** 2:
         raise CriticalPoint("gradient vanishes; two-form undefined")
     # The entries of (outer(xi, gamma) - outer(gamma, xi)) / g2, on floats.
-    xs, gs = xi.tolist(), gamma.tolist()
-    return np.array([(a * gj - b * xj) / g2 for a, b in zip(xs, gs)
-                     for xj, gj in zip(xs, gs)]).reshape(len(xs), len(xs))
+    pairs = list(zip(xi.tolist(), gamma.tolist()))
+    return np.array([(a * gj - b * xj) / g2 for a, b in pairs
+                     for xj, gj in pairs]).reshape(len(pairs), len(pairs))
 
 
 def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", solver=None):
@@ -155,9 +158,36 @@ def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", solver=None):
     energy is conserved to solver tolerance with the Gonzalez differential and
     to quadrature accuracy with the averaged one.  A predictor left NaN by an
     exponent h f(x) whose squared norm overflows raises NonFiniteState.
+
+    The Gonzalez step on S^3 runs on 4-tuples of floats (_s3_update) and hands
+    the callbacks its points as tuples; every other step composes the group's
+    own operations (_update), and both give the same bits.  On floats are the
+    quaternion operations, 0.5 eta, the correction base + k eta and the
+    scaling by h.  The dots eta . eta and base . eta and the product W dbar
+    stay numpy's: its BLAS sums in an order a Python sum does not reproduce
+    (one such sum moved the states by 6.4e-14 over 3000 steps), and
+    ndarray.dot makes the same call as @ at half the cost.
     """
     if tdd not in ("gonzalez", "avf"):
         raise ValueError(f"unknown discrete differential {tdd!r}")
+    on_floats = tdd == "gonzalez" and type(system.group) is QuatOps
+    update, x1 = _s3_update(system, x, h) if on_floats else _update(system, x, h, tdd)
+    z = (solver or ImplicitSolver()).fixed_point(update, x1, h,
+                                                 "energy-preserving step did not converge")
+    return np.array(z) if on_floats else z
+
+
+def _lie_euler_start(system, x, h, advance):
+    """The predictor advance(h f(x)) = exp(h f(x)) . x; NonFiniteState where h f(x) overflows."""
+    v = h * np.asarray(system.field(x), float)
+    x1 = advance(v)
+    if not math.isfinite(float(v.dot(v))):  # where the so(3) and s^3 exponentials give NaN
+        screen_start(x1, h)
+    return x1
+
+
+def _update(system, x, h, tdd):
+    """The map x1 -> exp(h W dbar(x, x1)) . x from the group's operations, and its start."""
     group = system.group
     x_inv = group.inv(x)
     energy_x = float(system.energy(x)) if tdd == "gonzalez" else None
@@ -177,12 +207,39 @@ def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", solver=None):
         W = two_form_matrix(system, mid, gamma=base)
         return group.mul(group.exp(h * (W @ dbar)), x)
 
-    v = h * np.asarray(system.field(x), float)
-    x1 = group.mul(group.exp(v), x)
-    if not math.isfinite(float(v @ v)):  # where the so(3) and s^3 exponentials give NaN
-        screen_start(x1, h)
-    return (solver or ImplicitSolver()).fixed_point(update, x1, h,
-                                                    "energy-preserving step did not converge")
+    return update, _lie_euler_start(system, x, h, lambda v: group.mul(group.exp(v), x))
+
+
+def _s3_update(system, x, h):
+    """The Gonzalez update of _update on S^3, and its start, on 4-tuples of floats.
+
+    The model's callbacks, _differential and one two_form_matrix per iterate
+    are called as in _update; dg_step says which arithmetic stays numpy's.
+    """
+    x = tuple(np.asarray(x, dtype=float).tolist())
+    w, a, b, c = x
+    x_inv = (w, -a, -b, -c)
+    hf = float(h)  # numpy scales by h as a float64
+    energy_x = float(system.energy(x))
+
+    def update(x1):
+        eta = _quat_log(_quat_mul(x1, x_inv))
+        e = np.array(eta)
+        eta2 = float(e.dot(e))
+        if eta2 < 1e-10 ** 2:
+            mid = x
+            dbar = base = _differential(system, mid)
+        else:
+            e0, e1, e2 = eta
+            mid = _quat_mul(_quat_exp((0.5 * e0, 0.5 * e1, 0.5 * e2)), x)
+            base = _differential(system, mid)
+            k = (float(system.energy(x1)) - energy_x - float(base.dot(e))) / eta2
+            b0, b1, b2 = base.tolist()
+            dbar = np.array([b0 + k * e0, b1 + k * e1, b2 + k * e2])
+        d0, d1, d2 = two_form_matrix(system, mid, gamma=base).dot(dbar).tolist()
+        return _quat_mul(_quat_exp((hf * d0, hf * d1, hf * d2)), x)
+
+    return update, _lie_euler_start(system, x, h, lambda v: _quat_mul(_quat_exp(v.tolist()), x))
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +272,33 @@ def free_rigid_body_quat(inertia, m0) -> InvariantSystem:
     """
     inertia, m0 = np.asarray(inertia, dtype=float), np.asarray(m0, dtype=float)
     # Each test is written to fail on a NaN.
-    if inertia.shape != (3,) or not np.all(inertia > 0.0):
-        raise ValueError(f"inertia must be 3 positive entries, got {inertia.tolist()}")
+    if inertia.shape != (3,) or not (np.all(inertia > 0.0) and np.isfinite(inertia).all()):
+        raise ValueError(f"inertia must be 3 positive finite entries, got {inertia.tolist()}")
     if m0.shape != (3,) or not np.isfinite(m0).all():
         raise ValueError(f"m0 must be 3 finite entries, got {m0.tolist()}")
     j0, j1, j2 = (1.0 / inertia).tolist()
     m0 = m0.tolist()
     n0, n1, n2 = m0
+    last = [(object(), None)]  # the last tuple point and its velocity
 
     def spatial_velocity(q):
-        """E(q) I^{-1} E(q)^T m0, as three floats."""
+        """E(q) I^{-1} E(q)^T m0, as three floats.
+
+        A tuple point is immutable, so the velocity of the last one is kept
+        for its next call: dg_step's S^3 update asks for the differential and
+        the field at each midpoint.
+        """
+        point, w = last[0]
+        if q is point:
+            return w
         (e00, e01, e02, e10, e11, e12, e20, e21, e22), (p0, p1, p2) = _body_frame(q, m0)
         u0, u1, u2 = j0 * p0, j1 * p1, j2 * p2
-        return (e00 * u0 + e01 * u1 + e02 * u2,
-                e10 * u0 + e11 * u1 + e12 * u2,
-                e20 * u0 + e21 * u1 + e22 * u2)
+        w = (e00 * u0 + e01 * u1 + e02 * u2,
+             e10 * u0 + e11 * u1 + e12 * u2,
+             e20 * u0 + e21 * u1 + e22 * u2)
+        if type(q) is tuple:
+            last[0] = q, w
+        return w
 
     def field(q):
         w0, w1, w2 = spatial_velocity(q)

@@ -66,10 +66,12 @@ def max_abs(values):
 def max_abs_diff(a, b):
     """Largest coordinate difference of a and b; NaN when any coordinate is NaN.
 
-    a and b are arrays, or lists of equal-shape arrays, of one layout.
+    a and b are arrays, or lists of equal-shape arrays, of one layout, or
+    tuples of floats, which are read as they are.
     """
-    a = np.asarray(a, float).ravel().tolist()
-    b = np.asarray(b, float).ravel().tolist()
+    if type(a) is not tuple:
+        a = np.asarray(a, float).ravel().tolist()
+        b = np.asarray(b, float).ravel().tolist()
     return max_abs([p - q for p, q in zip(a, b)])
 
 
@@ -239,16 +241,19 @@ def _ad_quadratic(x, y, z, v0, v1, v2, a, b):
 
 QUAT_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
+# quat_mul, quat_exp and quat_log are each one tolist() and one array around a
+# private body on 4-tuples (3-tuples for the algebra), which the S^3
+# discrete-gradient step calls directly on its float iterates.
+
 
 def _unit_quat(w, x, y, z):
     n = math.sqrt(w * w + x * x + y * y + z * z)
-    return np.array([w / n, x / n, y / n, z / n])
+    return (w / n, x / n, y / n, z / n)
 
 
-def quat_mul(p, q):
-    """Quaternion product, renormalised to unit length."""
-    p0, p1, p2, p3 = np.asarray(p, dtype=float).tolist()
-    q0, q1, q2, q3 = np.asarray(q, dtype=float).tolist()
+def _quat_mul(p, q):
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
     return _unit_quat(
         p0 * q0 - (p1 * q1 + p2 * q2 + p3 * q3),
         p0 * q1 + q0 * p1 + (p2 * q3 - p3 * q2),
@@ -257,19 +262,20 @@ def quat_mul(p, q):
     )
 
 
+def quat_mul(p, q):
+    """Quaternion product, renormalised to unit length."""
+    return np.array(_quat_mul(np.asarray(p, dtype=float).tolist(),
+                              np.asarray(q, dtype=float).tolist()))
+
+
 def quat_conj(q):
     """Conjugate (= inverse for unit quaternions)."""
     q0, q1, q2, q3 = np.asarray(q, dtype=float).tolist()
     return np.array([q0, -q1, -q2, -q3])
 
 
-def quat_exp(w):
-    """Exponential of a pure quaternion given by its vector part.
-
-    quat_exp(w) = (cos|w|, sin|w| w/|w|); it covers the rotation
-    expm_so3(hat(2 w)).  An infinite |w| gives a NaN quaternion.
-    """
-    x, y, z = np.asarray(w, dtype=float).tolist()
+def _quat_exp(w):
+    x, y, z = w
     theta2 = x * x + y * y + z * z
     if theta2 < SMALL_ANGLE ** 2:
         s = 1.0 - theta2 / 6.0 * (1.0 - theta2 / 20.0)
@@ -280,8 +286,29 @@ def quat_exp(w):
             s = math.sin(theta) / theta
             c = math.cos(theta)
         except ValueError:  # math.sin(inf)
-            return np.full(4, math.nan)
+            return (math.nan,) * 4
     return _unit_quat(c, s * x, s * y, s * z)
+
+
+def quat_exp(w):
+    """Exponential of a pure quaternion given by its vector part.
+
+    quat_exp(w) = (cos|w|, sin|w| w/|w|); it covers the rotation
+    expm_so3(hat(2 w)).  An infinite |w| gives a NaN quaternion.
+    """
+    return np.array(_quat_exp(np.asarray(w, dtype=float).tolist()))
+
+
+def _quat_log(q):
+    q0, x, y, z = q
+    if q0 <= -1.0 + 1e-9:
+        raise LogNearAntipode(f"quaternion too close to -identity (q0={q0!r})")
+    nv = math.sqrt(x * x + y * y + z * z)
+    if nv < 1e-9:
+        # q0 ~ +1 here; the antipode was excluded above.
+        return (x / q0, y / q0, z / q0)
+    k = math.atan2(nv, q0) / nv
+    return (k * x, k * y, k * z)
 
 
 def quat_log(q):
@@ -290,15 +317,7 @@ def quat_log(q):
     Raises:
         LogNearAntipode: when q0 <= -1 + 1e-9.
     """
-    q0, x, y, z = np.asarray(q, dtype=float).tolist()
-    if q0 <= -1.0 + 1e-9:
-        raise LogNearAntipode(f"quaternion too close to -identity (q0={q0!r})")
-    nv = math.sqrt(x * x + y * y + z * z)
-    if nv < 1e-9:
-        # q0 ~ +1 here; the antipode was excluded above.
-        return np.array([x / q0, y / q0, z / q0])
-    k = math.atan2(nv, q0) / nv
-    return np.array([k * x, k * y, k * z])
+    return np.array(_quat_log(np.asarray(q, dtype=float).tolist()))
 
 
 def euler_rodrigues(q):

@@ -100,8 +100,9 @@ def free_rigid_body_s2(i1, i2, i3) -> FrozenFieldProblem:
     linear system whose flow advances the momentum by a rotation.
     """
     inertia = np.array([i1, i2, i3], dtype=float)
-    if inertia.shape != (3,) or not np.all(inertia > 0.0):  # a NaN fails too
-        raise ValueError(f"moments of inertia must be 3 positive numbers, got {inertia.tolist()}")
+    if inertia.shape != (3,) or not (np.all(inertia > 0.0) and np.isfinite(inertia).all()):
+        raise ValueError("moments of inertia must be 3 positive finite numbers, "
+                         f"got {inertia.tolist()}")
 
     def f(m):
         return -np.asarray(m, float) / inertia

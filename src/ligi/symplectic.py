@@ -243,7 +243,8 @@ def cotangent_step(system: HamiltonianSystem, scheme, theta=0.5):
 class HeavyTopParams:
     """Spinning rigid body with a fixed point in a constant vertical field.
 
-    gravity scales the potential; 0 gives the free top.
+    gravity scales the potential; 0 gives the free top.  g0 must be a rotation:
+    |g0^T g0 - I| <= 1e-12 entrywise and det g0 > 0.
     """
 
     inertia: np.ndarray
@@ -259,13 +260,18 @@ class HeavyTopParams:
                 raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
             object.__setattr__(self, name, value)
         # Each test is written to fail on a NaN.
-        if not np.all(self.inertia > 0.0):
-            raise ValueError("inertia entries must be positive")
+        if not (np.all(self.inertia > 0.0) and np.isfinite(self.inertia).all()):
+            raise ValueError("inertia entries must be positive and finite, "
+                             f"got {self.inertia.tolist()}")
         if not abs(np.linalg.norm(self.u0) - 1.0) <= 1e-12:
             raise ValueError("u0 must be a unit vector")
         for name in ("mu0", "g0"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
+        g0 = self.g0
+        if not (np.max(np.abs(g0.T @ g0 - np.eye(3))) <= 1e-12 and np.linalg.det(g0) > 0.0):
+            raise ValueError(f"g0 must be a rotation (g0^T g0 = I to 1e-12, det g0 = +1), "
+                             f"got {g0.tolist()}")
         if not math.isfinite(self.gravity):  # 0 is the free top
             raise ValueError(f"gravity must be finite, got {self.gravity!r}")
 

@@ -127,6 +127,24 @@ def test_dg_step_builds_one_two_form_per_iteration(monkeypatch):
     assert len(calls) == ITERATIONS
 
 
+def test_dg_step_evaluates_one_differential_per_iteration(monkeypatch):
+    """discrete_gradient.differential_evals_per_step counts calls of trivialized_differential."""
+    calls = []
+    trivialized_differential = discrete_gradient.trivialized_differential
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return trivialized_differential(*args, **kwargs)
+
+    monkeypatch.setattr(discrete_gradient, "trivialized_differential", counted)
+    monkeypatch.setattr(symplectic, "SOLVER_TOL", 0.0)  # never reached
+    system = discrete_gradient.free_rigid_body_quat([1.0, 5.0, 60.0], [1.0, 0.1, -0.01])
+    with pytest.raises(FixedPointDivergence):
+        discrete_gradient.dg_step(system, np.array([1.0, 0.0, 0.0, 0.0]), 1 / 64,
+                                  solver=symplectic.ImplicitSolver(max_iter=ITERATIONS))
+    assert len(calls) == ITERATIONS
+
+
 def test_fixed_point_evaluates_one_update_per_iteration():
     """The dg iterations the traced run counts are the moves of fixed_point."""
     calls = []

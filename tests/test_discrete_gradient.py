@@ -1,11 +1,13 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ligi import discrete_gradient
 from ligi.discrete_gradient import (
     InvariantSystem,
     body_momentum,
@@ -17,8 +19,25 @@ from ligi.discrete_gradient import (
     trivialized_differential,
     two_form_matrix,
 )
-from ligi.errors import CoincidentPoints, CriticalPoint, FixedPointDivergence, NonFiniteState
-from ligi.liealg import S3, SO3, TranslationOps, quat_exp, quat_mul
+from ligi.errors import (
+    CoincidentPoints,
+    CriticalPoint,
+    FixedPointDivergence,
+    LogNearAntipode,
+    NonFiniteState,
+)
+from ligi.liealg import (
+    S3,
+    SO3,
+    QuatOps,
+    TranslationOps,
+    _quat_exp,
+    _quat_log,
+    _quat_mul,
+    quat_exp,
+    quat_log,
+    quat_mul,
+)
 from ligi.symplectic import ImplicitSolver
 from oracles import (
     fit_slope,
@@ -477,9 +496,144 @@ def test_inertia_validation():
     (np.ones(3), [np.nan, 0.0, 0.0], "m0"),
     (np.ones(3), [np.inf, 0.0, 0.0], "m0"),
     (np.ones(3), [1.0, 2.0], "m0"),
-], ids=["nan-inertia", "3x1-inertia", "2-inertia", "nan-m0", "inf-m0", "2-m0"])
+    ([np.inf, 5.0, 60.0], np.ones(3), "inertia"),
+], ids=["nan-inertia", "3x1-inertia", "2-inertia", "nan-m0", "inf-m0", "2-m0", "inf-inertia"])
 def test_free_rigid_body_quat_rejects_nan_and_mis_shaped_inputs(inertia, m0, match):
-    # A NaN inertia once passed "reject if I <= 0" and gave a NaN energy; a
-    # 2-entry one failed inside the unpacking, and a (3, 1) one unpacked into lists.
+    # A NaN inertia once passed "reject if I <= 0" and gave a NaN energy, and
+    # an infinite one dropped its axis's kinetic energy; a 2-entry one failed
+    # inside the unpacking, and a (3, 1) one unpacked into lists.
     with pytest.raises(ValueError, match=match):
         free_rigid_body_quat(inertia, m0)
+
+
+# ---------------------------------------------------------------------------
+# The Gonzalez step on S^3 on floats against the generic composition
+# ---------------------------------------------------------------------------
+
+class _ComposedS3(QuatOps):
+    """S^3 as a QuatOps subclass: dg_step runs the generic update on its operations."""
+
+
+def _outcome(f, *args):
+    """("value", array) or ("raised", (exception type, message))."""
+    try:
+        return "value", np.asarray(f(*args))
+    except Exception as exc:  # the property compares which error comes out
+        return "raised", (type(exc), str(exc))
+
+
+def same_outcome(got, expected):
+    """Equal arrays, NaN counted as equal, or the same exception type and message."""
+    if got[0] != expected[0]:
+        return False
+    if got[0] == "raised":
+        return got[1] == expected[1]
+    return got[1].shape == expected[1].shape and np.array_equal(got[1], expected[1],
+                                                                equal_nan=True)
+
+
+def _pair(inertia, m0):
+    """The quaternion rigid body on S3, and the same model on _ComposedS3."""
+    system = free_rigid_body_quat(inertia, m0)
+    return system, dataclasses.replace(system, group=_ComposedS3())
+
+
+ISOTROPIC = (np.full(3, 2.0), np.array([1.0, 0.0, 0.0]))  # dH = 0 everywhere
+ANTIPODE_H = math.pi / float(np.linalg.norm(FRB.field(np.array([1.0, 0.0, 0.0, 0.0]))))
+steps = st.one_of(
+    st.sampled_from([1 / 64, -1 / 64, 0.0, 1e-12, -1e-12, 1e308, ANTIPODE_H]),
+    st.sampled_from([1, Fraction(-1, 64), np.float32(1 / 64)]),  # other real types
+    st.floats(-2.0, 2.0),
+    st.floats(-1e-11, 1e-11),  # |eta| < 1e-10: the coincident branch
+)
+quaternions = st.one_of(
+    unit_quaternions,
+    st.builds(lambda q, s: s * q, unit_quaternions, st.floats(0.1, 10.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=quaternions, h=steps,
+       model=st.one_of(st.just((INERTIA, M0)), st.just(ISOTROPIC), st.tuples(inertias, momenta)),
+       max_iter=st.sampled_from([200, 2]))
+@example(q=np.array([1.0, 0.0, 0.0, 0.0]), h=ANTIPODE_H, model=(INERTIA, M0), max_iter=200)
+@example(q=np.array([1.0, 0.0, 0.0, 0.0]), h=1 / 64, model=ISOTROPIC, max_iter=200)
+@example(q=np.array([1.0, 0.0, 0.0, 0.0]), h=1e308, model=(INERTIA, M0), max_iter=200)
+@example(q=np.array([0.5, 0.5, -0.5, 0.5]), h=1e-12, model=(INERTIA, M0), max_iter=200)
+def test_float_s3_step_equals_generic_composition(q, h, model, max_iter):
+    # Bit for bit, or the same exception with the same message (its residual or
+    # q0 read in full): LogNearAntipode (|h f| = pi), CriticalPoint (isotropic
+    # body), NonFiniteState (h = 1e308) and FixedPointDivergence (two iterations).
+    system, composed = _pair(*model)
+    with np.errstate(all="ignore"):
+        got = _outcome(dg_step, system, q, h, "gonzalez", ImplicitSolver(max_iter=max_iter))
+        expected = _outcome(dg_step, composed, q, h, "gonzalez",
+                            ImplicitSolver(max_iter=max_iter))
+    assert same_outcome(got, expected), (got, expected)
+
+
+@pytest.mark.parametrize("q, h, model, error", [
+    (np.array([1.0, 0.0, 0.0, 0.0]), ANTIPODE_H, (INERTIA, M0), LogNearAntipode),
+    (np.array([1.0, 0.0, 0.0, 0.0]), 1 / 64, ISOTROPIC, CriticalPoint),
+    (np.array([1.0, 0.0, 0.0, 0.0]), 1e308, (INERTIA, M0), NonFiniteState),
+], ids=["antipode", "critical-point", "overflowing-predictor"])
+def test_float_s3_step_raises_as_generic(q, h, model, error):
+    for system in _pair(*model):
+        with pytest.raises(error):
+            dg_step(system, q, h)
+
+
+def test_float_s3_step_reaches_the_coincident_branch(monkeypatch):
+    # At h = 1e-12 every iterate has |eta| < 1e-10, so the differential is
+    # taken at x itself: the only point it is evaluated at.
+    points = []
+    differential = discrete_gradient._differential
+
+    def recorded(system, x):
+        points.append(tuple(np.asarray(x, dtype=float).tolist()))
+        return differential(system, x)
+
+    monkeypatch.setattr(discrete_gradient, "_differential", recorded)
+    q = np.array([0.5, 0.5, -0.5, 0.5])
+    dg_step(FRB, q, 1e-12)
+    assert points and set(points) == {tuple(q.tolist())}
+
+
+four = st.lists(st.one_of(st.floats(-10.0, 10.0),
+                          st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])),
+                min_size=4, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=four, q=four)
+def test_public_quaternion_functions_equal_their_tuple_bodies(p, q):
+    with np.errstate(all="ignore"):
+        assert same_outcome(_outcome(quat_mul, np.array(p), np.array(q)),
+                            _outcome(lambda a, b: np.array(_quat_mul(a, b)), tuple(p), tuple(q)))
+        assert same_outcome(_outcome(quat_exp, np.array(p[:3])),
+                            _outcome(lambda w: np.array(_quat_exp(w)), tuple(p[:3])))
+        assert same_outcome(_outcome(quat_log, np.array(q)),
+                            _outcome(lambda a: np.array(_quat_log(a)), tuple(q)))
+
+
+def test_quat_exp_of_infinity_is_nan_through_both():
+    w = (math.inf, 0.0, 0.0)
+    assert np.isnan(quat_exp(np.array(w))).all()
+    assert all(math.isnan(v) for v in _quat_exp(w))
+
+
+def test_velocity_memo_is_keyed_on_tuple_identity(rng):
+    # The model keeps the velocity of the last tuple point only; an array,
+    # which can change in place, is recomputed every call.
+    system = free_rigid_body_quat(INERTIA, M0)
+    for _ in range(20):
+        p, q = random_unit_quaternion(rng), random_unit_quaternion(rng)
+        t = tuple(p.tolist())
+        assert np.array_equal(system.field(t), FRB.field(p))
+        assert np.array_equal(system.energy_differential(t), FRB.energy_differential(p))
+        assert np.array_equal(system.field(tuple(q.tolist())), FRB.field(q))
+        a = p.copy()
+        system.field(a)
+        a[:] = q
+        assert np.array_equal(system.field(a), FRB.field(q))
+        assert np.array_equal(system.energy_differential(a), FRB.energy_differential(q))

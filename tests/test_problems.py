@@ -81,8 +81,9 @@ def test_duffing_energy_invariant_under_fine_integration():
 # Free rigid body on S^2
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("inertia", [(np.nan, 1.0, 1.0), (1.0, 1.0, np.nan), (0.0, 1.0, 1.0)],
-                         ids=["nan-i1", "nan-i3", "zero-i1"])
+@pytest.mark.parametrize("inertia", [(np.nan, 1.0, 1.0), (1.0, 1.0, np.nan), (0.0, 1.0, 1.0),
+                                     (np.inf, 5.0, 60.0)],
+                         ids=["nan-i1", "nan-i3", "zero-i1", "inf-i1"])
 def test_free_rigid_body_s2_rejects_nan_and_nonpositive_inertia(inertia):
     # A NaN moment once passed "reject if I <= 0" and gave a NaN coefficient map.
     with pytest.raises(ValueError, match="moments of inertia"):

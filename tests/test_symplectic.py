@@ -160,16 +160,27 @@ def test_heavy_top_params_validation():
     ({"gravity": np.nan}, "gravity must be finite, got nan"),
     ({"gravity": np.inf}, "gravity must be finite, got inf"),
     ({"gravity": -np.inf}, "gravity must be finite, got -inf"),
+    ({"inertia": [np.inf, 1.0, 1.0]}, "inertia entries must be positive and finite"),
+    ({"g0": 2.0 * np.eye(3)}, "g0 must be a rotation"),
+    ({"g0": np.diag([1.0, 1.0, -1.0])}, "g0 must be a rotation"),
 ], ids=["nan-inertia", "nan-u0", "nan-g0", "inf-g0", "2-inertia", "4-mu0", "1x3-u0", "4x4-g0",
         "nan-mu0", "inf-mu0", "minus-inf-mu0", "nan-gravity", "inf-gravity",
-        "minus-inf-gravity"])
+        "minus-inf-gravity", "inf-inertia", "scaled-g0", "reflection-g0"])
 def test_heavy_top_params_rejects_nan_and_mis_shaped_inputs(changes, match):
     # NaN passes a test written as "reject if x <= 0"; a 2-entry inertia once
     # failed only inside the force map, and a NaN mu0 or gravity made every
-    # energy NaN.
+    # energy NaN.  An infinite inertia dropped its axis's kinetic energy (H
+    # read 2.0 at inertia (inf, 1, 1), mu0 = 1), and 2 I or a reflection
+    # started the run off SO(3).
     fields = {"inertia": np.ones(3), "mu0": np.zeros(3), **changes}
     with pytest.raises(ValueError, match=match):
         HeavyTopParams(**fields)
+
+
+def test_heavy_top_params_accepts_rotations(rng):
+    for _ in range(50):
+        g0 = random_rotation(rng)
+        assert np.array_equal(HeavyTopParams(inertia=np.ones(3), mu0=np.zeros(3), g0=g0).g0, g0)
 
 
 def test_force_map_matches_hamiltonian_derivative(rng):
