@@ -5,13 +5,14 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_dg_kernel.json unless ``--out`` names another file (the earlier
-records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
+BENCH_one_dg_update.json unless ``--out`` names another file (the
+earlier records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
 BENCH_cotangent_family.json, BENCH_explicit_actions.json,
 BENCH_rkmk_family.json, BENCH_one_solver.json, BENCH_one_tableau.json,
 BENCH_so3_algebra.json, BENCH_frb_kernels.json,
 BENCH_cotangent_kernels.json, BENCH_semidirect_kernels.json,
-BENCH_theta_stage.json and BENCH_one_stage_system.json).
+BENCH_theta_stage.json, BENCH_one_stage_system.json and
+BENCH_dg_kernel.json).
 The cases of ``src/`` are timed as "change"; with ``--baseline`` those of
 ``<baseline>/src`` are timed too, as "parent".  A case whose statement
 raises AttributeError on a tree, one that names an operation the tree does
@@ -52,8 +53,10 @@ through theta_step and through symplectic_step, and its two-stage Gauss
 member; the RKMK theta comparator at theta = 1/2 and theta = 0), one warm step
 of the symplectic theta = 1/2 and theta = 0 and RKMK theta = 1/2 schemes along
 a heavy-top preset run (one solver per run of 1000 steps, as the heavytop-warm
-workload runs them) and of the Gonzalez ``dg_step`` along the frb-s3-dg
-preset run, one explicit KUTTA4 ``rkmk_step`` on the free rigid body
+workload runs them), of ``dg_step`` along the frb-s3-dg preset run with the
+Gonzalez and with the averaged differential, and of the Gonzalez ``dg_step``
+on SO(3) along a run of the height H(R) = c . (R u) under a field tangent to
+its level sets, one explicit KUTTA4 ``rkmk_step`` on the free rigid body
 on S^2 from the frb-s2 preset's start, and ``cli.write_csv`` of the
 full-length torus-descent and heavytop-theta05 trajectories into memory.
 
@@ -143,6 +146,8 @@ CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERN
     ("theta0_step_warm", "WARM_THETA0()", 200),
     ("rkmk_theta_step_warm", "WARM_RKMK_THETA05()", 200),
     ("dg_step_warm_frb_s3", "WARM_DG()", 300),
+    ("dg_step_warm_frb_s3_avf", "WARM_DG_AVF()", 100),
+    ("dg_step_warm_so3", "WARM_DG_SO3()", 100),
     ("rkmk_step_kutta4_frb_s2", "steppers.rkmk_step(FRB_S2, M3, 0.05)", 2000),
     ("dg_step_cold", "discrete_gradient.dg_step(FRB, P, 1 / 64)", 300),
     ("write_csv_torus_descent", "cli.write_csv(*TORUS_RUN, io.StringIO())", 5),
@@ -200,6 +205,16 @@ FRB_M0 = np.array([1.0, 0.1, -1.0 / 60.0])  # the frb-s3 presets' (1, 1/2, -1) /
 FRB = discrete_gradient.free_rigid_body_quat(np.array([1.0, 5.0, 60.0]), FRB_M0)
 WARM_DG = WarmRun(lambda: partial(discrete_gradient.dg_step, FRB),
                   np.array([1.0, 0.0, 0.0, 0.0]), 1 / 64)
+WARM_DG_AVF = WarmRun(lambda: partial(discrete_gradient.dg_step, FRB, tdd="avf"),
+                      np.array([1.0, 0.0, 0.0, 0.0]), 1 / 64)
+SO3_C, SO3_U = np.array([0.4, 0.2, -0.9]), np.array([0.7, 0.1, 0.2])
+def so3_height_differential(R):
+    return np.cross(R @ SO3_U, SO3_C)
+SO3_HEIGHT = discrete_gradient.InvariantSystem(
+    group=liealg.SO3, energy=lambda R: float(SO3_C @ (R @ SO3_U)),
+    field=lambda R: np.cross(so3_height_differential(R), np.array([0.2, -1.0, 0.4])),
+    energy_differential=so3_height_differential)
+WARM_DG_SO3 = WarmRun(lambda: partial(discrete_gradient.dg_step, SO3_HEIGHT), np.eye(3), 1 / 64)
 GAMMA = discrete_gradient.trivialized_differential(
     FRB.group, FRB.energy, P, closed_form=FRB.energy_differential)
 A2 = np.array([[0.0, 0.01], [-0.015625, 0.0]])  # h f at the duffing-sl2 start
@@ -370,7 +385,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_dg_kernel.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_one_dg_update.json"))
     parser.add_argument("--child", nargs="+", metavar="LABEL=SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 

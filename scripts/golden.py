@@ -3,11 +3,12 @@
     PYTHONPATH=src python scripts/golden.py            # rewrite tests/golden/
     PYTHONPATH=src python scripts/golden.py --check    # rerun the full presets
 
-`tests/golden/` holds the first GOLDEN_STEPS steps of every preset and of
-RKMK4 on the SE(2) Duffing frame, three `order` reports (explicit,
-symplectic and discrete-gradient schemes) and one `drift` report, each the
-exact bytes `ligi ... --out` writes; `tests/test_golden.py` reruns the
-commands listed in `cases.json` and compares byte for byte.  Full-length
+`tests/golden/` holds the first GOLDEN_STEPS steps of every preset, of
+RKMK4 on the SE(2) Duffing frame and of the averaged discrete-gradient
+scheme on S^3, three `order` reports (explicit, symplectic and
+discrete-gradient schemes) and one `drift` report, each the exact bytes
+`ligi ... --out` writes; `tests/test_golden.py` reruns the commands listed
+in `cases.json` and compares byte for byte.  Full-length
 preset runs take tens of seconds, so they are kept as sha256 digests in
 `PRESET_DIGESTS.json`; `--check` reruns every preset at full length and exits
 1 when a digest differs.
@@ -43,6 +44,9 @@ def golden_cases():
     cases["duffing-se2-rkmk4.csv"] = [
         "integrate", "--problem", "duffing_se2", "--scheme", "rkmk4",
         "--h", "0.01", "--steps", str(GOLDEN_STEPS)]
+    cases["frb_s3-dg_avf.csv"] = [
+        "integrate", "--problem", "frb_s3", "--scheme", "dg_avf",
+        "--h", "0.015625", "--steps", str(GOLDEN_STEPS)]
     cases["order-frb_s2-rkmk.json"] = [
         "order", "--problem", "frb_s2", "--scheme", "rkmk",
         "--h-list", "0.1,0.05,0.025,0.0125", "--T", "2"]

@@ -10,8 +10,12 @@ satisfying H(x') - H(x) = <dbar_H, log(x' x^{-1})>) and W is a skew matrix
 consistent with the two-form grad H ^ F / |grad H|^2.  Skewness of W makes
 the telescoping sum of energy increments vanish identically.
 
-The module works on groups whose algebra coordinates are flat vectors
-(SO(3) and the unit quaternions here).
+The module works on groups whose algebra coordinates are flat vectors, of
+any dimension.  dg_step has one update for every group and both
+differentials, and it shares its midpoint and quadrature helpers with
+tdd_gonzalez and tdd_avf.  _arithmetic, the one place that looks at the
+group, gives them log(x1 x^{-1}), exp(s v) . x and base + k eta: on
+4-tuples of floats for QuatOps itself, on arrays for every other group.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ class InvariantSystem:
         energy_differential: optional closed form of the trivialised
             differential R_x* dH_x; finite differences are used otherwise.
 
-    The callbacks take a point as an array, or as a 4-tuple of floats in the
-    Gonzalez dg_step on S^3.
+    The callbacks take a point as an array, or on S^3 (QuatOps) as a 4-tuple
+    of floats.
     """
 
     group: GroupOps
@@ -81,6 +85,50 @@ def gauss_legendre_01(n):
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
+def _arithmetic(group, x):
+    """(x, rel_log, flow, correct): the group arithmetic about the base point x.
+
+    rel_log(x1) = log(x1 x^{-1}), flow(s, v) = exp(s v) . x and
+    correct(base, k, eta) = base + k eta.  On QuatOps itself, points are
+    4-tuples and algebra vectors 3-sequences of floats, through liealg's tuple
+    bodies; every other group composes its own operations on arrays, for any
+    algebra dimension.  Both give the same bits.
+    """
+    if type(group) is not QuatOps:
+        x_inv = group.inv(x)
+        return (x, lambda x1: group.log(group.mul(x1, x_inv)),
+                lambda s, v: group.mul(group.exp(s * np.asarray(v, dtype=float)), x),
+                lambda base, k, eta: base + k * eta)
+    x = tuple(np.asarray(x, dtype=float).tolist())
+    w, a, b, c = x
+    x_inv = (w, -a, -b, -c)
+
+    def rel_log(x1):
+        if type(x1) is not tuple:
+            x1 = tuple(np.asarray(x1, dtype=float).tolist())
+        return _quat_log(_quat_mul(x1, x_inv))
+
+    def flow(s, v):
+        s = float(s)  # numpy scales by s as a float64
+        v0, v1, v2 = v
+        return _quat_mul(_quat_exp((s * v0, s * v1, s * v2)), x)
+
+    def correct(base, k, eta):
+        b0, b1, b2 = base.tolist()
+        e0, e1, e2 = eta
+        return np.array([b0 + k * e0, b1 + k * e1, b2 + k * e2])
+
+    return x, rel_log, flow, correct
+
+
+def _average(system, eta, flow, quad_nodes):
+    """The Gauss-Legendre average of R_l* dH_l over l(s) = flow(s, eta), s in [0, 1]."""
+    out = np.zeros(system.group.dim)
+    for s, w in zip(*gauss_legendre_01(quad_nodes)):
+        out += w * _differential(system, flow(s, eta))
+    return out
+
+
 def tdd_avf(system: InvariantSystem, x, x1, quad_nodes=4):
     """Averaged trivialised differential along the log geodesic.
 
@@ -88,23 +136,26 @@ def tdd_avf(system: InvariantSystem, x, x1, quad_nodes=4):
     Gauss-Legendre quadrature; satisfies the discrete identity up to the
     quadrature error.
     """
-    group = system.group
-    eta = group.log(group.mul(x1, group.inv(x)))
-    nodes, weights = gauss_legendre_01(quad_nodes)
-    out = np.zeros(group.dim)
-    for s, w in zip(nodes, weights):
-        point = group.mul(group.exp(s * eta), x)
-        out += w * _differential(system, point)
-    return out
+    _, rel_log, flow, _ = _arithmetic(system.group, x)
+    return _average(system, rel_log(x1), flow, quad_nodes)
 
 
-def _gonzalez_correct(system, energy_x, x1, eta, eta2, base):
-    """Close the discrete identity by a correction along eta.
+def _gonzalez(system, x1, eta, energy_x, flow, correct):
+    """(mid, base, dbar) of tdd_gonzalez for eta = log(x1 x^{-1}) and energy_x = H(x).
 
-    energy_x is H(x) and eta2 is eta . eta, both as floats.
+    mid = flow(0.5, eta) and base = R_mid* dH_mid; energy_x None leaves dbar
+    None.  Raises CoincidentPoints where |eta| < 1e-10.
     """
-    gap = float(system.energy(x1)) - energy_x - float(base @ eta)
-    return base + (gap / eta2) * eta
+    e = np.asarray(eta, dtype=float)
+    eta2 = float(e.dot(e))
+    if eta2 < 1e-10 ** 2:
+        raise CoincidentPoints("x and x' coincide; eta is numerically zero")
+    mid = flow(0.5, eta)
+    base = _differential(system, mid)
+    if energy_x is None:
+        return mid, base, None
+    k = (float(system.energy(x1)) - energy_x - float(base.dot(e))) / eta2
+    return mid, base, correct(base, k, eta)
 
 
 def tdd_gonzalez(system: InvariantSystem, x, x1):
@@ -117,14 +168,8 @@ def tdd_gonzalez(system: InvariantSystem, x, x1):
     Raises:
         CoincidentPoints: when eta vanishes; use trivialized_differential.
     """
-    group = system.group
-    eta = group.log(group.mul(x1, group.inv(x)))
-    eta2 = float(eta @ eta)
-    if eta2 < 1e-10 ** 2:
-        raise CoincidentPoints("x and x' coincide; eta is numerically zero")
-    mid = group.mul(group.exp(0.5 * eta), x)
-    base = _differential(system, mid)
-    return _gonzalez_correct(system, float(system.energy(x)), x1, eta, eta2, base)
+    x, rel_log, flow, correct = _arithmetic(system.group, x)
+    return _gonzalez(system, x1, rel_log(x1), float(system.energy(x)), flow, correct)[2]
 
 
 def two_form_matrix(system: InvariantSystem, x, gamma=None):
@@ -159,87 +204,35 @@ def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", solver=None):
     to quadrature accuracy with the averaged one.  A predictor left NaN by an
     exponent h f(x) whose squared norm overflows raises NonFiniteState.
 
-    The Gonzalez step on S^3 runs on 4-tuples of floats (_s3_update) and hands
-    the callbacks its points as tuples; every other step composes the group's
-    own operations (_update), and both give the same bits.  On floats are the
-    quaternion operations, 0.5 eta, the correction base + k eta and the
-    scaling by h.  The dots eta . eta and base . eta and the product W dbar
-    stay numpy's: its BLAS sums in an order a Python sum does not reproduce
-    (one such sum moved the states by 6.4e-14 over 3000 steps), and
-    ndarray.dot makes the same call as @ at half the cost.
+    The update is the same for every group and both differentials; only its
+    group arithmetic, from _arithmetic, runs on floats on S^3.  The dots
+    eta . eta and base . eta and the product W dbar stay numpy's on every
+    group: its BLAS sums in an order a Python sum does not reproduce (one such
+    sum moved the states by 6.4e-14 over 3000 steps).
     """
     if tdd not in ("gonzalez", "avf"):
         raise ValueError(f"unknown discrete differential {tdd!r}")
-    on_floats = tdd == "gonzalez" and type(system.group) is QuatOps
-    update, x1 = _s3_update(system, x, h) if on_floats else _update(system, x, h, tdd)
-    z = (solver or ImplicitSolver()).fixed_point(update, x1, h,
-                                                 "energy-preserving step did not converge")
-    return np.array(z) if on_floats else z
-
-
-def _lie_euler_start(system, x, h, advance):
-    """The predictor advance(h f(x)) = exp(h f(x)) . x; NonFiniteState where h f(x) overflows."""
+    x, rel_log, flow, correct = _arithmetic(system.group, x)
+    energy_x = float(system.energy(x)) if tdd == "gonzalez" else None
     v = h * np.asarray(system.field(x), float)
-    x1 = advance(v)
+    x1 = flow(1.0, v.tolist())
     if not math.isfinite(float(v.dot(v))):  # where the so(3) and s^3 exponentials give NaN
         screen_start(x1, h)
-    return x1
-
-
-def _update(system, x, h, tdd):
-    """The map x1 -> exp(h W dbar(x, x1)) . x from the group's operations, and its start."""
-    group = system.group
-    x_inv = group.inv(x)
-    energy_x = float(system.energy(x)) if tdd == "gonzalez" else None
 
     def update(x1):
-        eta = group.log(group.mul(x1, x_inv))
-        eta2 = float(eta @ eta)
-        coincident = eta2 < 1e-10 ** 2
-        mid = x if coincident else group.mul(group.exp(0.5 * eta), x)
-        base = _differential(system, mid)
-        if tdd == "avf":
-            dbar = tdd_avf(system, x, x1)
-        elif coincident:
-            dbar = base
-        else:
-            dbar = _gonzalez_correct(system, energy_x, x1, eta, eta2, base)
-        W = two_form_matrix(system, mid, gamma=base)
-        return group.mul(group.exp(h * (W @ dbar)), x)
-
-    return update, _lie_euler_start(system, x, h, lambda v: group.mul(group.exp(v), x))
-
-
-def _s3_update(system, x, h):
-    """The Gonzalez update of _update on S^3, and its start, on 4-tuples of floats.
-
-    The model's callbacks, _differential and one two_form_matrix per iterate
-    are called as in _update; dg_step says which arithmetic stays numpy's.
-    """
-    x = tuple(np.asarray(x, dtype=float).tolist())
-    w, a, b, c = x
-    x_inv = (w, -a, -b, -c)
-    hf = float(h)  # numpy scales by h as a float64
-    energy_x = float(system.energy(x))
-
-    def update(x1):
-        eta = _quat_log(_quat_mul(x1, x_inv))
-        e = np.array(eta)
-        eta2 = float(e.dot(e))
-        if eta2 < 1e-10 ** 2:
+        eta = rel_log(x1)
+        try:
+            mid, base, dbar = _gonzalez(system, x1, eta, energy_x, flow, correct)
+        except CoincidentPoints:
             mid = x
-            dbar = base = _differential(system, mid)
-        else:
-            e0, e1, e2 = eta
-            mid = _quat_mul(_quat_exp((0.5 * e0, 0.5 * e1, 0.5 * e2)), x)
-            base = _differential(system, mid)
-            k = (float(system.energy(x1)) - energy_x - float(base.dot(e))) / eta2
-            b0, b1, b2 = base.tolist()
-            dbar = np.array([b0 + k * e0, b1 + k * e1, b2 + k * e2])
-        d0, d1, d2 = two_form_matrix(system, mid, gamma=base).dot(dbar).tolist()
-        return _quat_mul(_quat_exp((hf * d0, hf * d1, hf * d2)), x)
+            dbar = base = _differential(system, x)
+        if tdd == "avf":
+            dbar = _average(system, eta, flow, 4)
+        return flow(h, two_form_matrix(system, mid, gamma=base).dot(dbar).tolist())
 
-    return update, _lie_euler_start(system, x, h, lambda v: _quat_mul(_quat_exp(v.tolist()), x))
+    z = (solver or ImplicitSolver()).fixed_point(update, x1, h,
+                                                 "energy-preserving step did not converge")
+    return np.array(z)
 
 
 # ---------------------------------------------------------------------------

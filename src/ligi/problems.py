@@ -37,9 +37,10 @@ class DuffingParams:
 
     def __post_init__(self):
         for name in ("a", "b"):
-            if not getattr(self, name) >= 0.0:  # a NaN fails too
-                raise ValueError(f"Duffing coefficient {name} must be nonnegative,"
-                                 f" got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # a NaN fails too
+                raise ValueError(f"Duffing coefficient {name} must be nonnegative and finite,"
+                                 f" got {value!r}")
 
 
 def duffing_problem(params: DuffingParams, frame="sl2") -> FrozenFieldProblem:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ligi import discrete_gradient
+from ligi import discrete_gradient, liealg
 from ligi.discrete_gradient import (
     InvariantSystem,
     body_momentum,
@@ -30,6 +30,7 @@ from ligi.liealg import (
     S3,
     SO3,
     QuatOps,
+    So3Ops,
     TranslationOps,
     _quat_exp,
     _quat_log,
@@ -308,6 +309,66 @@ def test_dg_step_avf_conserves_energy_to_quadrature_accuracy():
         assert abs(FRB.energy(q) - H0) < 1e-11
 
 
+@pytest.mark.parametrize("tdd", ["gonzalez", "avf"])
+def test_dg_step_on_a_two_dimensional_algebra_conserves_energy(rng, tdd):
+    # (R^2, +) with H(x) = |x|^2 and the rotation field f(x) = J x: the step
+    # runs on any algebra dimension, not only on 3-vectors.  W = J / 2 and
+    # both differentials are grad H at the midpoint, so the step is the
+    # implicit midpoint rule: a rotation by 2 atan(h / 2).
+    system = InvariantSystem(group=TranslationOps(2), energy=lambda x: float(x @ x),
+                             field=lambda x: np.array([-x[1], x[0]]),
+                             energy_differential=lambda x: 2.0 * np.asarray(x, dtype=float))
+    x0 = x = rng.normal(size=2)
+    H0 = system.energy(x)
+    for _ in range(200):
+        x = dg_step(system, x, 0.1, tdd=tdd)
+        assert x.shape == (2,)
+        assert abs(system.energy(x) - H0) < 1e-12 * max(1.0, H0)
+    angle = 200 * 2.0 * math.atan(0.05)
+    rotation = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    assert np.max(np.abs(x - rotation @ x0)) < 1e-10
+
+
+class _CountingSO3(So3Ops):
+    """SO(3) that counts its logarithms."""
+
+    logs = 0
+
+    def log(self, g):
+        self.logs += 1
+        return super().log(g)
+
+
+def test_avf_iterate_takes_one_logarithm(monkeypatch):
+    # eta = log(x1 x^{-1}) serves both the midpoint and the quadrature nodes.
+    iterates, quat_logs = [], []
+    two_form = discrete_gradient.two_form_matrix
+
+    def counted_two_form(*args, **kwargs):
+        iterates.append(1)
+        return two_form(*args, **kwargs)
+
+    def counted_quat_log(q):
+        quat_logs.append(1)
+        return _quat_log(q)
+
+    monkeypatch.setattr(discrete_gradient, "two_form_matrix", counted_two_form)
+    monkeypatch.setattr(discrete_gradient, "_quat_log", counted_quat_log)
+    monkeypatch.setattr(liealg, "_quat_log", counted_quat_log)
+    dg_step(FRB, np.array([1.0, 0.0, 0.0, 0.0]), 1 / 64, tdd="avf")
+    assert len(iterates) > 1 and len(quat_logs) == len(iterates)
+
+    energy, differential, u, c = so3_trace_system()
+    group = _CountingSO3()
+    system = InvariantSystem(
+        group=group, energy=energy,
+        field=lambda R: np.cross(differential(R), np.array([0.2, -1.0, 0.4])),
+        energy_differential=differential)
+    iterates.clear()
+    dg_step(system, np.eye(3), 1 / 64, tdd="avf")
+    assert len(iterates) > 1 and group.logs == len(iterates)
+
+
 def test_dg_step_symmetric(rng):
     q = random_unit_quaternion(rng)
     h = 1.0 / 32.0
@@ -507,11 +568,11 @@ def test_free_rigid_body_quat_rejects_nan_and_mis_shaped_inputs(inertia, m0, mat
 
 
 # ---------------------------------------------------------------------------
-# The Gonzalez step on S^3 on floats against the generic composition
+# The step on S^3 on floats against the composition of the group's operations
 # ---------------------------------------------------------------------------
 
 class _ComposedS3(QuatOps):
-    """S^3 as a QuatOps subclass: dg_step runs the generic update on its operations."""
+    """S^3 as a QuatOps subclass: dg_step composes its operations on arrays."""
 
 
 def _outcome(f, *args):
@@ -555,20 +616,26 @@ quaternions = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(q=quaternions, h=steps,
        model=st.one_of(st.just((INERTIA, M0)), st.just(ISOTROPIC), st.tuples(inertias, momenta)),
-       max_iter=st.sampled_from([200, 2]))
-@example(q=np.array([1.0, 0.0, 0.0, 0.0]), h=ANTIPODE_H, model=(INERTIA, M0), max_iter=200)
-@example(q=np.array([1.0, 0.0, 0.0, 0.0]), h=1 / 64, model=ISOTROPIC, max_iter=200)
-@example(q=np.array([1.0, 0.0, 0.0, 0.0]), h=1e308, model=(INERTIA, M0), max_iter=200)
-@example(q=np.array([0.5, 0.5, -0.5, 0.5]), h=1e-12, model=(INERTIA, M0), max_iter=200)
-def test_float_s3_step_equals_generic_composition(q, h, model, max_iter):
+       max_iter=st.sampled_from([200, 2]), tdd=st.sampled_from(["gonzalez", "avf"]))
+@example(q=np.array([1.0, 0.0, 0.0, 0.0]), h=ANTIPODE_H, model=(INERTIA, M0), max_iter=200,
+         tdd="gonzalez")
+@example(q=np.array([1.0, 0.0, 0.0, 0.0]), h=1 / 64, model=ISOTROPIC, max_iter=200,
+         tdd="gonzalez")
+@example(q=np.array([1.0, 0.0, 0.0, 0.0]), h=1e308, model=(INERTIA, M0), max_iter=200,
+         tdd="gonzalez")
+@example(q=np.array([0.5, 0.5, -0.5, 0.5]), h=1e-12, model=(INERTIA, M0), max_iter=200,
+         tdd="gonzalez")
+@example(q=np.array([0.5, 0.5, -0.5, 0.5]), h=1e-12, model=(INERTIA, M0), max_iter=200,
+         tdd="avf")
+def test_float_s3_step_equals_generic_composition(q, h, model, max_iter, tdd):
     # Bit for bit, or the same exception with the same message (its residual or
     # q0 read in full): LogNearAntipode (|h f| = pi), CriticalPoint (isotropic
-    # body), NonFiniteState (h = 1e308) and FixedPointDivergence (two iterations).
+    # body), NonFiniteState (h = 1e308) and FixedPointDivergence (two iterations),
+    # with either discrete differential.
     system, composed = _pair(*model)
     with np.errstate(all="ignore"):
-        got = _outcome(dg_step, system, q, h, "gonzalez", ImplicitSolver(max_iter=max_iter))
-        expected = _outcome(dg_step, composed, q, h, "gonzalez",
-                            ImplicitSolver(max_iter=max_iter))
+        got = _outcome(dg_step, system, q, h, tdd, ImplicitSolver(max_iter=max_iter))
+        expected = _outcome(dg_step, composed, q, h, tdd, ImplicitSolver(max_iter=max_iter))
     assert same_outcome(got, expected), (got, expected)
 
 

@@ -39,8 +39,13 @@ def test_duffing_params_validation():
 
 @pytest.mark.parametrize("a,b,match", [(np.nan, 1.0, "coefficient a"),
                                        (1.0, np.nan, "coefficient b"),
-                                       (1.0, -1.0, "coefficient b")])
+                                       (1.0, -1.0, "coefficient b"),
+                                       (np.inf, 1.0, "coefficient a"),
+                                       (1.0, np.inf, "coefficient b"),
+                                       (-np.inf, 1.0, "coefficient a")])
 def test_duffing_params_reject_nan_and_negative_coefficients(a, b, match):
+    # An infinite a once constructed, and its sl2 coefficient map returned
+    # [[0, 1], [-inf, 0]].
     with pytest.raises(ValueError, match=match):
         DuffingParams(a, b)
 
