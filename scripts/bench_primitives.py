@@ -5,14 +5,14 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_one_dg_update.json unless ``--out`` names another file (the
+BENCH_one_cotangent_class.json unless ``--out`` names another file (the
 earlier records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
 BENCH_cotangent_family.json, BENCH_explicit_actions.json,
 BENCH_rkmk_family.json, BENCH_one_solver.json, BENCH_one_tableau.json,
 BENCH_so3_algebra.json, BENCH_frb_kernels.json,
 BENCH_cotangent_kernels.json, BENCH_semidirect_kernels.json,
-BENCH_theta_stage.json, BENCH_one_stage_system.json and
-BENCH_dg_kernel.json).
+BENCH_theta_stage.json, BENCH_one_stage_system.json,
+BENCH_dg_kernel.json and BENCH_one_dg_update.json).
 The cases of ``src/`` are timed as "change"; with ``--baseline`` those of
 ``<baseline>/src`` are timed too, as "parent".  A case whose statement
 raises AttributeError on a tree, one that names an operation the tree does
@@ -39,7 +39,9 @@ array wrapper costs), the 2x2 exponential of ``SL2`` against
 action, the callbacks of the quaternion free rigid body (energy, field,
 energy differential) with its body momentum, the heavy top's force map, and
 the exponential, product and order-2 dexpinv of ``CotangentOps`` over SO(3)
-and S^3 (the RKMK theta comparator's semidirect operations), and the
+and S^3 (the RKMK theta comparator's semidirect operations), its exponential
+and product over ``TranslationOps(3)`` (the composition that every group
+without a float kernel runs), and the
 symplectic family's theta = 1/2 stages ``SO3.symplectic_stages`` at the
 heavy-top start's explicit Euler iterate, as the float kernel and as the
 ``GroupOps`` composition that every other tableau and group runs.
@@ -122,6 +124,8 @@ CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERN
     ("CotangentOps_S3.exp", "CT_S3.exp(A6)", NUMBER),
     ("CotangentOps_S3.mul", "CT_S3.mul(CT_S3_G, CT_S3_G)", NUMBER),
     ("CotangentOps_S3.dexpinv_order2", "CT_S3.dexpinv(A6, B6, 2)", NUMBER),
+    ("CotangentOps_R3.exp", "CT_R3.exp(A6)", NUMBER),
+    ("CotangentOps_R3.mul", "CT_R3.mul(CT_R3_G, CT_R3_G)", NUMBER),
     ("SO3.symplectic_stages", "liealg.SO3.symplectic_stages(THETA05, THETA_Z, *HT_STATE)",
      NUMBER),
     ("GroupOps.symplectic_stages_SO3",
@@ -167,9 +171,10 @@ Q = np.array([0.5, 0.5, -0.5, 0.5])
 ST, PT, QT = tuple(S.tolist()), tuple(P.tolist()), tuple(Q.tolist())
 CT = semidirect.CotangentOps(liealg.SO3)
 CT_S3 = semidirect.CotangentOps(liealg.S3)
+CT_R3 = semidirect.CotangentOps(liealg.TranslationOps(3))
 A6 = np.concatenate([S, 40.0 * V])
 B6 = np.concatenate([V, 30.0 * S])
-CT_G, CT_S3_G = CT.exp(B6), CT_S3.exp(B6)
+CT_G, CT_S3_G, CT_R3_G = CT.exp(B6), CT_S3.exp(B6), CT_R3.exp(B6)
 HT = symplectic.heavy_top(symplectic.HeavyTopParams.benchmark())
 HT_STATE = symplectic.HeavyTopParams.benchmark().state0
 THETA05 = steppers.ButcherTableau.theta(0.5)
@@ -385,7 +390,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_one_dg_update.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_one_cotangent_class.json"))
     parser.add_argument("--child", nargs="+", metavar="LABEL=SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 

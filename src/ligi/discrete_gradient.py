@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,10 +80,13 @@ def _differential(system: InvariantSystem, x):
                                     closed_form=system.energy_differential)
 
 
+@lru_cache(maxsize=16, typed=True)
 def gauss_legendre_01(n):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
+    """Gauss-Legendre nodes and weights on [0, 1], computed once per n; read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _arithmetic(group, x):
@@ -226,9 +230,11 @@ def dg_step(system: InvariantSystem, x, h, tdd="gonzalez", solver=None):
         except CoincidentPoints:
             mid = x
             dbar = base = _differential(system, x)
+        # W before the quadrature nodes, so the field at mid follows its differential.
+        W = two_form_matrix(system, mid, gamma=base)
         if tdd == "avf":
             dbar = _average(system, eta, flow, 4)
-        return flow(h, two_form_matrix(system, mid, gamma=base).dot(dbar).tolist())
+        return flow(h, W.dot(dbar).tolist())
 
     z = (solver or ImplicitSolver()).fixed_point(update, x1, h,
                                                  "energy-preserving step did not converge")

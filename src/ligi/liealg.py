@@ -18,10 +18,10 @@ Conventions used throughout the package:
 * The affine group of R^n is the subgroup of GL(n+1) of homogeneous
   matrices, MatrixOps(n + 1) (see actions.AffineAction).
 
-The GroupOps bundles also carry the operations of G x| g* and the stage
-system of the symplectic family, composed from each group's own operations,
-with float kernels on SO(3).  Everything here is a pure function of immutable
-arrays; nothing mutates its arguments.
+The GroupOps bundles also carry the stage system of the symplectic family,
+composed from each group's own operations, with a float kernel on SO(3).
+Everything here is a pure function of immutable arrays; nothing mutates its
+arguments.
 """
 
 from __future__ import annotations
@@ -409,16 +409,10 @@ class GroupOps:
 
     Subclasses fix the element representations and provide bracket, exp and
     the coadjoint maps coad and coAd; the dexp family defaults to truncated
-    commutator series.  The semidirect forms are the operations of G x| g*
-    on which semidirect.CotangentOps forwards, composed here from the base's
-    own: semidirect_bracket, semidirect_exp, semidirect_mul, and the
-    commutator series of semidirect_bracket, semidirect_dexp and
-    semidirect_dexpinv.
-    Their algebra elements stack (xi, nu) into one flat array of length
-    2 dim; another shape raises AlgebraMismatch.  symplectic_stages is the
-    stage system of symplectic.symplectic_step for any tableau, composed from
-    exp, mul, coAd and dual_dexp.  Subclasses override these with closed
-    forms or float kernels where those exist.
+    commutator series.  symplectic_stages is the stage system of
+    symplectic.symplectic_step for any tableau, composed from exp, mul, coAd
+    and dual_dexp.  Subclasses override these with closed forms or float
+    kernels where those exist.
     """
 
     dim = None  # algebra dimension
@@ -461,41 +455,6 @@ class GroupOps:
     def dual_dexp(self, sigma, mu, order=SERIES_ORDER):
         return dual_dexp_series(self, sigma, mu, order)
 
-    # semidirect forms: G x| g* on stacked (xi, nu) --------------------------
-    def _stacked(self, *elements):
-        return _flat_arrays(2 * self.dim, "stacked (xi, nu) elements", elements)
-
-    def semidirect_bracket(self, a, b):
-        """(ad_xi1 xi2, coad(xi2, nu1) - coad(xi1, nu2))."""
-        a, b = self._stacked(a, b)
-        n = self.dim
-        xi1, nu1, xi2, nu2 = a[:n], a[n:], b[:n], b[n:]
-        return np.concatenate(
-            (self.bracket(xi1, xi2), self.coad(xi2, nu1) - self.coad(xi1, nu2)),
-            dtype=float)
-
-    def semidirect_exp(self, x):
-        """(exp xi, dual_dexp(-xi, nu)), whose fibre solves mu' = nu - coad(xi, mu) to t = 1."""
-        x, = self._stacked(x)
-        xi = x[:self.dim]
-        return self.exp(xi), self.dual_dexp(-xi, x[self.dim:])
-
-    def semidirect_mul(self, a, b):
-        """(g1, mu1) (g2, mu2) = (g1 g2, mu1 + coAd(g1^{-1}, mu2))."""
-        (g1, mu1), (g2, mu2) = a, b
-        mu1, mu2 = _flat_arrays(self.dim, "momenta", (mu1, mu2))
-        return self.mul(g1, g2), mu1 + self.coAd(self.inv(g1), mu2)
-
-    def semidirect_dexp(self, sigma, v, order=SERIES_ORDER):
-        return self._semidirect_series(sigma, v, _INV_FACT_SHIFTED, order)
-
-    def semidirect_dexpinv(self, sigma, v, order=SERIES_ORDER):
-        return self._semidirect_series(sigma, v, _BERNOULLI_OVER_FACT, order)
-
-    def _semidirect_series(self, sigma, v, coeffs, order):
-        sigma, v = self._stacked(sigma, v)
-        return _ad_series(self.semidirect_bracket, sigma, v, coeffs, order)
-
     # the stage system of the symplectic family ------------------------------
     def symplectic_stages(self, tableau, z, g0, mu0):
         """The stages [(G_1, M_1), ...] and mu0 + sum_j b_j n_j of a tableau (a, b) at z.
@@ -533,24 +492,6 @@ class GroupOps:
         mu = weighted_sum(tableau.b_terms, n, mu0)
         base = self.dual_dexp(-weighted_sum([(xi_at[j], w) for j, w in tableau.b_terms], z), mu)
         return [(g, weighted_sum(row, D, base)) for g, row in zip(G, couplings)], mu
-
-
-def _semidirect_bracket_entries(s, a, b):
-    """The semidirect bracket on SO(3) or S^3 of the stacked 6-float lists a, b, as a list.
-
-    With s = _ad_scale, bracket(xi1, xi2) is s xi1 x xi2 and coad(xi, mu) is
-    s mu x xi: the GroupOps composition, bit for bit, for the series kernels.
-    """
-    x1, y1, z1, p1, q1, r1 = a
-    x2, y2, z2, p2, q2, r2 = b
-    return [
-        s * (y1 * z2 - z1 * y2),
-        s * (z1 * x2 - x1 * z2),
-        s * (x1 * y2 - y1 * x2),
-        s * (q1 * z2 - r1 * y2) - s * (q2 * z1 - r2 * y1),
-        s * (r1 * x2 - p1 * z2) - s * (r2 * x1 - p2 * z1),
-        s * (p1 * y2 - q1 * x2) - s * (p2 * y1 - q2 * x1),
-    ]
 
 
 def _flat_arrays(n, what, values):
@@ -632,52 +573,6 @@ class So3Ops(GroupOps):
     def dual_dexp(self, sigma, mu, order=None):
         return self._closed_form(sigma, mu, _dexp_coeffs, -1.0)
 
-    # semidirect forms and the theta stage: the GroupOps compositions, bit for
-    # bit.  Each reads its flat vectors with one tolist() and builds one array
-    # per result; an argument of another shape takes the generic form, which
-    # raises AlgebraMismatch.
-    def semidirect_exp(self, x):
-        """The rotation and dual_dexp(-xi, nu) from one |xi|^2.
-
-        dual_dexp at -xi is the so(3) form at xi, since both signs flip.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (6,):
-            return super().semidirect_exp(x)
-        x, y, z, v0, v1, v2 = x.tolist()
-        theta2 = x * x + y * y + z * z
-        c1, c2 = _rotation_coeffs(theta2)
-        a, b = _dexp_coeffs(math.sqrt(theta2))
-        return (np.array(rodrigues_entries(x, y, z, c1, c2)).reshape(3, 3),
-                np.array(_ad_quadratic(x, y, z, v0, v1, v2, a, b)))
-
-    def semidirect_mul(self, a, b):
-        """numpy's g1 @ g2 and mu2 @ g1^T, without the mul, inv and coAd calls."""
-        (g1, mu1), (g2, mu2) = a, b
-        mu1 = np.asarray(mu1, dtype=float)
-        mu2 = np.asarray(mu2, dtype=float)
-        if mu1.shape != (3,) or mu2.shape != (3,):
-            return super().semidirect_mul(a, b)
-        return g1 @ g2, mu1 + mu2 @ np.asarray(g1).T
-
-    def _semidirect_series(self, sigma, v, coeffs, order):
-        """The float bracket and the out + c w updates in _ad_series' order."""
-        sigma = np.asarray(sigma, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if sigma.shape != (6,) or v.shape != (6,):
-            return super()._semidirect_series(sigma, v, coeffs, order)
-        terms = _series_terms(coeffs, order)
-        s, sigma = self._ad_scale, sigma.tolist()
-        w = v.tolist()
-        o0, o1, o2, o3, o4, o5 = w
-        for c in terms:
-            w = _semidirect_bracket_entries(s, sigma, w)
-            if c != 0.0:
-                w0, w1, w2, w3, w4, w5 = w
-                o0, o1, o2, o3, o4, o5 = (o0 + c * w0, o1 + c * w1, o2 + c * w2,
-                                          o3 + c * w3, o4 + c * w4, o5 + c * w5)
-        return np.array([o0, o1, o2, o3, o4, o5])
-
     def symplectic_stages(self, tableau, z, g0, mu0):
         """The composition for b = [1], a = [[theta]], z in R^6 and mu0 in R^3, on floats.
 
@@ -717,15 +612,12 @@ class QuatOps(So3Ops):
 
     The identification with R^3 is such that exp covers the double rotation,
     so ad_w = hat(2 w): the group side is its own, and the closed so(3) dexp
-    family and the float semidirect series are inherited with argument
-    2 sigma.  The semidirect exponential and product and the symplectic
-    stages, which build group elements, are the generic ones.
+    family is inherited with argument 2 sigma.  The symplectic stages, which
+    build group elements, are the generic ones.
     """
 
     _ad_scale = 2.0
     _dexpinv_bound = "pi"
-    semidirect_exp = GroupOps.semidirect_exp
-    semidirect_mul = GroupOps.semidirect_mul
     symplectic_stages = GroupOps.symplectic_stages
 
     def bracket(self, a, b):
