@@ -5,14 +5,15 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_one_cotangent_class.json unless ``--out`` names another file (the
+BENCH_lazy_scipy.json unless ``--out`` names another file (the
 earlier records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
 BENCH_cotangent_family.json, BENCH_explicit_actions.json,
 BENCH_rkmk_family.json, BENCH_one_solver.json, BENCH_one_tableau.json,
 BENCH_so3_algebra.json, BENCH_frb_kernels.json,
 BENCH_cotangent_kernels.json, BENCH_semidirect_kernels.json,
 BENCH_theta_stage.json, BENCH_one_stage_system.json,
-BENCH_dg_kernel.json and BENCH_one_dg_update.json).
+BENCH_dg_kernel.json, BENCH_one_dg_update.json and
+BENCH_one_cotangent_class.json).
 The cases of ``src/`` are timed as "change"; with ``--baseline`` those of
 ``<baseline>/src`` are timed too, as "parent".  A case whose statement
 raises AttributeError on a tree, one that names an operation the tree does
@@ -41,7 +42,8 @@ energy differential) with its body momentum, the heavy top's force map, and
 the exponential, product and order-2 dexpinv of ``CotangentOps`` over SO(3)
 and S^3 (the RKMK theta comparator's semidirect operations), its exponential
 and product over ``TranslationOps(3)`` (the composition that every group
-without a float kernel runs), and the
+without a float kernel runs), the abelian transports ``dual_dexp`` of
+``TranslationOps(3)`` and ``dexpinv`` of ``TorusOps``, and the
 symplectic family's theta = 1/2 stages ``SO3.symplectic_stages`` at the
 heavy-top start's explicit Euler iterate, as the float kernel and as the
 ``GroupOps`` composition that every other tableau and group runs.
@@ -61,6 +63,14 @@ on SO(3) along a run of the height H(R) = c . (R u) under a field tangent to
 its level sets, one explicit KUTTA4 ``rkmk_step`` on the free rigid body
 on S^2 from the frb-s2 preset's start, and ``cli.write_csv`` of the
 full-length torus-descent and heavytop-theta05 trajectories into memory.
+
+The import case times ``import ligi.cli`` in fresh interpreters, which the
+children above cannot do, since each imports every tree side by side:
+``IMPORT_INTERPRETERS`` interpreters per tree, alternating trees, each
+reporting its import time (unscaled) and which of ``scipy.linalg`` and
+``scipy.special`` the import left loaded.  With a baseline, the change over
+the parent is the median (with quartiles) of the ratio of each pair of
+interpreters started one after the other.
 
 ``--runs LABEL=DIR`` adds the end-to-end results of ``bench/run.py``: DIR
 holds one file per run with that run's stdout; other files in it, such as a
@@ -86,6 +96,7 @@ import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROUNDS, REPEAT, NUMBER = 10, 3, 20000
+IMPORT_INTERPRETERS = 20
 
 # (case, statement, calls per repeat); sigma has the size of a heavy-top
 # Newton iterate, so every closed form takes its trigonometric branch.
@@ -126,6 +137,8 @@ CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERN
     ("CotangentOps_S3.dexpinv_order2", "CT_S3.dexpinv(A6, B6, 2)", NUMBER),
     ("CotangentOps_R3.exp", "CT_R3.exp(A6)", NUMBER),
     ("CotangentOps_R3.mul", "CT_R3.mul(CT_R3_G, CT_R3_G)", NUMBER),
+    ("TranslationOps_R3.dual_dexp", "R3.dual_dexp(S, V)", NUMBER),
+    ("TorusOps.dexpinv", "actions.TORUS.group.dexpinv(XI2, XI2)", NUMBER),
     ("SO3.symplectic_stages", "liealg.SO3.symplectic_stages(THETA05, THETA_Z, *HT_STATE)",
      NUMBER),
     ("GroupOps.symplectic_stages_SO3",
@@ -171,7 +184,8 @@ Q = np.array([0.5, 0.5, -0.5, 0.5])
 ST, PT, QT = tuple(S.tolist()), tuple(P.tolist()), tuple(Q.tolist())
 CT = semidirect.CotangentOps(liealg.SO3)
 CT_S3 = semidirect.CotangentOps(liealg.S3)
-CT_R3 = semidirect.CotangentOps(liealg.TranslationOps(3))
+R3 = liealg.TranslationOps(3)
+CT_R3 = semidirect.CotangentOps(R3)
 A6 = np.concatenate([S, 40.0 * V])
 B6 = np.concatenate([V, 30.0 * S])
 CT_G, CT_S3_G, CT_R3_G = CT.exp(B6), CT_S3.exp(B6), CT_R3.exp(B6)
@@ -230,6 +244,15 @@ M3 = np.array([np.cos(1.1), 0.0, np.sin(1.1)])  # the frb-s2 preset's start
 TORUS_RUN = cli.run_trajectory(cli.RunConfig(**cli.PRESETS["torus-descent"]))
 HEAVYTOP_RUN = cli.run_trajectory(cli.RunConfig(**cli.PRESETS["heavytop-theta05"]))
 """
+# One fresh interpreter's import of the CLI, and the scipy modules it left loaded.
+IMPORT_PROBE = """
+import json, sys, time
+start = time.perf_counter()
+import ligi.cli
+seconds = time.perf_counter() - start
+print(json.dumps({"seconds": seconds,
+                  "loaded": [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]}))
+"""
 END_TO_END = ("steps_per_s", "solve_us_p50", "solve_us_p99", "setup_s", "peak_rss_mb")
 HIGHER_IS_BETTER = {"steps_per_s"}
 
@@ -285,9 +308,13 @@ def runs_on(statement, namespace):
     return True
 
 
+def single_threaded_env(src):
+    return dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                MKL_NUM_THREADS="1")
+
+
 def run_child(trees):
-    env = dict(os.environ, PYTHONPATH=next(iter(trees.values())), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = single_threaded_env(next(iter(trees.values())))
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--child",
          *(f"{label}={src}" for label, src in trees.items())],
@@ -295,7 +322,38 @@ def run_child(trees):
     return json.loads(proc.stdout)
 
 
+def time_imports(trees):
+    """{label: [{"seconds", "loaded"} per interpreter]}, the trees alternating in each pair."""
+    out = {label: [] for label in trees}
+    for k in range(IMPORT_INTERPRETERS):
+        for label in (list(trees) if k % 2 == 0 else list(reversed(list(trees)))):
+            proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                                  env=single_threaded_env(trees[label]), capture_output=True,
+                                  text=True, check=True, timeout=120)
+            out[label].append(json.loads(proc.stdout))
+    return out
+
+
+def summarise_imports(probes):
+    """Median and quartiles of the import times, by label, with the modules each loaded."""
+    out = {}
+    for label, runs in probes.items():
+        q1, q2, q3 = quartiles([run["seconds"] for run in runs])
+        out[label] = {"min_s": min(run["seconds"] for run in runs), "q1_s": q1,
+                      "median_s": q2, "q3_s": q3,
+                      "max_s": max(run["seconds"] for run in runs),
+                      "interpreters": len(runs),
+                      "loaded": sorted({m for run in runs for m in run["loaded"]})}
+    if {"parent", "change"} <= set(probes):
+        q1, q2, q3 = quartiles([c["seconds"] / p["seconds"]
+                                for c, p in zip(probes["change"], probes["parent"])])
+        out["change_over_parent"] = {"median": q2, "q1": q1, "q3": q3}
+    return out
+
+
 def quartiles(values):
+    if len(values) == 1:  # statistics.quantiles needs two points
+        return (values[0],) * 3
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
 
@@ -390,7 +448,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_one_cotangent_class.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_lazy_scipy.json"))
     parser.add_argument("--child", nargs="+", metavar="LABEL=SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
@@ -418,6 +476,7 @@ def main(argv=None):
                                     in zip(rounds["change"][name], rounds["parent"][name])])
             entry["change_over_parent"] = {"median": q2, "q1": q1, "q3": q3}
         primitives[name] = entry
+    imports = summarise_imports(time_imports(trees))
     record = {
         "environment": {"nproc": os.cpu_count(), "machine": platform.machine(),
                         "python": platform.python_version(),
@@ -429,8 +488,10 @@ def main(argv=None):
                    "number": {name: number for name, _, number in CASES},
                    "statements": {name: statement for name, statement, _ in CASES},
                    "inputs": [line for line in SETUP.strip().splitlines()
-                              if not line.startswith(("import ", "from "))]},
+                              if not line.startswith(("import ", "from "))],
+                   "import_interpreters": IMPORT_INTERPRETERS},
         "primitives": primitives,
+        "import_ligi_cli": imports,
     }
     if args.runs:
         runs = {}
@@ -449,6 +510,13 @@ def main(argv=None):
             ratio = entry["change_over_parent"]
             line += f"  ratio {ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]"
         print(f"{name:30s} {line}")
+    line = "  ".join(f"{label} {imports[label]['median_s'] * 1e3:7.1f} ms"
+                     f" [{imports[label]['q1_s'] * 1e3:.1f}, {imports[label]['q3_s'] * 1e3:.1f}]"
+                     f" loads {imports[label]['loaded']}" for label in trees)
+    if "change_over_parent" in imports:
+        ratio = imports["change_over_parent"]
+        line += f"  ratio {ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]"
+    print(f"{'import ligi.cli':30s} {line}")
     return 0
 
 

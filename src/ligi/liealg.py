@@ -22,15 +22,19 @@ The GroupOps bundles also carry the stage system of the symplectic family,
 composed from each group's own operations, with a float kernel on SO(3).
 Everything here is a pure function of immutable arrays; nothing mutates its
 arguments.
+
+Importing this module loads no part of scipy: the Bernoulli coefficients of
+dexpinv come from their exact rationals, and scipy.linalg loads at the first
+matrix exponential without a closed form (MatrixOps beyond 2x2 and so(3),
+such as so(5) or gl(3)).  The S^3, S^2, torus and sl(2) presets never load it.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
-from scipy.special import bernoulli
 
 from .errors import AlgebraMismatch, AngleNearPi, DexpinvOutOfRange, LogNearAntipode
 
@@ -45,9 +49,22 @@ MAX_SERIES_ORDER = 24
 # for dexp, and Bernoulli numbers over factorials, B_k / k!, with the
 # B_1 = -1/2 convention, for dexpinv.
 _INV_FACT_SHIFTED = [1.0 / math.factorial(k + 1) for k in range(MAX_SERIES_ORDER + 1)]
-_BERNOULLI_OVER_FACT = (bernoulli(MAX_SERIES_ORDER) / np.array(
-    [math.factorial(k) for k in range(MAX_SERIES_ORDER + 1)]
-)).tolist()
+
+
+def _bernoulli_over_factorial(n):
+    """B_k / k! for k = 0..n, each rounded once from its exact rational value.
+
+    x / (e^x - 1) = sum_k (B_k / k!) x^k is the reciprocal of
+    (e^x - 1) / x = sum_k x^k / (k+1)!, so a_0 = 1 and
+    a_m = -sum_{j<m} a_j / (m+1-j)!, which gives B_1 = -1/2.
+    """
+    exact = [Fraction(1)]
+    for m in range(1, n + 1):
+        exact.append(-sum(a / math.factorial(m + 1 - j) for j, a in enumerate(exact)))
+    return [float(a) for a in exact]
+
+
+_BERNOULLI_OVER_FACT = _bernoulli_over_factorial(MAX_SERIES_ORDER)
 
 
 def max_abs(values):
@@ -511,6 +528,18 @@ def _check_same_shape(a, b):
     return a, b
 
 
+def _abelian_transport(self, sigma, v, order=SERIES_ORDER):
+    """dexp, dexpinv and dual_dexp on an abelian algebra, where ad and ad* vanish.
+
+    Every term of the series past the first is zero, so the transport is a
+    float copy of v, after the series' order check and the bracket's shape
+    check.  The series turned a -0.0 entry into +0.0; the copy keeps it.
+    """
+    _series_terms(_INV_FACT_SHIFTED, order)
+    sigma, v = _check_same_shape(sigma, v)
+    return v.copy()
+
+
 class So3Ops(GroupOps):
     """SO(3) with algebra elements as 3-vectors and rotations as 3x3 arrays."""
 
@@ -677,6 +706,9 @@ class MatrixOps(GroupOps):
         xi = np.asarray(xi, float)
         if self.kind == "so" and self.n == 3:
             return expm_so3(xi)
+        # scipy.linalg loads on the first exponential without a closed form;
+        # expm stays an attribute lookup, so a wrapper set on the module is called.
+        import scipy.linalg
         return scipy.linalg.expm(xi)
 
     def mul(self, g1, g2):
@@ -709,6 +741,8 @@ class TranslationOps(GroupOps):
 
     def coad(self, xi, mu):
         return np.zeros_like(np.asarray(mu, float))
+
+    dexp = dexpinv = dual_dexp = _abelian_transport
 
     def exp(self, xi):
         return np.asarray(xi, dtype=float)
@@ -745,6 +779,8 @@ class TorusOps(GroupOps):
 
     def coad(self, xi, mu):
         return np.zeros(2)
+
+    dexp = dexpinv = dual_dexp = _abelian_transport
 
     def exp(self, xi):
         a, b = np.asarray(xi, dtype=float).tolist()

@@ -15,7 +15,10 @@ of either theta scheme for steppers.integrate.  Each step solves its stage
 equations with the ImplicitSolver passed as solver, a fresh one by default:
 the package's one implicit solver, whose Newton solve also serves
 rkmk_step's implicit tableaus and whose fixed_point serves
-discrete_gradient.dg_step.
+discrete_gradient.dg_step.  scipy.linalg loads at the first Newton solve's
+LU factorisation, not at import: the module globals lu_factor and lu_solve
+are bound from it then, or when either is first read from the module, and a
+value set on the module before that is kept.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .actions import FrozenFieldProblem, LeftMultiplicationAction
 from .errors import FixedPointDivergence
@@ -38,6 +40,27 @@ E3 = np.array([0.0, 0.0, 1.0])
 
 # The max-norm residual (Newton) or move (fixed point) at which ImplicitSolver stops.
 SOLVER_TOL = 1e-12
+
+
+def _bind_lu():
+    """Bind lu_factor and lu_solve from scipy.linalg as globals, keeping any set earlier.
+
+    scipy.linalg loads here, at the first factorisation or the first read of
+    either name, not when ligi is imported; a wrapper set on the module
+    before then stays what the solver calls.
+    """
+    import scipy.linalg
+    names = globals()
+    names.setdefault("lu_factor", scipy.linalg.lu_factor)
+    names.setdefault("lu_solve", scipy.linalg.lu_solve)
+
+
+def __getattr__(name):
+    """Module attribute fallback (PEP 562): lu_factor and lu_solve bind on first read."""
+    if name in ("lu_factor", "lu_solve"):
+        _bind_lu()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +120,7 @@ class ImplicitSolver:
         if not np.isfinite(J).all():
             raise FixedPointDivergence(
                 "finite-difference Jacobian is not finite", h=h, residual=norm)
+        _bind_lu()  # every lu_solve follows a factorisation
         self._lu = lu_factor(J, check_finite=False)
 
     def solve(self, residual, z0, h=None):

@@ -106,6 +106,64 @@ def test_solver_calls_scipy_lu_by_name():
     assert symplectic.lu_solve is scipy.linalg.lu_solve
 
 
+# Sets counting wrappers on symplectic.lu_factor and lu_solve before any
+# solve, in a fresh interpreter where the module has not bound them yet.
+LAZY_LU_WRAPPERS = """
+import json, sys
+from ligi import symplectic
+calls = dict(lu_factor=0, lu_solve=0, jacobian=0, residual=0)
+
+def counted(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+bound_at_import = [name for name in ("lu_factor", "lu_solve") if name in vars(symplectic)]
+for name in ("lu_factor", "lu_solve"):
+    if sys.argv[1] == "getattr":  # as the traced run reads a hook target
+        fn = getattr(symplectic, name)
+    else:  # a bare setattr, before the module binds the name
+        import scipy.linalg
+        fn = getattr(scipy.linalg, name)
+    setattr(symplectic, name, counted(name, fn))
+
+solver = symplectic.ImplicitSolver
+solver._jacobian = counted("jacobian", solver._jacobian)
+solve = solver.solve
+def counting_solve(self, residual, z0, h=None):
+    calls["unknowns"] = len(z0)
+    return solve(self, counted("residual", residual), z0, h)
+solver.solve = counting_solve
+params = symplectic.HeavyTopParams.benchmark()
+symplectic.theta_step(0.5, symplectic.heavy_top(params), params.state0, 0.05)
+print(json.dumps({"bound_at_import": bound_at_import, "calls": calls,
+                  "dexpinv_series": hasattr(symplectic, "dexpinv_series")}))
+"""
+
+
+@pytest.mark.parametrize("how", ["getattr", "setattr"])
+def test_lu_wrappers_set_before_scipy_loads_are_what_the_solver_calls(how):
+    """symplectic binds lu_factor and lu_solve from scipy.linalg on first need.
+
+    A wrapper set before then, after a read as the traced run's hook makes it
+    or by a bare setattr, must stay the one the solver calls, so the traced
+    counts stay those of the solve.
+    """
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", LAZY_LU_WRAPPERS, how], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    calls = result["calls"]
+    assert result["bound_at_import"] == []
+    assert calls["lu_factor"] == calls["jacobian"] > 0
+    # One residual at the start, one per unknown in each Jacobian build and
+    # one after each Newton move: the moves are the remainder.
+    newton_iters = calls["residual"] - 1 - calls["unknowns"] * calls["jacobian"]
+    assert calls["lu_solve"] == newton_iters > 0
+    assert result["dexpinv_series"] is False
+
+
 ITERATIONS = 3
 
 

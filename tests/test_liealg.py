@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from ligi.liealg import (
     MatrixOps,
     TorusOps,
     TranslationOps,
+    _BERNOULLI_OVER_FACT,
     dexp_series,
     dexpinv_series,
     dual_dexp_series,
@@ -269,6 +271,44 @@ def test_series_order_zero_is_identity_and_negative_order_raises(rng):
             series(SL2, s, v, -3)
         with pytest.raises(ValueError, match="series order must be in 0..24"):
             series(SL2, s, v, 25)
+
+
+# B_0..B_24, with B_1 = -1/2.
+BERNOULLI = [Fraction(1), Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0,
+             Fraction(1, 42), 0, Fraction(-1, 30), 0, Fraction(5, 66), 0,
+             Fraction(-691, 2730), 0, Fraction(7, 6), 0, Fraction(-3617, 510), 0,
+             Fraction(43867, 798), 0, Fraction(-174611, 330), 0, Fraction(854513, 138), 0,
+             Fraction(-236364091, 2730)]
+
+
+def test_dexpinv_coefficients_are_bernoulli_over_factorial_rounded_once():
+    assert len(_BERNOULLI_OVER_FACT) == len(BERNOULLI)
+    for k, b in enumerate(BERNOULLI):
+        assert _BERNOULLI_OVER_FACT[k] == float(Fraction(b) / math.factorial(k)), k
+    assert _BERNOULLI_OVER_FACT[4] == float(Fraction(-1, 720))
+    assert all(_BERNOULLI_OVER_FACT[k] == 0.0 for k in range(3, len(BERNOULLI), 2))
+
+
+@pytest.mark.parametrize("ops, dim", [(TranslationOps(3), 3), (TorusOps(), 2)],
+                         ids=["R3", "torus"])
+def test_abelian_transports_are_the_series(ops, dim, rng):
+    # ad and ad* vanish, so every series is its first term: v, as a new float array.
+    for order in (0, 1, 2, SERIES_ORDER, 24):
+        for _ in range(5):
+            sigma, v = 3.0 * rng.normal(size=(2, dim))
+            for method, series in ((ops.dexp, dexp_series), (ops.dexpinv, dexpinv_series),
+                                   (ops.dual_dexp, dual_dexp_series)):
+                out = method(sigma, v, order)
+                assert out is not v and out.dtype == float
+                assert np.array_equal(out, series(ops, sigma, v, order))
+    # The series turned -0.0 into +0.0; the copy keeps the sign bit.
+    v = np.array([-0.0, *range(1, dim)], dtype=float)
+    assert math.copysign(1.0, ops.dexpinv(v, v)[0]) == -1.0
+    for method in (ops.dexp, ops.dexpinv, ops.dual_dexp):
+        with pytest.raises(AlgebraMismatch):
+            method(np.zeros(dim), np.zeros(dim + 1))
+        with pytest.raises(ValueError, match="series order must be in 0..24"):
+            method(np.zeros(dim), np.zeros(dim), 25)
 
 
 def test_dexp_series_commuting_case(rng):
