@@ -5,15 +5,15 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_lazy_scipy.json unless ``--out`` names another file (the
+BENCH_one_abelian_algebra.json unless ``--out`` names another file (the
 earlier records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
 BENCH_cotangent_family.json, BENCH_explicit_actions.json,
 BENCH_rkmk_family.json, BENCH_one_solver.json, BENCH_one_tableau.json,
 BENCH_so3_algebra.json, BENCH_frb_kernels.json,
 BENCH_cotangent_kernels.json, BENCH_semidirect_kernels.json,
 BENCH_theta_stage.json, BENCH_one_stage_system.json,
-BENCH_dg_kernel.json, BENCH_one_dg_update.json and
-BENCH_one_cotangent_class.json).
+BENCH_dg_kernel.json, BENCH_one_dg_update.json,
+BENCH_one_cotangent_class.json and BENCH_lazy_scipy.json).
 The cases of ``src/`` are timed as "change"; with ``--baseline`` those of
 ``<baseline>/src`` are timed too, as "parent".  A case whose statement
 raises AttributeError on a tree, one that names an operation the tree does
@@ -40,7 +40,8 @@ array wrapper costs), the 2x2 exponential of ``SL2`` against
 action, the callbacks of the quaternion free rigid body (energy, field,
 energy differential) with its body momentum, the heavy top's force map, and
 the exponential, product and order-2 dexpinv of ``CotangentOps`` over SO(3)
-and S^3 (the RKMK theta comparator's semidirect operations), its exponential
+(the RKMK theta comparator's semidirect operations, on float kernels) and
+over S^3 (the composition from the base's operations), its exponential
 and product over ``TranslationOps(3)`` (the composition that every group
 without a float kernel runs), the abelian transports ``dual_dexp`` of
 ``TranslationOps(3)`` and ``dexpinv`` of ``TorusOps``, and the
@@ -448,7 +449,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_lazy_scipy.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_one_abelian_algebra.json"))
     parser.add_argument("--child", nargs="+", metavar="LABEL=SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 

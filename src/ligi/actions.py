@@ -20,6 +20,7 @@ from .liealg import (
     SL2,
     SO3,
     MatrixOps,
+    QuatOps,
     TorusOps,
     TranslationOps,
     cross3,
@@ -128,7 +129,7 @@ class LeftMultiplicationAction(GroupAction):
     def generator(self, xi, m):
         # Derivative of left translation along the one-parameter subgroup: the
         # quaternion product on S^3, xi @ m on a matrix group, none on G x| g*.
-        if self.group is S3:
+        if isinstance(self.group, QuatOps):
             return quat_mul_tangent(np.asarray(xi, float), m)
         if not isinstance(self.group, MatrixOps):
             raise ActionMismatch(f"left multiplication on {type(self.group).__name__} has no"

@@ -3,7 +3,8 @@
 The module holds the closed exponentials of SO(3), S^3, 2x2 matrices and
 the torus, and the logarithms of SO(3) and S^3; the commutator series of
 dexp, dexpinv and the dual of dexp on a generic algebra; and the GroupOps
-bundles that package them.
+bundles that package them, with one AbelianOps base for (R^n, +) and the
+torus, where the dexp family is the identity.
 
 Conventions used throughout the package:
 
@@ -528,18 +529,6 @@ def _check_same_shape(a, b):
     return a, b
 
 
-def _abelian_transport(self, sigma, v, order=SERIES_ORDER):
-    """dexp, dexpinv and dual_dexp on an abelian algebra, where ad and ad* vanish.
-
-    Every term of the series past the first is zero, so the transport is a
-    float copy of v, after the series' order check and the bracket's shape
-    check.  The series turned a -0.0 entry into +0.0; the copy keeps it.
-    """
-    _series_terms(_INV_FACT_SHIFTED, order)
-    sigma, v = _check_same_shape(sigma, v)
-    return v.copy()
-
-
 class So3Ops(GroupOps):
     """SO(3) with algebra elements as 3-vectors and rotations as 3x3 arrays."""
 
@@ -728,12 +717,15 @@ class MatrixOps(GroupOps):
         return g.T @ np.asarray(mu, float) @ self.inv(g).T
 
 
-class TranslationOps(GroupOps):
-    """(R^n, +): the abelian group underlying classical integrators."""
+class AbelianOps(GroupOps):
+    """An abelian group, where ad and ad* vanish and Ad* is the identity.
 
-    def __init__(self, n):
-        self.n = n
-        self.dim = n
+    Every term of the dexp series past the first is zero, so dexp, dexpinv
+    and dual_dexp are a float copy of v, after the series' order check and
+    the bracket's shape check.  The series turned a -0.0 entry into +0.0;
+    the copy keeps it.  Subclasses provide the group side: exp, mul, inv,
+    identity and, where they have one, log.
+    """
 
     def bracket(self, a, b):
         a, b = _check_same_shape(a, b)
@@ -742,7 +734,23 @@ class TranslationOps(GroupOps):
     def coad(self, xi, mu):
         return np.zeros_like(np.asarray(mu, float))
 
-    dexp = dexpinv = dual_dexp = _abelian_transport
+    def coAd(self, g, mu):
+        return np.asarray(mu, float)
+
+    def dexp(self, sigma, v, order=SERIES_ORDER):
+        _series_terms(_INV_FACT_SHIFTED, order)
+        sigma, v = _check_same_shape(sigma, v)
+        return v.copy()
+
+    dexpinv = dual_dexp = dexp
+
+
+class TranslationOps(AbelianOps):
+    """(R^n, +): the abelian group underlying classical integrators."""
+
+    def __init__(self, n):
+        self.n = n
+        self.dim = n
 
     def exp(self, xi):
         return np.asarray(xi, dtype=float)
@@ -759,28 +767,16 @@ class TranslationOps(GroupOps):
     def identity(self):
         return np.zeros(self.n)
 
-    def coAd(self, g, mu):
-        return np.asarray(mu, float)
 
-
-class TorusOps(GroupOps):
+class TorusOps(AbelianOps):
     """SO(2) x SO(2): group elements are stacked pairs of 2x2 rotations.
 
-    Algebra coordinates are the pair of angles (a, b); the group is abelian.
-    exp builds the rotations [[cos a, -sin a], [sin a, cos a]] on Python
-    floats; an infinite angle gives NaN entries.
+    Algebra coordinates are the pair of angles (a, b).  exp builds the
+    rotations [[cos a, -sin a], [sin a, cos a]] on Python floats; an infinite
+    angle gives NaN entries.
     """
 
     dim = 2
-
-    def bracket(self, a, b):
-        a, b = _check_same_shape(a, b)
-        return np.zeros(2)
-
-    def coad(self, xi, mu):
-        return np.zeros(2)
-
-    dexp = dexpinv = dual_dexp = _abelian_transport
 
     def exp(self, xi):
         a, b = np.asarray(xi, dtype=float).tolist()
@@ -798,9 +794,6 @@ class TorusOps(GroupOps):
 
     def identity(self):
         return np.stack([np.eye(2), np.eye(2)])
-
-    def coAd(self, g, mu):
-        return np.asarray(mu, float)
 
 
 SO3 = So3Ops()

@@ -61,33 +61,26 @@ def duffing_problem(params: DuffingParams, frame="sl2") -> FrozenFieldProblem:
         x, y = m
         return 0.5 * y * y + 0.5 * a * x * x + 0.25 * b * x ** 4
 
-    invariants = (("energy", energy),)
+    def f_sl2(m):
+        x = m[0]
+        return np.array([[0.0, 1.0], [-(a + b * x * x), 0.0]])
 
-    if frame == "r2":
-        return FrozenFieldProblem(
-            action=TranslationAction(2), coefficient_map=reference,
-            invariants=invariants, reference_field=reference)
-    if frame == "sl2":
-        def f_sl2(m):
-            x = m[0]
-            return np.array([[0.0, 1.0], [-(a + b * x * x), 0.0]])
+    def f_se2(m):
+        x = m[0]
+        return np.array([
+            [0.0, 1.0, 0.0],
+            [-a, 0.0, -b * x ** 3],
+            [0.0, 0.0, 0.0],
+        ])
 
-        return FrozenFieldProblem(
-            action=SL2_ON_R2, coefficient_map=f_sl2,
-            invariants=invariants, reference_field=reference)
-    if frame == "se2":
-        def f_se2(m):
-            x = m[0]
-            return np.array([
-                [0.0, 1.0, 0.0],
-                [-a, 0.0, -b * x ** 3],
-                [0.0, 0.0, 0.0],
-            ])
-
-        return FrozenFieldProblem(
-            action=SE2_ON_R2, coefficient_map=f_se2,
-            invariants=invariants, reference_field=reference)
-    raise ValueError(f"unknown Duffing frame {frame!r}")
+    frames = {"r2": (TranslationAction(2), reference), "sl2": (SL2_ON_R2, f_sl2),
+              "se2": (SE2_ON_R2, f_se2)}
+    try:
+        action, coefficient_map = frames[frame]
+    except (KeyError, TypeError):  # an unhashable frame is unknown too
+        raise ValueError(f"unknown Duffing frame {frame!r}") from None
+    return FrozenFieldProblem(action=action, coefficient_map=coefficient_map,
+                              invariants=(("energy", energy),), reference_field=reference)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ exponential's fibre component is the t = 1 solution of
 mu' = nu - coad(xi, mu), mu(0) = 0, which in closed form is (dexp_{-xi})^* nu.
 
 The float kernels of this module give those compositions bit for bit on
-SO(3) and S^3: the series for So3Ops and QuatOps, with the base's _ad_scale,
-and the exponential and product for So3Ops alone (S^3's group side is its
-own).  CotangentOps chooses them once, from the base's exact type, as
-discrete_gradient._arithmetic does, so a subclass of either group takes the
-composition.  Each kernel reads its flat vectors with one tolist() and builds
-one array per result; an argument of another shape takes the composition,
-which raises AlgebraMismatch.
+SO(3): the series, the exponential and the product.  CotangentOps chooses
+them once, from the base's exact type, as discrete_gradient._arithmetic
+does, so a subclass of So3Ops, and every other base (S^3 among them), takes
+the composition.  Each kernel reads its flat vectors with one tolist() and
+builds one array per result; an argument of another shape takes the
+composition, which raises AlgebraMismatch.
 """
 
 from __future__ import annotations
@@ -31,25 +30,25 @@ import numpy as np
 
 from .errors import AlgebraMismatch
 from .liealg import (_BERNOULLI_OVER_FACT, _INV_FACT_SHIFTED, SERIES_ORDER, GroupOps, MatrixOps,
-                     QuatOps, So3Ops, _ad_quadratic, _ad_series, _dexp_coeffs, _flat_arrays,
+                     So3Ops, _ad_quadratic, _ad_series, _dexp_coeffs, _flat_arrays,
                      _rotation_coeffs, _series_terms, rodrigues_entries)
 
 
-def _bracket_entries(s, a, b):
-    """The bracket on SO(3) or S^3 of the stacked 6-float lists a, b, as a list.
+def _bracket_entries(a, b):
+    """The bracket on SO(3) of the stacked 6-float lists a, b, as a list.
 
-    With s = _ad_scale, bracket(xi1, xi2) is s xi1 x xi2 and coad(xi, mu) is
-    s mu x xi: the composition, bit for bit.
+    bracket(xi1, xi2) is xi1 x xi2 and coad(xi, mu) is mu x xi: the
+    composition, bit for bit.
     """
     x1, y1, z1, p1, q1, r1 = a
     x2, y2, z2, p2, q2, r2 = b
     return [
-        s * (y1 * z2 - z1 * y2),
-        s * (z1 * x2 - x1 * z2),
-        s * (x1 * y2 - y1 * x2),
-        s * (q1 * z2 - r1 * y2) - s * (q2 * z1 - r2 * y1),
-        s * (r1 * x2 - p1 * z2) - s * (r2 * x1 - p2 * z1),
-        s * (p1 * y2 - q1 * x2) - s * (p2 * y1 - q2 * x1),
+        y1 * z2 - z1 * y2,
+        z1 * x2 - x1 * z2,
+        x1 * y2 - y1 * x2,
+        (q1 * z2 - r1 * y2) - (q2 * z1 - r2 * y1),
+        (r1 * x2 - p1 * z2) - (r2 * x1 - p2 * z1),
+        (p1 * y2 - q1 * x2) - (p2 * y1 - q2 * x1),
     ]
 
 
@@ -62,9 +61,7 @@ class CotangentOps(GroupOps):
                                   f"({base.n}) algebra has {base.n}x{base.n} matrices")
         self.base = base
         self.dim = 2 * base.dim
-        # The float kernels: the series scale on SO(3) and S^3, exp and mul on SO(3).
-        self._series_scale = base._ad_scale if type(base) in (So3Ops, QuatOps) else None
-        self._so3 = type(base) is So3Ops
+        self._so3 = type(base) is So3Ops  # the float kernels: series, exp and mul
 
     # element packing ------------------------------------------------------
     def split(self, x):
@@ -96,8 +93,7 @@ class CotangentOps(GroupOps):
     def _series(self, sigma, v, coeffs, order):
         """_ad_series of the bracket; the float kernel runs _bracket_entries and
         the out + c w updates in _ad_series' order."""
-        s = self._series_scale
-        if s is not None:
+        if self._so3:
             sigma = np.asarray(sigma, dtype=float)
             v = np.asarray(v, dtype=float)
             if sigma.shape == (6,) and v.shape == (6,):
@@ -105,7 +101,7 @@ class CotangentOps(GroupOps):
                 sigma, w = sigma.tolist(), v.tolist()
                 o0, o1, o2, o3, o4, o5 = w
                 for c in terms:
-                    w = _bracket_entries(s, sigma, w)
+                    w = _bracket_entries(sigma, w)
                     if c != 0.0:
                         w0, w1, w2, w3, w4, w5 = w
                         o0, o1, o2, o3, o4, o5 = (o0 + c * w0, o1 + c * w1, o2 + c * w2,

@@ -15,7 +15,7 @@ from ligi.actions import (
     stiefel_action,
 )
 from ligi.errors import ActionMismatch
-from ligi.liealg import SL2, SO3, hat
+from ligi.liealg import S3, SL2, SO3, QuatOps, hat
 from ligi.problems import duffing_problem, DuffingParams, free_rigid_body_s2
 from ligi.symplectic import HeavyTopParams, heavy_top
 from oracles import duffing_se2_frozen_flow, random_rotation, random_unit_quaternion
@@ -152,6 +152,15 @@ def test_left_multiplication_generator_only_on_s3_and_matrix_groups(rng):
         LeftMultiplicationAction(SO3, "so3_left").generator(np.ones(3), np.eye(3))
     xi, g = rng.normal(size=(2, 2, 2))
     assert np.array_equal(LeftMultiplicationAction(SL2, "sl2_left").generator(xi, g), xi @ g)
+
+
+def test_left_multiplication_generator_on_a_fresh_s3_equals_the_one_on_s3(rng):
+    # The S^3 generator is chosen by the group's type, not by identity with S3.
+    fresh = LeftMultiplicationAction(QuatOps(), "fresh_s3_left")
+    for _ in range(5):
+        xi, q = rng.normal(size=3), random_unit_quaternion(rng)
+        assert np.array_equal(fresh.generator(xi, q), QUAT_LEFT.generator(xi, q))
+    assert QUAT_LEFT.group is S3
 
 
 def _planar_rotation(alpha):

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import random
 from functools import partial
 
 import numpy as np
@@ -495,3 +496,76 @@ def test_help_lists_presets(capsys):
         cli.main(["--help"])
     out = capsys.readouterr().out
     assert "heavytop-theta05" in out
+
+
+def _scheme_names(monkeypatch):
+    """{problem: its scheme names}, as each PROBLEMS builder hands them to _setup."""
+    names = {}
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_setup", lambda config, problem, state0, labels, schemes=None:
+                  sorted(schemes or cli._action_schemes(problem, config)))
+        for problem, build in cli.PROBLEMS.items():
+            names[problem] = build(cli.RunConfig(problem=problem))
+    assert set(cli.ACTION_STEPS) <= set(names["frb_s2"])
+    return names
+
+
+SWEEP_DRAWS = 300
+ODD_FLOATS = ["nan", "inf", "-inf", "0", "-0.1", "1e-300", "1e300"]
+
+
+def _reject_non_finite(constant):
+    raise AssertionError(f"{constant} in a report")
+
+
+def _sweep_argv(draw, schemes, out):
+    """One seeded (command, problem, scheme, h, theta, steps, ...) draw as --flag=value argv,
+    with the step count of an integrate run (None for drift and order)."""
+    command = draw.choice(["integrate"] * 6 + ["drift", "order"])
+    problem = draw.choice(sorted(schemes))
+    every_scheme = sorted({s for names in schemes.values() for s in names})
+    scheme = draw.choice(schemes[problem] if draw.random() < 0.85 else every_scheme)
+    h = draw.choice(ODD_FLOATS) if draw.random() < 0.1 else repr(10.0 ** draw.uniform(-4, 1))
+    theta = draw.choice(ODD_FLOATS) if draw.random() < 0.05 else repr(draw.uniform(-1.0, 2.0))
+    steps = draw.choice([0, -3]) if draw.random() < 0.05 else draw.randint(1, 12)
+    argv = [command, f"--problem={problem}", f"--scheme={scheme}", f"--theta={theta}",
+            f"--seed={draw.randint(0, 5)}", f"--out={out}"]
+    if command == "order":
+        # Three halvings and T of a few of the largest steps keep the reference run short.
+        largest = 10.0 ** draw.uniform(-3, 0)
+        h_list = ",".join(repr(largest / 2 ** k) for k in range(3))
+        return argv + [f"--h-list={h_list}", f"--T={largest * draw.randint(1, 4)!r}"], None
+    return argv + [f"--h={h}", f"--steps={steps}"], steps if command == "integrate" else None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_seeded_cli_sweep_keeps_the_exit_contract(tmp_path, capsys, monkeypatch):
+    # Every accepted input gives a finite result or a typed exit: exit 0 with a
+    # CSV of steps + 1 finite rows (a finite JSON report for drift and order),
+    # or exit 2, 3, 4 or 5 with nothing written to --out.
+    schemes = _scheme_names(monkeypatch)
+    draw = random.Random(31)
+    codes = {}
+    for i in range(SWEEP_DRAWS):
+        out = tmp_path / f"run{i}.out"
+        argv, steps = _sweep_argv(draw, schemes, out)
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            raise AssertionError(f"{argv} raised") from exc
+        capsys.readouterr()
+        codes[code] = codes.get(code, 0) + 1
+        assert code in (0, 2, 3, 4, 5), argv
+        if code != 0:
+            assert not out.exists(), argv
+        elif steps is None:
+            json.loads(out.read_text(), parse_constant=_reject_non_finite)
+        else:
+            header, rows = read_csv(out)
+            assert len(rows) == steps + 1, argv
+            values = np.array(rows, dtype=float)
+            assert values.shape[1] == len(header) and np.isfinite(values).all(), argv
+        out.unlink(missing_ok=True)
+    # The draws reach both sides of the contract.
+    assert codes.get(0, 0) > SWEEP_DRAWS // 3 and codes.get(2, 0) > 0, codes

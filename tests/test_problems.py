@@ -60,6 +60,12 @@ def test_duffing_frames_define_same_field(rng):
             assert np.max(np.abs(np.asarray(problem.field(m)) - ref)) < 1e-13
 
 
+@pytest.mark.parametrize("frame", ["se3", "R2", None, ["sl2"]])
+def test_duffing_unknown_frame_raises_value_error(frame):
+    with pytest.raises(ValueError, match=r"^unknown Duffing frame "):
+        duffing_problem(DuffingParams(1.0, 1.0), frame)
+
+
 @pytest.mark.parametrize("t", [0.1, 0.5])
 def test_duffing_frozen_flows_match_closed_forms(t):
     a = b = 1.0
