@@ -5,7 +5,7 @@
         --runs parent=logs/parent --runs change=logs/change
 
 Run from the root of a checkout; the record is written to
-BENCH_one_abelian_algebra.json unless ``--out`` names another file (the
+BENCH_s2_rotation_kernel.json unless ``--out`` names another file (the
 earlier records are BENCH_so3_kernels.json, BENCH_implicit_loops.json,
 BENCH_cotangent_family.json, BENCH_explicit_actions.json,
 BENCH_rkmk_family.json, BENCH_one_solver.json, BENCH_one_tableau.json,
@@ -13,7 +13,8 @@ BENCH_so3_algebra.json, BENCH_frb_kernels.json,
 BENCH_cotangent_kernels.json, BENCH_semidirect_kernels.json,
 BENCH_theta_stage.json, BENCH_one_stage_system.json,
 BENCH_dg_kernel.json, BENCH_one_dg_update.json,
-BENCH_one_cotangent_class.json and BENCH_lazy_scipy.json).
+BENCH_one_cotangent_class.json, BENCH_lazy_scipy.json and
+BENCH_one_abelian_algebra.json).
 The cases of ``src/`` are timed as "change"; with ``--baseline`` those of
 ``<baseline>/src`` are timed too, as "parent".  A case whose statement
 raises AttributeError on a tree, one that names an operation the tree does
@@ -61,8 +62,9 @@ a heavy-top preset run (one solver per run of 1000 steps, as the heavytop-warm
 workload runs them), of ``dg_step`` along the frb-s3-dg preset run with the
 Gonzalez and with the averaged differential, and of the Gonzalez ``dg_step``
 on SO(3) along a run of the height H(R) = c . (R u) under a field tangent to
-its level sets, one explicit KUTTA4 ``rkmk_step`` on the free rigid body
-on S^2 from the frb-s2 preset's start, and ``cli.write_csv`` of the
+its level sets, one explicit KUTTA4 ``rkmk_step`` and one ``rkmk4_step``
+(the float kernel of SO(3) acting on S^2) on the free rigid body on S^2 from
+the frb-s2 preset's start, and ``cli.write_csv`` of the
 full-length torus-descent and heavytop-theta05 trajectories into memory.
 
 The import case times ``import ligi.cli`` in fresh interpreters, which the
@@ -167,6 +169,7 @@ CASES = tuple((name, f"liealg.{name}({args})", NUMBER) for name, args in L0_KERN
     ("dg_step_warm_frb_s3_avf", "WARM_DG_AVF()", 100),
     ("dg_step_warm_so3", "WARM_DG_SO3()", 100),
     ("rkmk_step_kutta4_frb_s2", "steppers.rkmk_step(FRB_S2, M3, 0.05)", 2000),
+    ("rkmk4_step_frb_s2", "steppers.rkmk4_step(FRB_S2, M3, 0.05)", 2000),
     ("dg_step_cold", "discrete_gradient.dg_step(FRB, P, 1 / 64)", 300),
     ("write_csv_torus_descent", "cli.write_csv(*TORUS_RUN, io.StringIO())", 5),
     ("write_csv_heavytop_theta05", "cli.write_csv(*HEAVYTOP_RUN, io.StringIO())", 3),
@@ -449,7 +452,7 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline", help="root of a second checkout to time as parent")
     parser.add_argument("--runs", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_one_abelian_algebra.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_s2_rotation_kernel.json"))
     parser.add_argument("--child", nargs="+", metavar="LABEL=SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 

@@ -11,19 +11,25 @@ discrete-gradient schemes) and one `drift` report, each the exact bytes
 in `cases.json` and compares byte for byte.  Full-length
 preset runs take tens of seconds, so they are kept as sha256 digests in
 `PRESET_DIGESTS.json`; `--check` reruns every preset at full length and exits
-1 when a digest differs.
+1 when a digest differs.  For each preset that differs it also prints the
+largest absolute difference of the run's first GOLDEN_STEPS steps from the
+committed prefix (inf when the columns or the number of rows differ).
 
 Regenerating is a declared change of output: run it only in a change that
-means to alter the numbers, and state the largest difference it makes.
+means to alter the numbers, and state the largest difference it makes, as
+`--check` prints it before the regeneration.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -68,11 +74,31 @@ def run_to(argv, path):
         raise SystemExit(f"ligi {' '.join(argv)} exited {code}")
 
 
+def preset_path(preset, workdir):
+    return os.path.join(workdir, f"{preset}.csv")
+
+
 def preset_digest(preset, workdir):
-    path = os.path.join(workdir, f"{preset}.csv")
+    path = preset_path(preset, workdir)
     run_to(["integrate", "--preset", preset], path)
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def prefix_difference(prefix_path, path):
+    """max |a - b| over the rows of the CSV at prefix_path and as many first rows of path.
+
+    inf when the headers or the row counts differ, or a difference is NaN.
+    """
+    with open(prefix_path, newline="") as fh:
+        prefix = list(csv.reader(fh))
+    with open(path, newline="") as fh:
+        rows = list(itertools.islice(csv.reader(fh), len(prefix)))
+    if len(rows) != len(prefix) or rows[0] != prefix[0]:
+        return math.inf
+    diffs = [abs(float(a) - float(b)) for row, ref in zip(rows[1:], prefix[1:])
+             for a, b in zip(row, ref)]
+    return math.inf if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
 
 
 def regenerate():
@@ -100,10 +126,14 @@ def check():
     bad = []
     with tempfile.TemporaryDirectory() as workdir:
         for preset in sorted(expected):
-            ok = preset_digest(preset, workdir) == expected[preset]
-            print(f"{preset:24s} {'identical' if ok else 'DIFFERS'}", flush=True)
-            if not ok:
-                bad.append(preset)
+            if preset_digest(preset, workdir) == expected[preset]:
+                print(f"{preset:24s} identical", flush=True)
+                continue
+            worst = prefix_difference(os.path.join(GOLDEN, f"{preset}.csv"),
+                                      preset_path(preset, workdir))
+            print(f"{preset:24s} DIFFERS, first {GOLDEN_STEPS} steps by at most {worst!r}",
+                  flush=True)
+            bad.append(preset)
     return 1 if bad else 0
 
 

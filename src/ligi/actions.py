@@ -45,6 +45,14 @@ class GroupAction:
         return f"<{type(self).__name__} {self.name}>"
 
 
+def _sphere_point(m):
+    """m as a float array; ActionMismatch unless it is a 3-vector."""
+    m = np.asarray(m, float)
+    if m.shape != (3,):
+        raise ActionMismatch("points on S^2 are 3-vectors")
+    return m
+
+
 class SphereRotationAction(GroupAction):
     """SO(3) acting on the unit sphere by matrix-vector multiplication."""
 
@@ -52,10 +60,7 @@ class SphereRotationAction(GroupAction):
     group = SO3
 
     def apply(self, g, m):
-        m = np.asarray(m, float)
-        if m.shape != (3,):
-            raise ActionMismatch("points on S^2 are 3-vectors")
-        return g @ m
+        return g @ _sphere_point(m)
 
     def generator(self, xi, m):
         return cross3(xi, m)

@@ -113,11 +113,17 @@ def weighted_sum(terms, vectors, out=None):
 # numpy builds in half the time of a nested one).
 
 
+def _cross(a, b):
+    """Cross product of two 3-sequences of floats, as a 3-tuple."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
 def cross3(a, b):
     """Cross product of 3-vectors without np.cross dispatch overhead."""
-    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
-    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return np.array(_cross(np.asarray(a, dtype=float).tolist(),
+                           np.asarray(b, dtype=float).tolist()))
 
 
 def hat(v):

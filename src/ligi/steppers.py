@@ -5,6 +5,13 @@ fields, so any invariant of the group orbits (norms, orthonormality) is
 preserved by construction.  On the translation action every scheme reduces
 to its classical Runge-Kutta counterpart.
 
+rkmk4_step runs on Python floats when the action is SphereRotationAction
+itself with So3Ops as its group (SO3_ON_S2): the stage vectors are 3-tuples,
+and exp(u) . y is Rodrigues applied to the point, y + c1 u x y +
+c2 u x (u x y), without the rotation matrix.  It rounds differently from the
+matrix-vector product; every other action, a subclass of SphereRotationAction
+among them, composes its group's exp, bracket and apply on arrays.
+
 The steps do not screen their inputs: a NaN in the state gives NaN in the
 result (rkmk4_step on the sphere maps [nan, 0, 1] to [nan, nan, nan]), and
 an exponential that overflows gives NaN entries.  Only integrate, and
@@ -21,9 +28,9 @@ from typing import Callable
 
 import numpy as np
 
-from .actions import FrozenFieldProblem
+from .actions import FrozenFieldProblem, SphereRotationAction, _sphere_point
 from .errors import DomainError, NonFiniteState
-from .liealg import weighted_sum
+from .liealg import So3Ops, _cross, _rotation_coeffs, weighted_sum
 
 
 def nonzero_terms(row):
@@ -170,16 +177,62 @@ def rkmk_step(problem: FrozenFieldProblem, y, h, tableau: ButcherTableau = KUTTA
 
 def rkmk4_step(problem: FrozenFieldProblem, y, h):
     """Fourth-order scheme with dexpinv replaced by its optimal Lie polynomials."""
+    y, field, flow, bracket, combine = _rkmk4_arithmetic(problem, y, h)
+    k1 = field(y)
+    k2 = field(flow(combine((0.5, k1))))
+    k3 = field(flow(combine((0.5, k2), (-0.125, bracket(k1, k2)))))
+    k4 = field(flow(k3))
+    return flow(combine((1.0, k1), (2.0, k2), (2.0, k3), (1.0, k4),
+                        (-0.5, bracket(k1, k4)), over=6.0))
+
+
+def _rkmk4_arithmetic(problem, y, h):
+    """(y, field, flow, bracket, combine): the arithmetic of rkmk4_step about the point y.
+
+    field(m) = h f(m), flow(u) = exp(u) . y as an array, the algebra's bracket,
+    and combine((w1, v1), (w2, v2), ..., over=d) = (w1 v1 + w2 v2 + ...) / d.
+    On SO3_ON_S2 the algebra vectors are 3-tuples of floats (f still sees
+    arrays), and a y that is not a 3-vector raises ActionMismatch.
+    """
     act = problem.action
-    group = act.group
     f = problem.coefficient_map
-    k1 = h * np.asarray(f(y), float)
-    k2 = h * np.asarray(f(act.apply(group.exp(0.5 * k1), y)), float)
-    k3 = h * np.asarray(
-        f(act.apply(group.exp(0.5 * k2 - 0.125 * group.bracket(k1, k2)), y)), float)
-    k4 = h * np.asarray(f(act.apply(group.exp(k3), y)), float)
-    v = (k1 + 2.0 * k2 + 2.0 * k3 + k4 - 0.5 * group.bracket(k1, k4)) / 6.0
-    return act.apply(group.exp(v), y)
+    if type(act) is not SphereRotationAction or type(act.group) is not So3Ops:
+        group = act.group
+        return (y, lambda m: h * np.asarray(f(m), float),
+                lambda u: act.apply(group.exp(u), y), group.bracket, _combine_arrays)
+    y = _sphere_point(y)
+    y0, y1, y2 = point = y.tolist()
+    h = float(h)  # numpy scales by any real h as a float64
+
+    def field(m):
+        a, b, c = np.asarray(f(m), float).tolist()
+        return h * a, h * b, h * c
+
+    def flow(u):  # y + c1 u x y + c2 u x (u x y)
+        u0, u1, u2 = u
+        c1, c2 = _rotation_coeffs(u0 * u0 + u1 * u1 + u2 * u2)
+        w0, w1, w2 = w = _cross(u, point)
+        v0, v1, v2 = _cross(u, w)
+        return np.array([y0 + c1 * w0 + c2 * v0, y1 + c1 * w1 + c2 * v1,
+                         y2 + c1 * w2 + c2 * v2])
+
+    return y, field, flow, _cross, _combine_floats
+
+
+def _combine_floats(*terms, over=1.0):
+    """(w1 v1 + w2 v2 + ...) / over on 3-tuples of floats, as numpy rounds it on arrays."""
+    (w, (a, b, c)), *rest = terms
+    a, b, c = w * a, w * b, w * c
+    for w, (p, q, r) in rest:
+        a, b, c = a + w * p, b + w * q, c + w * r
+    return a / over, b / over, c / over
+
+
+def _combine_arrays(*terms, over=1.0):
+    """(w1 v1 + w2 v2 + ...) / over on arrays; a unit weight or divisor is no operation."""
+    weights, vectors = zip(*terms)
+    out = weighted_sum(list(enumerate(weights)), vectors)
+    return out if over == 1.0 else out / over
 
 
 def cf4_step(problem: FrozenFieldProblem, y, h):

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from ligi.actions import (
     SO3_ON_S2,
     FrozenFieldProblem,
+    SphereRotationAction,
     TranslationAction,
 )
-from ligi.errors import FixedPointDivergence, NonFiniteState
-from ligi.liealg import SO3, GroupOps
+from ligi.errors import ActionMismatch, FixedPointDivergence, NonFiniteState
+from ligi.liealg import SO3, GroupOps, So3Ops
 from ligi.problems import (
     DuffingParams,
     duffing_problem,
@@ -296,6 +298,110 @@ def test_cf4_exponential_count():
                                  coefficient_map=FRB.coefficient_map)
     cf4_step(problem, Y0_S2, 0.1)
     assert calls["exp"] == 5
+
+
+# ---------------------------------------------------------------------------
+# rkmk4_step on SO3_ON_S2: the float kernel against the generic composition
+# ---------------------------------------------------------------------------
+
+class GenericSphereAction(SphereRotationAction):
+    """Not SphereRotationAction itself, so rkmk4_step composes exp and apply on arrays."""
+
+
+def generic_problem(problem):
+    return dataclasses.replace(problem, action=GenericSphereAction())
+
+
+def test_rkmk4_sphere_kernel_matches_the_generic_composition():
+    # Seeded draws of states, inertias and signed h with a stage angle
+    # |h f(y)| <= |h| |y| / min I <= 3; far larger angles amplify roundoff.
+    rng = np.random.default_rng(32)
+    worst = 0.0
+    for _ in range(300):
+        inertia = 10.0 ** rng.uniform(-2.0, 2.0, size=3)
+        y = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0)
+        norm = np.linalg.norm(y)
+        h = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 3.0) * inertia.min() / norm
+        problem = free_rigid_body_s2(*inertia)
+        got = rkmk4_step(problem, y, h)
+        expected = rkmk4_step(generic_problem(problem), y, h)
+        assert got.dtype == np.float64 and got.shape == (3,)
+        worst = max(worst, np.max(np.abs(got - expected)) / norm)
+    assert worst <= 1e-14
+
+
+def test_rkmk4_sphere_kernel_takes_only_the_exact_action_and_group():
+    # A subclass of the action, or of So3Ops as its group, keeps the generic
+    # path: the composition's four exponentials and four applications.
+    calls = {"exp": 0, "apply": 0}
+
+    class CountingSO3(So3Ops):
+        def exp(self, xi):
+            calls["exp"] += 1
+            return super().exp(xi)
+
+    class CountingAction(GenericSphereAction):
+        def apply(self, g, m):
+            calls["apply"] += 1
+            return super().apply(g, m)
+
+    rkmk4_step(FrozenFieldProblem(action=CountingAction(), coefficient_map=FRB.coefficient_map),
+               Y0_S2, 0.1)
+    assert calls == {"exp": 0, "apply": 4}
+    action = SphereRotationAction()
+    action.group = CountingSO3()
+    rkmk4_step(FrozenFieldProblem(action=action, coefficient_map=FRB.coefficient_map),
+               Y0_S2, 0.1)
+    assert calls == {"exp": 4, "apply": 4}
+
+
+def test_rkmk4_sphere_calls_the_coefficient_map_with_arrays():
+    seen = []
+
+    def coefficient_map(m):
+        seen.append(m)
+        return FRB.coefficient_map(m)
+
+    problem = FrozenFieldProblem(action=SO3_ON_S2, coefficient_map=coefficient_map)
+    y1 = rkmk4_step(problem, Y0_S2, 0.05)
+    assert len(seen) == 4
+    assert all(type(m) is np.ndarray and m.shape == (3,) for m in seen)
+    assert type(y1) is np.ndarray and y1.dtype == np.float64
+
+
+@pytest.mark.parametrize("y", [np.ones(4), np.ones((3, 1)), 1.0], ids=["4-vector", "3x1", "scalar"])
+def test_rkmk4_sphere_point_must_be_a_3_vector(y):
+    # The shape is checked before any arithmetic: the coefficient map is never called.
+    def coefficient_map(m):
+        raise AssertionError("evaluated the field")
+
+    problem = FrozenFieldProblem(action=SO3_ON_S2, coefficient_map=coefficient_map)
+    with pytest.raises(ActionMismatch, match=r"points on S\^2 are 3-vectors"):
+        rkmk4_step(problem, y, 0.05)
+    with pytest.raises(ValueError):  # ActionMismatch is a ValueError
+        rkmk4_step(problem, y, 0.05)
+
+
+def test_rkmk4_sphere_nan_state_gives_nan():
+    assert np.isnan(rkmk4_step(FRB, np.array([np.nan, 0.0, 1.0]), 0.05)).all()
+
+
+def test_rkmk4_sphere_overflowing_step_is_not_finite():
+    # integrate stops on it with NonFiniteState, the CLI with exit code 4.
+    assert not np.isfinite(rkmk4_step(FRB, Y0_S2, 1e308)).all()
+    with pytest.raises(NonFiniteState, match="step 1"):
+        integrate(partial(rkmk4_step, FRB), Y0_S2, 1e308, 1)
+
+
+@pytest.mark.parametrize("h", [1, np.float32(0.05), np.float64(0.05), Fraction(1, 20)],
+                         ids=["int", "float32", "float64", "Fraction"])
+def test_rkmk4_sphere_accepts_any_real_step_type(h):
+    # Every type of h scales as its float64 value, as numpy scales the arrays.
+    got = rkmk4_step(FRB, Y0_S2, h)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, rkmk4_step(FRB, Y0_S2, float(h)))
+    np.testing.assert_allclose(got, rkmk4_step(generic_problem(FRB), Y0_S2, h),
+                               rtol=0.0, atol=1e-14)
 
 
 def test_cf4_and_rkmk4_agree_to_h4(rng):
